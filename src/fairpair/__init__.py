@@ -18,7 +18,6 @@ from .constraints import (
 from .data import (
     Dataset,
     Item,
-    Pair,
     PairSet,
     QueryGroup,
     SynthTruth,

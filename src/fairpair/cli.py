@@ -206,25 +206,39 @@ def _write_coefficients(coeffs: Coefficients, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_coefficients(path: Path) -> Coefficients:
+def _read_coefficients(path: Path, K: int, kind: ConstraintKind) -> Coefficients:
+    """Read coefficients written by train; they must match the data's K and the kind."""
     if not path.exists():
         raise ValidationError(
             f"missing coefficients artifact {path}; run `fairpair train` first"
         )
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    K = int(doc["K"])
-    values = np.asarray(doc["values"], dtype=np.float64).reshape(K, K)
-    kind = ConstraintKind(doc["kind"])
-    return Coefficients(values, kind)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        file_K, file_kind = doc["K"], doc["kind"]
+        values = np.asarray(doc["values"], dtype=np.float64)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"coefficients file {path} is corrupt: {exc!r}") from None
+    if file_kind != kind.value:
+        raise ValidationError(
+            f"coefficients file {path} holds {file_kind!r} coefficients, "
+            f"but the configured constraint is {kind.value!r}"
+        )
+    if file_K != K:
+        raise ValidationError(
+            f"coefficients file {path} has K={file_K!r}, but the dataset has K={K}"
+        )
+    if values.shape != (K * K,) or not np.all(np.isfinite(values)):
+        raise ValidationError(f"coefficients file {path} must hold {K * K} finite values")
+    return Coefficients(values.reshape(K, K), kind)
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    coeffs_star = _read_coefficients(cfg.out_dir / "coefficients.json")
     ds = _load_dataset(cfg)
+    kind = cfg.constraint
+    coeffs_star = _read_coefficients(cfg.out_dir / "coefficients.json", ds.K, kind)
     train, _valid, test = _split(cfg, ds)
     ps = make_pairs(train)
     stats = compute_group_stats(ps)
-    kind = coeffs_star.kind
 
     rows = []
     for x in cfg.sweep_scales:

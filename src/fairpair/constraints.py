@@ -80,57 +80,20 @@ def _item_stats(ds) -> tuple[np.ndarray, np.ndarray]:
     return item_frac, pos_item_frac
 
 
-def compute_group_stats(ps: PairSet, per_query: bool = False) -> GroupStats:
-    """Count group-pair membership and positive-label proportions.
-
-    With per_query=True the proportions are computed per query and then
-    averaged across queries (queries without pairs are skipped for the
-    pair statistics); the default pools all pairs.
-    """
-    if not ps.pairs:
+def compute_group_stats(ps: PairSet) -> GroupStats:
+    """Count group-pair membership and positive-label proportions over all pairs."""
+    if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
     K = ps.source.K
     arr = ps.arrays
-
-    if not per_query:
-        n = len(ps)
-        cell = arr.group_i * K + arr.group_j
-        pair_frac = (np.bincount(cell, minlength=K * K) / n).reshape(K, K)
-        pos_pair_frac = (
-            np.bincount(cell, weights=arr.label.astype(float), minlength=K * K) / n
-        ).reshape(K, K)
-        pos_frac = float(arr.label.mean())
-        item_frac, pos_item_frac = _item_stats(ps.source)
-        return GroupStats(pair_frac, pos_pair_frac, pos_frac, item_frac, pos_item_frac)
-
-    pair_frac = np.zeros((K, K))
-    pos_pair_frac = np.zeros((K, K))
-    pos_frac = 0.0
-    n_queries_with_pairs = 0
-    for qi in range(len(ps.source.queries)):
-        sel = arr.query_index == qi
-        nq = int(sel.sum())
-        if nq == 0:
-            continue
-        n_queries_with_pairs += 1
-        cell = arr.group_i[sel] * K + arr.group_j[sel]
-        pair_frac += (np.bincount(cell, minlength=K * K) / nq).reshape(K, K)
-        pos_pair_frac += (
-            np.bincount(cell, weights=arr.label[sel].astype(float), minlength=K * K) / nq
-        ).reshape(K, K)
-        pos_frac += float(arr.label[sel].mean())
-    pair_frac /= n_queries_with_pairs
-    pos_pair_frac /= n_queries_with_pairs
-    pos_frac /= n_queries_with_pairs
-
-    item_frac = np.zeros(K)
-    pos_item_frac = np.zeros(K)
-    for q in ps.source.queries:
-        nq = len(q)
-        item_frac += np.bincount(q.groups, minlength=K) / nq
-        pos_item_frac += np.bincount(q.groups, weights=q.labels.astype(float), minlength=K) / nq
-    item_frac /= len(ps.source.queries)
-    pos_item_frac /= len(ps.source.queries)
+    n = len(ps)
+    cell = arr.group_i * K + arr.group_j
+    pair_frac = (np.bincount(cell, minlength=K * K) / n).reshape(K, K)
+    pos_pair_frac = (
+        np.bincount(cell, weights=arr.label.astype(float), minlength=K * K) / n
+    ).reshape(K, K)
+    pos_frac = float(arr.label.mean())
+    item_frac, pos_item_frac = _item_stats(ps.source)
     return GroupStats(pair_frac, pos_pair_frac, pos_frac, item_frac, pos_item_frac)
 
 

@@ -117,19 +117,6 @@ class Dataset:
         return np.concatenate([q.groups for q in self.queries])
 
 
-@dataclass(frozen=True)
-class Pair:
-    """An ordered within-query item pair with its binary order label.
-
-    ``pair_label`` is 1 exactly when item i's label exceeds item j's.
-    """
-
-    query_index: int
-    i: int
-    j: int
-    pair_label: int
-
-
 @dataclass(eq=False)
 class PairArrays:
     """Column view of a PairSet for vectorized computation."""
@@ -145,34 +132,35 @@ class PairArrays:
 
 @dataclass(eq=False)
 class PairSet:
-    """All ordered discordant pairs of a dataset, in deterministic order."""
+    """All ordered discordant pairs of a dataset, in deterministic order.
 
-    pairs: list[Pair]
+    A pair is a row of three index columns: its query and the positions of
+    items i and j within that query.  ``arrays`` gathers labels, groups and
+    feature differences from the dataset's flat item arrays.
+    """
+
+    query_index: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
     source: Dataset
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.i.size
 
     @cached_property
     def arrays(self) -> PairArrays:
-        n = len(self.pairs)
-        qidx = np.empty(n, dtype=np.int64)
-        ii = np.empty(n, dtype=np.int64)
-        jj = np.empty(n, dtype=np.int64)
-        lab = np.empty(n, dtype=np.int64)
-        gi = np.empty(n, dtype=np.int64)
-        gj = np.empty(n, dtype=np.int64)
-        diff = np.empty((n, self.source.d), dtype=np.float64)
-        for t, p in enumerate(self.pairs):
-            q = self.source.queries[p.query_index]
-            qidx[t] = p.query_index
-            ii[t] = p.i
-            jj[t] = p.j
-            lab[t] = p.pair_label
-            gi[t] = q.groups[p.i]
-            gj[t] = q.groups[p.j]
-            diff[t] = q.features[p.i] - q.features[p.j]
-        return PairArrays(qidx, ii, jj, lab, gi, gj, diff)
+        ds = self.source
+        sizes = np.asarray([len(q) for q in ds.queries], dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        # Flat item indices into ds.flat_*.
+        fi = offsets[self.query_index] + self.i
+        fj = offsets[self.query_index] + self.j
+        diff = ds.flat_features[fi]
+        diff -= ds.flat_features[fj]
+        groups = ds.flat_groups
+        # Labels differ within a pair, so the pair label is item i's label.
+        label = ds.flat_labels[fi]
+        return PairArrays(self.query_index, self.i, self.j, label, groups[fi], groups[fj], diff)
 
 
 @dataclass(eq=False)
@@ -343,15 +331,14 @@ def make_pairs(ds: Dataset) -> PairSet:
     contributes one pair with label 1 and one with label 0.  Output order
     is query order, then i, then j.
     """
-    pairs: list[Pair] = []
+    parts = [(np.zeros(0, dtype=np.int64),) * 3]
     for qi, q in enumerate(ds.queries):
-        labels = q.labels
-        n = len(labels)
-        for i in range(n):
-            for j in range(n):
-                if i != j and labels[i] != labels[j]:
-                    pairs.append(Pair(qi, i, j, int(labels[i] > labels[j])))
-    return PairSet(pairs, ds)
+        lab = q.labels
+        # nonzero walks row-major (i, then j); the diagonal never differs.
+        i, j = np.nonzero(lab[:, None] != lab[None, :])
+        parts.append((np.full(i.size, qi), i, j))
+    qidx, ii, jj = (np.concatenate(col).astype(np.int64, copy=False) for col in zip(*parts))
+    return PairSet(qidx, ii, jj, ds)
 
 
 def generate_synthetic(

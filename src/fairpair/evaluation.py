@@ -85,7 +85,7 @@ def evaluate(model: LinearRankingModel, ds: Dataset, kind: ConstraintKind) -> Ev
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
     ps = make_pairs(ds)
-    if not ps.pairs:
+    if not len(ps):
         raise ValidationError("dataset has no discordant pairs to evaluate")
     stats = compute_group_stats(ps)
     delta = reweight.expected_bias(model, ps, stats, kind)

@@ -100,8 +100,13 @@ def save_model(model: LinearRankingModel, path) -> None:
 
 
 def load_model(path) -> LinearRankingModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    w = np.asarray(doc["w"], dtype=np.float64)
-    if w.size != doc["d"]:
+    """Read a model written by save_model; a malformed file is a ValidationError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        w = np.asarray(doc["w"], dtype=np.float64)
+        d, b = doc["d"], float(doc["b"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"model file {path} is corrupt: {exc!r}") from None
+    if w.shape != (d,):
         raise ValidationError(f"model file {path} is inconsistent: d != len(w)")
-    return LinearRankingModel(w, float(doc["b"]))
+    return LinearRankingModel(w, b)

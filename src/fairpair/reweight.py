@@ -31,7 +31,7 @@ from .constraints import (
 from .data import Dataset, PairSet, make_pairs
 from .errors import ValidationError
 from .model import LinearRankingModel, clamp_prob, stable_sigmoid
-from .training import TrainConfig, train_pointwise, train_weighted
+from .training import TrainConfig, require_types, train_pointwise, train_weighted
 
 
 @dataclass(eq=False)
@@ -64,6 +64,9 @@ class FairTrainConfig:
     warm_start: bool = False
 
     def __post_init__(self):
+        require_types(self, ints=("T",), floats=("eta_lambda",))
+        if not isinstance(self.warm_start, bool):
+            raise ValidationError(f"warm_start must be true or false, got {self.warm_start!r}")
         if self.eta_lambda <= 0:
             raise ValidationError("eta_lambda must be > 0")
         if self.T < 0:
@@ -97,7 +100,7 @@ def expected_bias(
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
-    if not ps.pairs:
+    if not len(ps):
         raise ValidationError("cannot evaluate expected bias on an empty pair set")
     arr = ps.arrays
     l_hat = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
@@ -216,7 +219,7 @@ def fair_train(
         raise ValidationError("fair training requires at least two groups")
 
     ps_train = make_pairs(train)
-    if not ps_train.pairs:
+    if not len(ps_train):
         raise ValidationError("training set has no discordant pairs")
     stats_train = compute_group_stats(ps_train)
 
@@ -227,40 +230,36 @@ def fair_train(
     if cfg.T == 0:
         return model, coeffs, history
 
-    if cfg.delta_set == "validation":
-        ps_delta = make_pairs(eval_set)
-        if not ps_delta.pairs:
-            raise ValidationError("validation set has no discordant pairs")
-        stats_delta = compute_group_stats(ps_delta)
-    else:
-        ps_delta, stats_delta = ps_train, stats_train
-
     ps_eval = make_pairs(eval_set)
-    if not ps_eval.pairs:
+    if not len(ps_eval):
         raise ValidationError("evaluation set has no discordant pairs")
     stats_eval = compute_group_stats(ps_eval)
 
+    # Each iteration's delta is the previous model's bias on the delta set,
+    # which the previous iteration already measured for its history record.
+    if cfg.delta_set == "validation":
+        delta = expected_bias(model, ps_eval, stats_eval, kind)
+    else:
+        delta = expected_bias(model, ps_train, stats_train, kind)
     for t in range(1, cfg.T + 1):
-        delta = expected_bias(model, ps_delta, stats_delta, kind)
         coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
         weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
         init = model if cfg.warm_start else None
         model = train_weighted(ps_train, weights, cfg.inner, init=init)
+        bias_train = expected_bias(model, ps_train, stats_train, kind)
+        bias_eval = expected_bias(model, ps_eval, stats_eval, kind)
         history.append(
             IterationRecord(
                 iteration=t,
                 auc_train=evaluation.auc(model, train)[0],
                 auc_eval=evaluation.auc(model, eval_set)[0],
-                fairness_train=evaluation.fairness_score(
-                    expected_bias(model, ps_train, stats_train, kind)
-                ),
-                fairness_eval=evaluation.fairness_score(
-                    expected_bias(model, ps_eval, stats_eval, kind)
-                ),
+                fairness_train=evaluation.fairness_score(bias_train),
+                fairness_eval=evaluation.fairness_score(bias_eval),
                 delta=delta.values.copy(),
                 coeffs=coeffs.values.copy(),
             )
         )
+        delta = bias_eval if cfg.delta_set == "validation" else bias_train
     return model, coeffs, history
 
 

@@ -9,6 +9,8 @@ because it cancels in every score difference.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,23 @@ import numpy as np
 from .data import Dataset, PairSet
 from .errors import ValidationError
 from .model import LinearRankingModel, clamp_prob, stable_sigmoid
+
+
+def require_types(cfg, ints=(), floats=()) -> None:
+    """Reject config fields that are not integers (``ints``) or finite reals (``floats``).
+
+    Bools are rejected for both; integers are accepted as reals.
+    """
+    for name in ints:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name in floats:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +48,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_types(
+            self,
+            ints=("epochs", "batch_size", "seed"),
+            floats=("learning_rate", "beta1", "beta2", "eps_adam"),
+        )
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -124,7 +148,7 @@ def train_weighted(
     so the result is deterministic for fixed inputs.  epochs=0 returns the
     initial model unchanged.
     """
-    if not ps.pairs:
+    if not len(ps):
         raise ValidationError("cannot train on an empty pair set")
     n = len(ps)
     weights = _check_weights(weights, n)

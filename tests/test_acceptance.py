@@ -143,7 +143,7 @@ def test_criterion_2_weight_closed_form(rng):
         K = int(rng.integers(2, 5))
         ds, _ = generate_synthetic(2, 12, 3, K, 0.5, seed=int(rng.integers(1_000_000)))
         ps = make_pairs(ds)
-        if not ps.pairs:
+        if not len(ps):
             continue
         stats = compute_group_stats(ps)
         mask = pair_constraint_mask(STAT, stats)

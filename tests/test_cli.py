@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from fairpair.cli import main
 from fairpair.data import generate_synthetic, load_csv
@@ -158,11 +159,53 @@ class TestSweep:
         assert float(rows[1.0]["auc"]) == pair["auc"]
         assert float(rows[1.0]["fairness"]) == pair["fairness"]
 
+    @staticmethod
+    def trained_run(tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["train", "--config", cfg]) == 0
+        return cfg, out / "coefficients.json"
+
+    @pytest.mark.parametrize("text", ['{"kind": "statistical", "K": 2, "val', "[]", "{}"])
+    def test_corrupt_coefficients_named(self, tmp_path, capsys, text):
+        cfg, path = self.trained_run(tmp_path)
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_coefficients_for_other_K_rejected(self, tmp_path, capsys):
+        cfg, path = self.trained_run(tmp_path)
+        doc = json.loads(path.read_text())
+        doc.update(K=3, values=[0.5] * 9)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg]) == 1
+        assert "K=3" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "sweep.csv").exists()
+
+    def test_coefficients_for_other_kind_rejected(self, tmp_path, capsys):
+        cfg, path = self.trained_run(tmp_path)
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--constraint", "inter"]) == 1
+        assert "'statistical'" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_missing_model_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "none"))
         assert main(["evaluate", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize(
+        "text", ['{"d": 3, "w": [0.1, 0.2', '{"d": 3}', '{"d": 1, "w": ["x"], "b": 0}']
+    )
+    def test_corrupt_model_named(self, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, base_config(out))
+        out.mkdir()
+        (out / "model.json").write_text(text)
+        assert main(["evaluate", "--config", cfg]) == 1
+        assert str(out / "model.json") in capsys.readouterr().err
 
     def test_rewrites_reports(self, tmp_path):
         out = tmp_path / "run"
@@ -199,6 +242,37 @@ class TestConfigHandling:
         doc["train"]["momentum"] = 0.9
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("train", "batch_size", 64.0),
+            ("train", "epochs", True),
+            ("train", "epochs", "4"),
+            ("train", "seed", 1.5),
+            ("train", "learning_rate", float("nan")),
+            ("train", "beta2", float("inf")),
+            ("train", "eps_adam", False),
+            ("fair", "T", 2.0),
+            ("fair", "T", False),
+            ("fair", "eta_lambda", float("-inf")),
+            ("fair", "warm_start", "false"),
+        ],
+    )
+    def test_config_value_types_checked(self, tmp_path, capsys, section, key, value):
+        doc = base_config(tmp_path / "out")
+        doc[section][key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_float_values_accepted(self, tmp_path):
+        doc = base_config(tmp_path / "out")
+        doc["train"]["learning_rate"] = 1
+        doc["fair"]["eta_lambda"] = 2
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg]) == 0
 
     def test_out_flag_overrides_config(self, tmp_path):
         doc = base_config(tmp_path / "ignored")

@@ -71,11 +71,12 @@ class TestComputeStats:
         count = {}
         pos_count = {}
         positives = 0
-        for p in ps.pairs:
-            q = ds.queries[p.query_index]
-            cell = (int(q.groups[p.i]), int(q.groups[p.j]))
+        arr = ps.arrays
+        for qi, i, j, label in zip(arr.query_index, arr.i, arr.j, arr.label):
+            q = ds.queries[qi]
+            cell = (int(q.groups[i]), int(q.groups[j]))
             count[cell] = count.get(cell, 0) + 1
-            if p.pair_label == 1:
+            if label == 1:
                 pos_count[cell] = pos_count.get(cell, 0) + 1
                 positives += 1
         for k in range(3):
@@ -109,24 +110,6 @@ class TestComputeStats:
             ds = random_dataset(rng, n_queries=4, items_per_query=7, d=2, K=3)
             stats = compute_group_stats(make_pairs(ds))
             assert abs(stats.pos_pair_frac.sum() - stats.pos_frac) < 1e-12
-
-    def test_per_query_averaging(self):
-        # Query 1 has all (0,1)/(1,0) pairs, query 2 all (0,0); pooled and
-        # per-query proportions differ because the queries have different sizes.
-        ds = build_dataset(
-            [
-                ("q1", [1, 0], [0, 1], [[0.0], [1.0]]),
-                ("q2", [1, 0, 0], [0, 0, 0], [[0.0], [1.0], [2.0]]),
-            ],
-            d=1,
-            K=2,
-        )
-        ps = make_pairs(ds)
-        pooled = compute_group_stats(ps)
-        averaged = compute_group_stats(ps, per_query=True)
-        assert pooled.pair_frac[0, 0] == pytest.approx(4 / 6)
-        assert averaged.pair_frac[0, 0] == pytest.approx(0.5)
-        assert averaged.pair_frac[0, 1] == pytest.approx(0.25)
 
 
 class TestPairConstraint:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset, random_dataset
 from fairpair.data import (
@@ -153,13 +155,48 @@ class TestSplitQueries:
         assert len(train.queries) == 8 and len(test.queries) == 2
 
 
+def pair_keys(ps):
+    """(query_index, i, j, label) of every pair, in emitted order."""
+    arr = ps.arrays
+    return list(zip(*(c.tolist() for c in (arr.query_index, arr.i, arr.j, arr.label))))
+
+
+def nested_loop_arrays(ds):
+    """Reference enumeration: one Python tuple per pair, copied row by row."""
+    pairs = []
+    for qi, q in enumerate(ds.queries):
+        labels = q.labels
+        n = len(labels)
+        for i in range(n):
+            for j in range(n):
+                if i != j and labels[i] != labels[j]:
+                    pairs.append((qi, i, j, int(labels[i] > labels[j])))
+    n = len(pairs)
+    cols = [np.empty(n, dtype=np.int64) for _ in range(6)]
+    diff = np.empty((n, ds.d), dtype=np.float64)
+    for t, (qi, i, j, lab) in enumerate(pairs):
+        q = ds.queries[qi]
+        for col, v in zip(cols, (qi, i, j, lab, q.groups[i], q.groups[j])):
+            col[t] = v
+        diff[t] = q.features[i] - q.features[j]
+    return cols + [diff]
+
+
+ARRAY_FIELDS = ("query_index", "i", "j", "label", "group_i", "group_j", "feat_diff")
+
+
+def query_spec(rng, qid, n_items, d, K, labels=None):
+    if labels is None:
+        labels = rng.integers(0, 2, size=n_items)
+    return (qid, labels, rng.integers(0, K, size=n_items), rng.normal(size=(n_items, d)))
+
+
 class TestMakePairs:
     def test_enumeration_example(self):
         ds = build_dataset(
             [("q1", [1, 0, 0], [0, 0, 0], [[0.0], [1.0], [2.0]])], d=1, K=1
         )
-        ps = make_pairs(ds)
-        got = {(p.i, p.j, p.pair_label) for p in ps.pairs}
+        got = {(i, j, l) for _, i, j, l in pair_keys(make_pairs(ds))}
         assert got == {(0, 1, 1), (1, 0, 0), (0, 2, 1), (2, 0, 0)}
 
     def test_uniform_labels_give_no_pairs(self):
@@ -177,16 +214,15 @@ class TestMakePairs:
         )
         ps = make_pairs(ds)
         assert len(ps) == 4
-        assert all(
-            p.query_index == 0 or p.query_index == 1 for p in ps.pairs
-        )
-        assert {p.query_index for p in ps.pairs} == {0, 1}
+        assert set(ps.arrays.query_index.tolist()) == {0, 1}
+        # Each pair's feature difference comes from items of its own query.
+        np.testing.assert_array_equal(ps.arrays.feat_diff[:, 0], [-1.0, 1.0, -1.0, 1.0])
 
     def test_antisymmetry_and_count(self, rng):
         for _ in range(20):
             ds = random_dataset(rng, n_queries=3, items_per_query=int(rng.integers(2, 9)))
             ps = make_pairs(ds)
-            emitted = {(p.query_index, p.i, p.j, p.pair_label) for p in ps.pairs}
+            emitted = set(pair_keys(ps))
             for q, i, j, l in emitted:
                 assert (q, j, i, 1 - l) in emitted
             expected = 0
@@ -197,8 +233,68 @@ class TestMakePairs:
 
     def test_deterministic_ordering(self, rng):
         ds = random_dataset(rng, n_queries=3, items_per_query=5)
+        keys = [k[:3] for k in pair_keys(make_pairs(ds))]
+        assert keys == sorted(keys)
+
+    def test_arrays_match_nested_loop_bytes(self, rng):
+        # Random datasets mixing single-item, single-label and mixed queries.
+        for trial in range(30):
+            d = int(rng.integers(1, 5))
+            K = int(rng.integers(1, 4))
+            queries = []
+            for qi in range(int(rng.integers(1, 7))):
+                n_items = int(rng.integers(1, 9))
+                kind = rng.integers(0, 3)
+                labels = None if kind == 0 else np.full(n_items, kind - 1)
+                queries.append(query_spec(rng, f"q{qi}", n_items, d, K, labels))
+            ds = build_dataset(queries, d=d, K=K)
+            self._assert_bytes_equal(make_pairs(ds), nested_loop_arrays(ds))
+
+    def test_empty_split_arrays(self):
+        # split_queries can leave a split with no queries at all.
+        ds = build_dataset([], d=3, K=2)
         ps = make_pairs(ds)
-        keys = [(p.query_index, p.i, p.j) for p in ps.pairs]
+        assert len(ps) == 0
+        assert ps.arrays.feat_diff.shape == (0, 3)
+        self._assert_bytes_equal(ps, nested_loop_arrays(ds))
+
+    def test_single_label_queries_give_empty_arrays(self, rng):
+        ds = build_dataset(
+            [query_spec(rng, "a", 4, 3, 2, [1] * 4), query_spec(rng, "b", 1, 3, 2, [0])],
+            d=3,
+            K=2,
+        )
+        ps = make_pairs(ds)
+        assert len(ps) == 0
+        assert ps.arrays.feat_diff.shape == (0, 3)
+        self._assert_bytes_equal(ps, nested_loop_arrays(ds))
+
+    @staticmethod
+    def _assert_bytes_equal(ps, expected):
+        arr = ps.arrays
+        for name, want in zip(ARRAY_FIELDS, expected):
+            got = getattr(arr, name)
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 1), min_size=1, max_size=9), min_size=0, max_size=6
+        )
+    )
+    def test_pair_properties(self, label_lists):
+        queries = [
+            (f"q{qi}", labels, [0] * len(labels), [[float(t)] for t in range(len(labels))])
+            for qi, labels in enumerate(label_lists)
+        ]
+        ps = make_pairs(build_dataset(queries, d=1, K=1))
+        keys = pair_keys(ps)
+        expected = sum(2 * sum(ls) * (len(ls) - sum(ls)) for ls in label_lists)
+        assert len(ps) == len(keys) == expected
+        emitted = set(keys)
+        assert all((q, j, i, 1 - l) in emitted for q, i, j, l in keys)
         assert keys == sorted(keys)
 
 

@@ -184,11 +184,12 @@ class TestEvaluate:
                 if not mask[k, l]:
                     continue
                 acc = 0.0
-                for p in ps.pairs:
-                    q = ds.queries[p.query_index]
-                    z = q.features[p.i][0] - q.features[p.j][0]
+                arr = ps.arrays
+                for qi, i, j in zip(arr.query_index, arr.i, arr.j):
+                    q = ds.queries[qi]
+                    z = q.features[i][0] - q.features[j][0]
                     l_hat = 1.0 / (1.0 + math.exp(-z))
-                    member = q.groups[p.i] == k and q.groups[p.j] == l
+                    member = q.groups[i] == k and q.groups[j] == l
                     acc += l_hat * ((1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0)
                 expected_delta[k, l] = acc / len(ps)
         np.testing.assert_allclose(report.delta.values, expected_delta, atol=1e-12)

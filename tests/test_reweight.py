@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fairpair.reweight as rw
 from conftest import build_dataset, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
@@ -14,13 +15,14 @@ from fairpair.constraints import (
 )
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
-from fairpair.evaluation import evaluate
+from fairpair.evaluation import auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel
 from fairpair.reweight import (
     Coefficients,
     DeltaMatrix,
     EnumeratedInstance,
     FairTrainConfig,
+    IterationRecord,
     bias_correction_identity,
     expected_bias,
     fair_train,
@@ -90,11 +92,12 @@ class TestExpectedBias:
                     assert delta.values[k, l] == 0.0
                     continue
                 total = 0.0
-                for p in ps.pairs:
-                    q = ds.queries[p.query_index]
-                    z = 0.8 * (q.features[p.i][0] - q.features[p.j][0])
+                arr = ps.arrays
+                for qi, i, j in zip(arr.query_index, arr.i, arr.j):
+                    q = ds.queries[qi]
+                    z = 0.8 * (q.features[i][0] - q.features[j][0])
                     l_hat = 1.0 / (1.0 + math.exp(-z))
-                    member = q.groups[p.i] == k and q.groups[p.j] == l
+                    member = q.groups[i] == k and q.groups[j] == l
                     c = (1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0
                     total += l_hat * c
                 assert delta.values[k, l] == pytest.approx(total / len(ps), abs=1e-12)
@@ -309,6 +312,43 @@ class TestFairTrain:
         m_va, c_va, _ = fair_train(train, valid, STAT, small_cfg(T=3, delta_set="validation"))
         assert not np.array_equal(c_tr.values, c_va.values)
 
+    @pytest.mark.parametrize("delta_set", ["train", "validation"])
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_reuses_pairs_and_bias(self, monkeypatch, delta_set, warm_start):
+        # Pair sets are built once per dataset and each delta reuses the bias
+        # measured for the previous record; the history equals a loop that
+        # rebuilds and remeasures everything.
+        train, valid, _ = self.biased_splits()
+        cfg = small_cfg(T=4, delta_set=delta_set, warm_start=warm_start)
+        calls = {"make_pairs": 0, "expected_bias": 0}
+
+        def counted(name):
+            real = getattr(rw, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(rw, name, counted(name))
+        model, coeffs, history = fair_train(train, valid, STAT, cfg)
+        assert calls == {"make_pairs": 2, "expected_bias": 1 + 2 * cfg.T}
+
+        ref_model, ref_coeffs, ref_history = plain_fair_train(train, valid, STAT, cfg)
+        np.testing.assert_array_equal(model.w, ref_model.w)
+        np.testing.assert_array_equal(coeffs.values, ref_coeffs.values)
+        assert len(history) == len(ref_history) == cfg.T
+        for rec, ref in zip(history, ref_history):
+            assert (rec.auc_train, rec.auc_eval) == (ref.auc_train, ref.auc_eval)
+            assert (rec.fairness_train, rec.fairness_eval) == (
+                ref.fairness_train,
+                ref.fairness_eval,
+            )
+            assert rec.delta.tobytes() == ref.delta.tobytes()
+            assert rec.coeffs.tobytes() == ref.coeffs.tobytes()
+
     def test_warm_start_changes_trajectory(self):
         train, valid, _ = self.biased_splits()
         m_cold, _, _ = fair_train(train, valid, STAT, small_cfg(T=3))
@@ -324,6 +364,39 @@ class TestFairTrain:
         train, valid, _ = self.biased_splits()
         with pytest.raises(ValidationError):
             fair_train(train, valid, ConstraintKind.POINT_STATISTICAL, small_cfg(T=1))
+
+
+def plain_fair_train(train, eval_set, kind, cfg):
+    """Reference outer loop: every pair set built and every bias measured afresh."""
+    ps_train = make_pairs(train)
+    stats_train = compute_group_stats(ps_train)
+    ps_delta = make_pairs(train if cfg.delta_set == "train" else eval_set)
+    stats_delta = compute_group_stats(ps_delta)
+    ps_eval = make_pairs(eval_set)
+    stats_eval = compute_group_stats(ps_eval)
+
+    coeffs = Coefficients.zeros(train.K, kind)
+    weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
+    model = train_weighted(ps_train, weights, cfg.inner)
+    history = []
+    for t in range(1, cfg.T + 1):
+        delta = expected_bias(model, ps_delta, stats_delta, kind)
+        coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
+        weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
+        init = model if cfg.warm_start else None
+        model = train_weighted(ps_train, weights, cfg.inner, init=init)
+        history.append(
+            IterationRecord(
+                iteration=t,
+                auc_train=auc(model, train)[0],
+                auc_eval=auc(model, eval_set)[0],
+                fairness_train=fairness_score(expected_bias(model, ps_train, stats_train, kind)),
+                fairness_eval=fairness_score(expected_bias(model, ps_eval, stats_eval, kind)),
+                delta=delta.values.copy(),
+                coeffs=coeffs.values.copy(),
+            )
+        )
+    return model, coeffs, history
 
 
 class TestPointwiseReweightTrain:

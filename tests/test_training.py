@@ -213,11 +213,10 @@ class TestTrainWeighted:
 
         init = LinearRankingModel.zeros(ds.d)
         grads = []
-        for t, p in enumerate(ps.pairs):
-            q = ds.queries[p.query_index]
-            grads.append(
-                loss_gradient(init, q.features[p.i], q.features[p.j], p.pair_label, weights[t])
-            )
+        arr = ps.arrays
+        for t, (qi, i, j, label) in enumerate(zip(arr.query_index, arr.i, arr.j, arr.label)):
+            q = ds.queries[qi]
+            grads.append(loss_gradient(init, q.features[i], q.features[j], label, weights[t]))
         # The shuffled batch order does not change a full-batch mean.
         grad = np.mean(grads, axis=0)
         _, params = adam_update(
