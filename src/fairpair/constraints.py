@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Item, PairSet
+from .data import Item, PairSet, item_cell, pair_cell
 from .errors import ConstraintUndefined, ValidationError
 
 
@@ -84,17 +84,10 @@ def compute_group_stats(ps: PairSet) -> GroupStats:
     """Count group-pair membership and positive-label proportions over all pairs."""
     if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
-    K = ps.source.K
-    arr = ps.arrays
-    n = len(ps)
-    cell = arr.group_i * K + arr.group_j
-    pair_frac = (np.bincount(cell, minlength=K * K) / n).reshape(K, K)
-    pos_pair_frac = (
-        np.bincount(cell, weights=arr.label.astype(float), minlength=K * K) / n
-    ).reshape(K, K)
-    pos_frac = float(arr.label.mean())
-    item_frac, pos_item_frac = _item_stats(ps.source)
-    return GroupStats(pair_frac, pos_pair_frac, pos_frac, item_frac, pos_item_frac)
+    K, n = ps.source.K, len(ps)
+    counts = np.bincount(ps.arrays.cell, minlength=2 * K * K).reshape(K, K, 2)
+    pos_frac = float(ps.arrays.label.mean())
+    return GroupStats(counts.sum(axis=2) / n, counts[..., 1] / n, pos_frac, *_item_stats(ps.source))
 
 
 def compute_point_stats(ds) -> GroupStats:
@@ -160,6 +153,22 @@ def _pair_constraint_at_one(
     return l_true * (member / stats.pos_pair_frac[k].sum() - 1.0 / stats.pos_frac)
 
 
+def pair_constraint_table(kind: ConstraintKind, stats: GroupStats, l_true=None) -> np.ndarray:
+    """(K, K, 2K²) constraint values at pair label 1 of every pair cell.
+
+    Entry [k, l, c] is the (k, l) constraint of the pairs in ``pair_cell``
+    c.  ``l_true`` defaults to each cell's label, the observed-label
+    proxy.  Undefined (k, l) rows are 0.
+    """
+    K = stats.K
+    group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)
+    proxy = label if l_true is None else l_true
+    table = np.zeros((K, K, 2 * K * K))
+    for k, l in zip(*np.nonzero(pair_constraint_mask(kind, stats))):
+        table[k, l] = _pair_constraint_at_one(kind, stats, k, l, group_i, group_j, proxy)
+    return table
+
+
 def pair_constraint(
     kind: ConstraintKind,
     stats: GroupStats,
@@ -182,9 +191,8 @@ def pair_constraint(
         raise ConstraintUndefined(f"{kind.value} constraint undefined for groups ({k},{l})")
     if label == 0:
         return 0.0
-    if l_true is None:
-        l_true = float(label)
-    return float(_pair_constraint_at_one(kind, stats, k, l, group_i, group_j, l_true))
+    cell = pair_cell(group_i, group_j, label, stats.K)
+    return float(pair_constraint_table(kind, stats, l_true)[k, l, cell])
 
 
 def point_constraint(
@@ -205,21 +213,23 @@ def point_constraint(
         raise ConstraintUndefined(f"{kind.value} constraint undefined for group {k}")
     if label == 0:
         return 0.0
-    member = 1.0 if item.group == k else 0.0
-    if kind is ConstraintKind.POINT_STATISTICAL:
-        return member / stats.item_frac[k] - 1.0
-    return float(item.label) * (
-        member / stats.pos_item_frac[k] - 1.0 / stats.pos_item_total
-    )
+    cell = item_cell(item.group, item.label, stats.item_frac.size)
+    return float(point_constraint_table(kind, stats)[k, cell])
 
 
-def _point_constraint_at_one(
-    kind: ConstraintKind, stats: GroupStats, k: int, groups, labels
-):
-    """Vectorized pointwise constraint at label 1 over item arrays."""
-    groups = np.asarray(groups)
-    labels = np.asarray(labels, dtype=np.float64)
-    member = (groups == k).astype(float)
-    if kind is ConstraintKind.POINT_STATISTICAL:
-        return member / stats.item_frac[k] - 1.0
-    return labels * (member / stats.pos_item_frac[k] - 1.0 / stats.pos_item_total)
+def point_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
+    """(K, 2K) pointwise constraint values at label 1 of every item cell.
+
+    Column c holds the items in ``item_cell`` c; each cell's label is the
+    proxy.  Undefined rows are 0.
+    """
+    K = stats.item_frac.size
+    groups, labels = np.indices((K, 2)).reshape(2, -1)
+    table = np.zeros((K, 2 * K))
+    for k in np.flatnonzero(point_constraint_mask(kind, stats)):
+        member = (groups == k).astype(float)
+        if kind is ConstraintKind.POINT_STATISTICAL:
+            table[k] = member / stats.item_frac[k] - 1.0
+        else:
+            table[k] = labels * (member / stats.pos_item_frac[k] - 1.0 / stats.pos_item_total)
+    return table

@@ -117,6 +117,16 @@ class Dataset:
         return np.concatenate([q.groups for q in self.queries])
 
 
+def pair_cell(group_i, group_j, label, K: int):
+    """Index of a pair's (group_i, group_j, label) in the row-major (K, K, 2) grid."""
+    return np.ravel_multi_index((group_i, group_j, label), (K, K, 2))
+
+
+def item_cell(group, label, K: int):
+    """Index of an item's (group, label) in the row-major (K, 2) grid."""
+    return np.ravel_multi_index((group, label), (K, 2))
+
+
 @dataclass(eq=False)
 class PairArrays:
     """Column view of a PairSet for vectorized computation."""
@@ -128,6 +138,7 @@ class PairArrays:
     group_i: np.ndarray
     group_j: np.ndarray
     feat_diff: np.ndarray  # (n_pairs, d) rows x_i - x_j
+    cell: np.ndarray  # pair_cell of each pair
 
 
 @dataclass(eq=False)
@@ -160,7 +171,10 @@ class PairSet:
         groups = ds.flat_groups
         # Labels differ within a pair, so the pair label is item i's label.
         label = ds.flat_labels[fi]
-        return PairArrays(self.query_index, self.i, self.j, label, groups[fi], groups[fj], diff)
+        gi, gj = groups[fi], groups[fj]
+        # Stored in the narrowest dtype that holds 2K² ids (1 byte up to K=11).
+        cell = pair_cell(gi, gj, label, ds.K).astype(np.min_scalar_type(2 * ds.K**2 - 1))
+        return PairArrays(self.query_index, self.i, self.j, label, gi, gj, diff, cell)
 
 
 @dataclass(eq=False)

@@ -47,13 +47,8 @@ def fairness_score(delta: "reweight.DeltaMatrix") -> float:
     exceeds 1.  Undefined entries are excluded from the scan and their
     mirror values read 0.
     """
-    worst = 0.0
-    K = delta.values.shape[0]
-    for k in range(K):
-        for l in range(K):
-            if delta.defined[k, l]:
-                worst = max(worst, float(delta.values[k, l] - delta.values[l, k]))
-    return 1.0 - worst
+    gaps = delta.values - delta.values.T
+    return 1.0 - float(np.max(gaps[delta.defined], initial=0.0))
 
 
 @dataclass(eq=False)

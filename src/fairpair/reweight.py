@@ -21,14 +21,14 @@ from . import evaluation
 from .constraints import (
     ConstraintKind,
     GroupStats,
-    _pair_constraint_at_one,
-    _point_constraint_at_one,
     compute_group_stats,
     compute_point_stats,
     pair_constraint_mask,
+    pair_constraint_table,
     point_constraint_mask,
+    point_constraint_table,
 )
-from .data import Dataset, PairSet, make_pairs
+from .data import Dataset, PairSet, item_cell, make_pairs, pair_cell
 from .errors import ValidationError
 from .model import LinearRankingModel, clamp_prob, stable_sigmoid
 from .training import TrainConfig, require_types, train_pointwise, train_weighted
@@ -104,37 +104,40 @@ def expected_bias(
         raise ValidationError("cannot evaluate expected bias on an empty pair set")
     arr = ps.arrays
     l_hat = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
-    proxy = arr.label.astype(np.float64)
-    mask = pair_constraint_mask(kind, stats)
-    K = stats.K
-    values = np.zeros((K, K))
-    for k in range(K):
-        for l in range(K):
-            if mask[k, l]:
-                c = _pair_constraint_at_one(kind, stats, k, l, arr.group_i, arr.group_j, proxy)
-                values[k, l] = float(np.mean(l_hat * c))
-    return DeltaMatrix(values, mask)
+    # Constraint values depend only on a pair's cell: sum l_hat per cell first.
+    table = pair_constraint_table(kind, stats)
+    cell_sums = np.bincount(arr.cell, weights=l_hat, minlength=table.shape[-1])
+    return DeltaMatrix(table @ cell_sums / len(ps), pair_constraint_mask(kind, stats))
 
 
-def _weight_exponent_general(coeffs, stats, mask, group_i, group_j, l_true):
-    s = np.zeros_like(np.asarray(group_i, dtype=np.float64))
-    for k in range(stats.K):
-        for l in range(stats.K):
-            if mask[k, l] and coeffs.values[k, l] != 0.0:
-                s += coeffs.values[k, l] * _pair_constraint_at_one(
-                    coeffs.kind, stats, k, l, group_i, group_j, l_true
-                )
+def _exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-cell sum of coeffs[e] * table[e] over defined entries e with nonzero coefficients."""
+    s = np.zeros(table.shape[-1])
+    for e in zip(*np.nonzero(mask & (coeffs != 0.0))):
+        s += coeffs[e] * table[e]
     return s
 
 
-def _normalized_pair(s):
-    """Weights (w0, w1) proportional to exp(0) and exp(s), overflow-safe."""
-    s = np.asarray(s, dtype=np.float64)
+def _own_label_weights(s: np.ndarray) -> np.ndarray:
+    """Overflow-safe weight of each cell at its own label; cells alternate labels 0, 1.
+
+    The two labels' weights are proportional to exp(0) and exp(s).
+    """
     m = np.maximum(s, 0.0)
-    e0 = np.exp(-m)
-    e1 = np.exp(s - m)
-    denom = e0 + e1
-    return e0 / denom, e1 / denom
+    e0, e1 = np.exp(-m), np.exp(s - m)
+    return np.where(np.arange(s.size) % 2 == 1, e1, e0) / (e0 + e1)
+
+
+def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str, l_true=None):
+    """Weight of every ``pair_cell`` at its own label."""
+    mask = pair_constraint_mask(coeffs.kind, stats)
+    if weight_form == "general":
+        s = _exponents(coeffs.values, mask, pair_constraint_table(coeffs.kind, stats, l_true))
+    elif weight_form == "indicator":
+        s = np.repeat(np.where(mask, coeffs.values, 0.0).ravel(), 2)
+    else:
+        raise ValidationError(f"unknown weight_form {weight_form!r}")
+    return _own_label_weights(s)
 
 
 def pair_weight(
@@ -153,22 +156,8 @@ def pair_weight(
     "indicator" form); label 0 always has exponent 0.  Weights for the two
     labels sum to 1.
     """
-    if l_true is None:
-        l_true = float(pair_label)
-    if weight_form == "general":
-        mask = pair_constraint_mask(coeffs.kind, stats)
-        s = float(
-            _weight_exponent_general(
-                coeffs, stats, mask, np.asarray([group_i]), np.asarray([group_j]), l_true
-            )[0]
-        )
-    elif weight_form == "indicator":
-        mask = pair_constraint_mask(coeffs.kind, stats)
-        s = float(coeffs.values[group_i, group_j]) if mask[group_i, group_j] else 0.0
-    else:
-        raise ValidationError(f"unknown weight_form {weight_form!r}")
-    w0, w1 = _normalized_pair(s)
-    return float(w1) if pair_label == 1 else float(w0)
+    weights = _pair_cell_weights(coeffs, stats, weight_form, l_true)
+    return float(weights[pair_cell(group_i, group_j, pair_label, stats.K)])
 
 
 def pair_weights(
@@ -177,20 +166,19 @@ def pair_weights(
     ps: PairSet,
     weight_form: str = "general",
 ) -> np.ndarray:
-    """Weight of every pair at its observed label, aligned with ps order."""
-    arr = ps.arrays
-    if weight_form == "general":
-        mask = pair_constraint_mask(coeffs.kind, stats)
-        proxy = arr.label.astype(np.float64)
-        s = _weight_exponent_general(coeffs, stats, mask, arr.group_i, arr.group_j, proxy)
-    elif weight_form == "indicator":
-        mask = pair_constraint_mask(coeffs.kind, stats)
-        masked = np.where(mask, coeffs.values, 0.0)
-        s = masked[arr.group_i, arr.group_j]
-    else:
-        raise ValidationError(f"unknown weight_form {weight_form!r}")
-    w0, w1 = _normalized_pair(s)
-    return np.where(arr.label == 1, w1, w0)
+    """Weight of every pair at its observed label, aligned with ps order.
+
+    A cell holding pairs whose weight under- or overflows to 0 (or NaN) is
+    a ValidationError naming the cell.
+    """
+    cell = ps.arrays.cell
+    weights = _pair_cell_weights(coeffs, stats, weight_form)
+    bad = (np.bincount(cell, minlength=weights.size) > 0) & ~(weights > 0)
+    if bad.any():
+        k, l, label = np.argwhere(bad.reshape(stats.K, stats.K, 2))[0]
+        w = float(weights[bad][0])
+        raise ValidationError(f"pair weight of cell (k={k}, l={l}, label={label}) is {w!r}")
+    return weights[cell]
 
 
 def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) -> Coefficients:
@@ -243,7 +231,11 @@ def fair_train(
         delta = expected_bias(model, ps_train, stats_train, kind)
     for t in range(1, cfg.T + 1):
         coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
-        weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
+        try:
+            weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
+        except ValidationError as exc:
+            msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
+            raise ValidationError(msg) from exc
         init = model if cfg.warm_start else None
         model = train_weighted(ps_train, weights, cfg.inner, init=init)
         bias_train = expected_bias(model, ps_train, stats_train, kind)
@@ -270,30 +262,18 @@ def point_expected_bias(
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
     p = clamp_prob(stable_sigmoid(ds.flat_features @ model.w + model.b))
-    groups = ds.flat_groups
-    labels = ds.flat_labels
-    mask = point_constraint_mask(kind, stats)
-    values = np.zeros(stats.K)
-    for k in range(stats.K):
-        if mask[k]:
-            c = _point_constraint_at_one(kind, stats, k, groups, labels)
-            values[k] = float(np.mean(p * c))
-    return values, mask
+    table = point_constraint_table(kind, stats)
+    cells = item_cell(ds.flat_groups, ds.flat_labels, ds.K)
+    cell_sums = np.bincount(cells, weights=p, minlength=table.shape[-1])
+    return table @ cell_sums / p.size, point_constraint_mask(kind, stats)
 
 
 def point_weights(
     coeffs: np.ndarray, stats: GroupStats, ds: Dataset, kind: ConstraintKind
 ) -> np.ndarray:
     """Per-item weight at the observed label, normalized over both labels."""
-    mask = point_constraint_mask(kind, stats)
-    groups = ds.flat_groups
-    labels = ds.flat_labels
-    s = np.zeros(groups.size)
-    for k in range(stats.K):
-        if mask[k] and coeffs[k] != 0.0:
-            s += coeffs[k] * _point_constraint_at_one(kind, stats, k, groups, labels)
-    w0, w1 = _normalized_pair(s)
-    return np.where(labels == 1, w1, w0)
+    s = _exponents(coeffs, point_constraint_mask(kind, stats), point_constraint_table(kind, stats))
+    return _own_label_weights(s)[item_cell(ds.flat_groups, ds.flat_labels, ds.K)]
 
 
 def pointwise_reweight_train(

@@ -118,6 +118,16 @@ class TestTrain:
         for name in ("model.json", "history.csv", "coefficients.json", "eval_test.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_weight_underflow_is_validation_error(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "run", constraint="inter")
+        doc["dataset"]["synth"].update(n_queries=40, items_per_query=30, d=5, seed=7)
+        doc["train"]["epochs"] = 2
+        doc["fair"].update(T=5, eta_lambda=1e4)
+        assert main(["train", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "outer iteration 1 with eta_lambda=10000.0" in err
+        assert "pair weight of cell (k=" in err and "is 0.0" in err
+
     def test_pointwise_method(self, tmp_path):
         out = tmp_path / "pw"
         cfg = write_config(tmp_path, base_config(out))

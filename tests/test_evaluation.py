@@ -137,6 +137,25 @@ class TestFairnessScore:
         delta = DeltaMatrix(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
         assert fairness_score(delta) == 1.0
 
+    def test_matches_entry_loop(self, rng):
+        # Reference: the scan over defined entries that the vector form replaced.
+        def loop_score(delta):
+            worst = 0.0
+            K = delta.values.shape[0]
+            for k in range(K):
+                for l in range(K):
+                    if delta.defined[k, l]:
+                        worst = max(worst, float(delta.values[k, l] - delta.values[l, k]))
+            return 1.0 - worst
+
+        for trial in range(200):
+            K = int(rng.integers(1, 9))
+            values = rng.normal(scale=0.1, size=(K, K))
+            # Every 4th trial has no defined entry at all.
+            defined = rng.random((K, K)) < (0.0 if trial % 4 == 0 else 0.7)
+            delta = DeltaMatrix(values, defined)
+            assert fairness_score(delta) == loop_score(delta)
+
 
 class TestEvaluate:
     def test_zero_model_is_fair_for_statistical(self):
