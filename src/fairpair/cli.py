@@ -41,7 +41,7 @@ from .reweight import (
     pointwise_reweight_train,
     write_history_csv,
 )
-from .training import TrainConfig, train_weighted
+from .training import TrainConfig, require_types, train_weighted
 
 PAIR_KINDS = {
     "statistical": ConstraintKind.PAIR_STATISTICAL,
@@ -76,10 +76,49 @@ class RunConfig:
     out_dir: Path
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _checked_block(value, where: str, ints=(), floats=(), defaults=None) -> dict:
+    """Check one config object: known keys only, required keys present, and
+    integer or finite-number values.  Returns the values with defaults filled in."""
+    block = {**(defaults or {}), **_object(value, where)}
+    names = (*ints, *floats)
+    for key in block:
+        if key not in names:
+            raise ValidationError(f"unknown config key {where}.{key}")
+    for key in names:
+        if key not in block:
+            raise ValidationError(f"config key {where}.{key} is required")
+    require_types(
+        {f"{where}.{key}": v for key, v in block.items()},
+        ints=[f"{where}.{key}" for key in ints],
+        floats=[f"{where}.{key}" for key in floats],
+    )
+    return block
+
+
 def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
     source = doc.get("dataset")
     if not isinstance(source, dict) or ("csv" in source) == ("synth" in source):
         raise ValidationError("config must set dataset.csv or dataset.synth (exactly one)")
+    synth = None
+    if "synth" in source:
+        synth = _checked_block(
+            source["synth"],
+            "dataset.synth",
+            ints=("n_queries", "items_per_query", "d", "K", "seed"),
+            floats=("bias_strength",),
+        )
+    elif "K" not in source:
+        raise ValidationError("dataset.csv requires a declared group count dataset.K")
+    elif not isinstance(source["csv"], str):
+        raise ValidationError(f"dataset.csv must be a path string, got {source['csv']!r}")
+    else:
+        require_types({"dataset.K": source["K"]}, ints=("dataset.K",))
 
     constraint_name = args.constraint or doc.get("constraint", "statistical")
     if constraint_name not in PAIR_KINDS:
@@ -91,13 +130,27 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
 
-    split = doc.get("split", {})
-    train_doc = dict(doc.get("train", {}))
+    split = _checked_block(
+        doc.get("split", {}),
+        "split",
+        ints=("seed",),
+        floats=("ratio_test", "ratio_valid"),
+        defaults={"ratio_test": 0.2, "ratio_valid": 0.16, "seed": 13},
+    )
+    scales = doc.get("sweep_scales", DEFAULT_SWEEP_SCALES)
+    if not isinstance(scales, list):
+        raise ValidationError(f"sweep_scales must be a JSON list of numbers, got {scales!r}")
+    require_types(
+        {f"sweep_scales[{i}]": x for i, x in enumerate(scales)},
+        floats=[f"sweep_scales[{i}]" for i in range(len(scales))],
+    )
+
+    train_doc = dict(_object(doc.get("train", {}), "train"))
     if args.seed is not None:
         train_doc["seed"] = args.seed
     train_cfg = TrainConfig(**train_doc)
 
-    fair_doc = dict(doc.get("fair", {}))
+    fair_doc = dict(_object(doc.get("fair", {}), "fair"))
     if args.T is not None:
         fair_doc["T"] = args.T
     fair_cfg = FairTrainConfig(inner=train_cfg, **fair_doc)
@@ -106,23 +159,19 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
     if not out_dir:
         raise ValidationError("no output directory: set out_dir, FAIRPAIR_OUT, or --out")
 
-    csv_src = source.get("csv")
-    if csv_src is not None and "K" not in source:
-        raise ValidationError("dataset.csv requires a declared group count dataset.K")
-
     return RunConfig(
-        csv_path=Path(csv_src) if csv_src is not None else None,
-        csv_K=int(source["K"]) if csv_src is not None else None,
-        synth=dict(source["synth"]) if "synth" in source else None,
+        csv_path=Path(source["csv"]) if synth is None else None,
+        csv_K=source["K"] if synth is None else None,
+        synth=synth,
         constraint=PAIR_KINDS[constraint_name],
         point_constraint=POINT_KINDS[point_name],
         method=method,
-        ratio_test=float(split.get("ratio_test", 0.2)),
-        ratio_valid=float(split.get("ratio_valid", 0.16)),
-        split_seed=int(split.get("seed", 13)),
+        ratio_test=float(split["ratio_test"]),
+        ratio_valid=float(split["ratio_valid"]),
+        split_seed=split["seed"],
         train=train_cfg,
         fair=fair_cfg,
-        sweep_scales=[float(x) for x in doc.get("sweep_scales", DEFAULT_SWEEP_SCALES)],
+        sweep_scales=[float(x) for x in scales],
         out_dir=Path(out_dir),
     )
 

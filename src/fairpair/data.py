@@ -317,6 +317,8 @@ def split_queries(
         raise ValidationError("split ratios must be nonnegative")
     if ratio_test + ratio_valid >= 1:
         raise ValidationError("ratio_test + ratio_valid must be < 1")
+    if seed < 0:
+        raise ValidationError("split seed must be >= 0")
     n_queries = len(ds.queries)
     n_test = _round_half_down(ratio_test * n_queries)
     n_valid = _round_half_down(ratio_valid * n_queries)
@@ -373,6 +375,8 @@ def generate_synthetic(
     """
     if n_queries < 1 or items_per_query < 1 or d < 1 or K < 1:
         raise ValidationError("all synthetic generator counts must be >= 1")
+    if seed < 0:
+        raise ValidationError("synthetic generator seed must be >= 0")
 
     rng = np.random.default_rng(seed)
     v = rng.normal(size=d)

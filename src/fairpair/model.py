@@ -19,17 +19,21 @@ def stable_sigmoid(z):
     """Numerically stable logistic function, elementwise.
 
     Never evaluates exp on a positive argument, so it cannot overflow for
-    any finite input.  Accepts scalars or arrays; returns the same shape.
+    any finite input.  With e = exp(-|z|) this is 1 / (1 + e) for z >= 0
+    and e / (1 + e) otherwise, computed in place without masking.  Accepts
+    scalars or arrays; a 0-d input returns a Python float.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # min(z, -z) is -|z|, except that a NaN keeps its sign (as exp(z) did).
+    e = np.negative(z, out=np.empty_like(z))
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    denom = 1.0 + e
+    np.copyto(e, 1.0, where=z >= 0)
+    e /= denom
+    if e.ndim == 0:
+        return float(e)
+    return e
 
 
 def clamp_prob(p):

@@ -64,7 +64,7 @@ class FairTrainConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        require_types(self, ints=("T",), floats=("eta_lambda",))
+        require_types(vars(self), ints=("T",), floats=("eta_lambda",))
         if not isinstance(self.warm_start, bool):
             raise ValidationError(f"warm_start must be true or false, got {self.warm_start!r}")
         if self.eta_lambda <= 0:

@@ -2,15 +2,17 @@
 
 The pairwise objective is the mean over pairs of
 ``weight * cross_entropy(predicted order probability, pair label)``;
-the pointwise variant applies the same loss to item labels.  Parameters
+the pointwise variant applies the same loss to item labels.  Gradients
 are packed as [w..., b]; the bias has zero gradient in the pairwise case
-because it cancels in every score difference.
+because it cancels in every score difference, so the pairwise trainer
+steps w alone and returns the initial bias.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +22,19 @@ from .errors import ValidationError
 from .model import LinearRankingModel, clamp_prob, stable_sigmoid
 
 
-def require_types(cfg, ints=(), floats=()) -> None:
-    """Reject config fields that are not integers (``ints``) or finite reals (``floats``).
+def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
+    """Reject config values that are not integers (``ints``) or finite reals (``floats``).
 
-    Bools are rejected for both; integers are accepted as reals.
+    ``values`` maps each name to its value; the error message names the
+    offending entry.  Bools are rejected for both; integers are accepted as
+    reals.
     """
     for name in ints:
-        value = getattr(cfg, name)
+        value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     for name in floats:
-        value = getattr(cfg, name)
+        value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value):
@@ -49,7 +53,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require_types(
-            self,
+            vars(self),
             ints=("epochs", "batch_size", "seed"),
             floats=("learning_rate", "beta1", "beta2", "eps_adam"),
         )
@@ -63,6 +67,8 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(eq=False)
@@ -85,12 +91,18 @@ def adam_update(
     if not (state.m.shape == state.v.shape == params.shape == grad.shape):
         raise ValidationError("adam_update: mismatched shapes")
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
-    return AdamState(m, v, t), new_params
+    m = cfg.beta1 * state.m
+    m += (1.0 - cfg.beta1) * grad
+    v = (1.0 - cfg.beta2) * grad
+    v *= grad
+    v += cfg.beta2 * state.v
+    step = m / (1.0 - cfg.beta1**t)
+    step *= cfg.learning_rate
+    denom = v / (1.0 - cfg.beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps_adam
+    step /= denom
+    return AdamState(m, v, t), params - step
 
 
 def pair_loss(l_hat: float, l: int, weight: float) -> float:
@@ -145,8 +157,8 @@ def train_weighted(
     """Minimize the weighted pairwise loss with minibatch Adam.
 
     Pairs are reshuffled every epoch from a generator seeded by cfg.seed,
-    so the result is deterministic for fixed inputs.  epochs=0 returns the
-    initial model unchanged.
+    so the result is deterministic for fixed inputs.  The bias is returned
+    as given in ``init``.  epochs=0 returns the initial model unchanged.
     """
     if not len(ps):
         raise ValidationError("cannot train on an empty pair set")
@@ -159,22 +171,26 @@ def train_weighted(
         raise ValidationError("initial model dimension does not match the dataset")
 
     arr = ps.arrays
-    diff = arr.feat_diff
-    lab = arr.label.astype(np.float64)
-    params = np.concatenate([init.w, [init.b]])
-    state = AdamState.zeros(params.size)
+    diff, lab = arr.feat_diff, arr.label
+    # A zero gradient leaves Adam's step 0, so stepping the bias would
+    # return it bit for bit; only w is stepped.
+    w = init.w.copy()
+    state = AdamState.zeros(d)
     rng = np.random.default_rng(cfg.seed)
 
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            p = clamp_prob(stable_sigmoid(diff[idx] @ params[:-1]))
-            resid = weights[idx] * (p - lab[idx])
-            grad = np.concatenate([resid @ diff[idx] / idx.size, [0.0]])
-            state, params = adam_update(state, params, grad, cfg)
+            x = np.take(diff, idx, axis=0)
+            resid = clamp_prob(stable_sigmoid(x @ w))
+            resid -= lab.take(idx)
+            resid *= weights.take(idx)
+            grad = resid @ x
+            grad /= idx.size
+            state, w = adam_update(state, w, grad, cfg)
 
-    return LinearRankingModel(params[:-1].copy(), float(params[-1]))
+    return LinearRankingModel(w, float(init.b))
 
 
 def pointwise_loss(model: LinearRankingModel, ds: Dataset, weights: np.ndarray) -> float:
@@ -195,8 +211,7 @@ def train_pointwise(
 
     Unlike the pairwise trainer, the bias receives a nonzero gradient here.
     """
-    X = ds.flat_features
-    y = ds.flat_labels.astype(np.float64)
+    X, y = ds.flat_features, ds.flat_labels
     n = y.size
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
@@ -214,9 +229,11 @@ def train_pointwise(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            p = clamp_prob(stable_sigmoid(X[idx] @ params[:-1] + params[-1]))
-            resid = weights[idx] * (p - y[idx])
-            grad = np.concatenate([resid @ X[idx] / idx.size, [resid.mean()]])
+            x = np.take(X, idx, axis=0)
+            resid = clamp_prob(stable_sigmoid(x @ params[:-1] + params[-1]))
+            resid -= y.take(idx)
+            resid *= weights.take(idx)
+            grad = np.concatenate([resid @ x / idx.size, [resid.mean()]])
             state, params = adam_update(state, params, grad, cfg)
 
     return LinearRankingModel(params[:-1].copy(), float(params[-1]))

@@ -10,6 +10,9 @@ from fairpair.cli import main
 from fairpair.data import generate_synthetic, load_csv
 
 
+MISSING = object()  # a config key left out
+
+
 def base_config(out_dir, **top_level):
     doc = {
         "dataset": {
@@ -277,10 +280,58 @@ class TestConfigHandling:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    @pytest.mark.parametrize(
+        "path,value,key",
+        [
+            (("split", "ratio_test"), "abc", "split.ratio_test"),
+            (("split", "ratio_test"), float("nan"), "split.ratio_test"),
+            (("split", "seed"), 1.7, "split.seed"),
+            (("split", "ratio_tset"), 0.3, "split.ratio_tset"),
+            (("split",), [0.25, 0.15], "split"),
+            (("train",), "ab", "train"),
+            (("fair",), [1, 2], "fair"),
+            (("dataset",), {"csv": "x.csv", "K": "two"}, "dataset.K"),
+            (("dataset",), {"csv": "x.csv", "K": 2.0}, "dataset.K"),
+            (("dataset",), {"csv": None, "K": 2}, "dataset.csv"),
+            (("sweep_scales",), "ab", "sweep_scales"),
+            (("sweep_scales",), [0.0, "1"], "sweep_scales[1]"),
+            (("dataset", "synth", "bias_strength"), MISSING, "dataset.synth.bias_strength"),
+            (("dataset", "synth", "n_queries"), 12.5, "dataset.synth.n_queries"),
+            (("dataset", "synth", "noise"), 0.1, "dataset.synth.noise"),
+        ],
+    )
+    def test_bad_config_values_named(self, tmp_path, capsys, command, path, value, key):
+        doc = base_config(tmp_path / "out")
+        *parents, last = path
+        block = doc
+        for name in parents:
+            block = block[name]
+        if value is MISSING:
+            del block[last]
+        else:
+            block[last] = value
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,command",
+        [("split", "train"), ("train", "train"), (None, "generate"), (None, "train")],
+    )
+    def test_negative_seeds_rejected(self, tmp_path, capsys, section, command):
+        doc = base_config(tmp_path / "out")
+        (doc[section] if section else doc["dataset"]["synth"])["seed"] = -1
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_integer_float_values_accepted(self, tmp_path):
         doc = base_config(tmp_path / "out")
         doc["train"]["learning_rate"] = 1
         doc["fair"]["eta_lambda"] = 2
+        doc["sweep_scales"] = [0, 1]
+        doc["dataset"]["synth"]["bias_strength"] = 1
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg]) == 0
 

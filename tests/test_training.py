@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import build_dataset, random_dataset
+from fairpair import training
 from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
 from fairpair.model import LinearRankingModel, pair_prob, stable_sigmoid
@@ -134,6 +135,8 @@ class TestTrainConfig:
             TrainConfig(epochs=-1)
         with pytest.raises(ValidationError):
             TrainConfig(batch_size=0)
+        with pytest.raises(ValidationError):
+            TrainConfig(seed=-1)
 
 
 class TestTrainWeighted:
@@ -223,6 +226,22 @@ class TestTrainWeighted:
             AdamState.zeros(ds.d + 1), np.zeros(ds.d + 1), grad, cfg
         )
         np.testing.assert_allclose(trained.w, params[:-1], atol=1e-12)
+
+    @pytest.mark.parametrize("epochs,batch_size", [(3, 16), (2, 10_000), (0, 8), (1, 1)])
+    def test_one_adam_step_per_minibatch(self, rng, monkeypatch, epochs, batch_size):
+        # The benchmark counts inner steps by wrapping training.adam_update.
+        ps = make_pairs(random_dataset(rng))
+        calls = []
+        real = training.adam_update
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(training, "adam_update", counting)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size)
+        train_weighted(ps, np.full(len(ps), 0.5), cfg)
+        assert len(calls) == epochs * math.ceil(len(ps) / batch_size)
 
     def test_empty_pairset_rejected(self):
         ds = build_dataset([("q", [1, 1], [0, 0], [[0.0], [1.0]])], d=1, K=1)
