@@ -17,7 +17,6 @@ from .constraints import (
 )
 from .data import (
     Dataset,
-    Item,
     PairSet,
     QueryGroup,
     SynthTruth,

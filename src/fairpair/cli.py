@@ -177,10 +177,9 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
 
 
 def load_config(path, args: argparse.Namespace) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} must hold a JSON object")

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Item, PairSet, item_cell, pair_cell
+from .data import PairSet, item_cell, pair_cell
 from .errors import ConstraintUndefined, ValidationError
 
 
@@ -72,11 +72,9 @@ class GroupStats:
 
 
 def _item_stats(ds) -> tuple[np.ndarray, np.ndarray]:
-    groups = ds.flat_groups
-    labels = ds.flat_labels
-    n = groups.size
-    item_frac = np.bincount(groups, minlength=ds.K) / n
-    pos_item_frac = np.bincount(groups, weights=labels.astype(float), minlength=ds.K) / n
+    n = ds.n_items
+    item_frac = np.bincount(ds.groups, minlength=ds.K) / n
+    pos_item_frac = np.bincount(ds.groups, weights=ds.labels.astype(float), minlength=ds.K) / n
     return item_frac, pos_item_frac
 
 
@@ -199,10 +197,13 @@ def point_constraint(
     kind: ConstraintKind,
     stats: GroupStats,
     k: int,
-    item: Item,
+    group: int,
+    item_label: int,
     label: int,
 ) -> float:
     """Pointwise constraint value for one item at the given label.
+
+    ``group`` and ``item_label`` are the item's group and observed label.
 
     POINT_STATISTICAL compares group membership against the group's item
     share; POINT_EQUAL_OPPORTUNITY restricts the comparison to positive
@@ -213,7 +214,7 @@ def point_constraint(
         raise ConstraintUndefined(f"{kind.value} constraint undefined for group {k}")
     if label == 0:
         return 0.0
-    cell = item_cell(item.group, item.label, stats.item_frac.size)
+    cell = item_cell(group, item_label, stats.item_frac.size)
     return float(point_constraint_table(kind, stats)[k, cell])
 
 

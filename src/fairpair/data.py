@@ -24,97 +24,90 @@ from .model import stable_sigmoid
 GROUP_MEAN_SCALE = 1.0
 
 
-@dataclass(frozen=True)
-class Item:
-    """One query-item row: feature vector, binary label, group id."""
-
-    features: np.ndarray
-    label: int
-    group: int
-
-
 @dataclass(eq=False)
 class QueryGroup:
-    """All items belonging to one query, in input order."""
+    """One query's rows: views into its dataset's columns, in input order."""
 
     query_id: str
-    items: list[Item]
+    features: np.ndarray
+    labels: np.ndarray
+    groups: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        """(n_items, d) feature matrix."""
-        return np.asarray([it.features for it in self.items], dtype=np.float64)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return np.asarray([it.label for it in self.items], dtype=np.int64)
-
-    @cached_property
-    def groups(self) -> np.ndarray:
-        return np.asarray([it.group for it in self.items], dtype=np.int64)
+        return self.labels.size
 
 
 @dataclass(eq=False)
 class Dataset:
-    """A collection of queries with a shared feature dimension and group count."""
+    """Queries stored as columns with a shared feature dimension and group count.
 
-    queries: list[QueryGroup]
-    d: int
+    The rows of query q are ``offsets[q]:offsets[q + 1]``; each query's rows
+    are contiguous and keep their input order.
+    """
+
+    query_ids: list[str]
+    offsets: np.ndarray  # (n_queries + 1,) int64, offsets[0] == 0
+    features: np.ndarray  # (n_items, d) float64
+    labels: np.ndarray  # (n_items,) int64
+    groups: np.ndarray  # (n_items,) int64
     K: int
 
-    def validate(self) -> "Dataset":
-        seen = set()
-        for q in self.queries:
-            if q.query_id in seen:
-                raise ValidationError(f"duplicate query_id {q.query_id!r}")
-            seen.add(q.query_id)
-            if not q.items:
-                raise ValidationError(f"query {q.query_id!r} has no items")
-            for it in q.items:
-                if it.features.shape != (self.d,):
-                    raise ValidationError(
-                        f"query {q.query_id!r}: feature dimension "
-                        f"{it.features.shape} != {self.d}"
-                    )
-                if not np.all(np.isfinite(it.features)):
-                    raise ValidationError(
-                        f"query {q.query_id!r}: non-finite feature value"
-                    )
-                if it.label not in (0, 1):
-                    raise ValidationError(
-                        f"query {q.query_id!r}: label {it.label} not in {{0,1}}"
-                    )
-                if not 0 <= it.group < self.K:
-                    raise ValidationError(
-                        f"query {q.query_id!r}: group {it.group} outside [0, {self.K})"
-                    )
-        return self
+    @property
+    def d(self) -> int:
+        return self.features.shape[1]
 
     @property
     def n_items(self) -> int:
-        return sum(len(q) for q in self.queries)
+        return self.labels.size
 
     @cached_property
-    def flat_features(self) -> np.ndarray:
-        """(n_items, d) features of all items, query order then item order."""
-        if not self.queries:
-            return np.zeros((0, self.d))
-        return np.concatenate([q.features for q in self.queries], axis=0)
+    def queries(self) -> list[QueryGroup]:
+        """One view per query, in query order."""
+        bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        return [
+            QueryGroup(qid, self.features[a:b], self.labels[a:b], self.groups[a:b])
+            for qid, (a, b) in zip(self.query_ids, bounds)
+        ]
 
-    @cached_property
-    def flat_labels(self) -> np.ndarray:
-        if not self.queries:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([q.labels for q in self.queries])
+    def validate(self) -> "Dataset":
+        """Reject inconsistent columns, duplicate query ids, empty queries and
+        bad rows; returns self."""
+        n, offsets = self.n_items, self.offsets
+        if not (self.labels.shape == self.groups.shape == self.features.shape[:1] == (n,)
+                and self.features.ndim == 2 and offsets.shape == (len(self.query_ids) + 1,)
+                and offsets[0] == 0 and offsets[-1] == n and (np.diff(offsets) >= 0).all()):
+            raise ValidationError("query offsets and columns do not describe the same rows")
+        seen = set()
+        for qid in self.query_ids:
+            if qid in seen:
+                raise ValidationError(f"duplicate query_id {qid!r}")
+            seen.add(qid)
+        empty = np.flatnonzero(np.diff(offsets) == 0)
+        if empty.size:
+            raise ValidationError(f"query {self.query_ids[empty[0]]!r} has no items")
+        bad = _first_bad_row(self.features, self.labels, self.groups, self.K)
+        if bad is not None:
+            row, problem = bad
+            qi = np.searchsorted(offsets, row, side="right") - 1
+            raise ValidationError(f"query {self.query_ids[qi]!r}: {problem}")
+        return self
 
-    @cached_property
-    def flat_groups(self) -> np.ndarray:
-        if not self.queries:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([q.groups for q in self.queries])
+
+def _first_bad_row(features, labels, groups, K: int) -> tuple[int, str] | None:
+    """The first row with a label outside {0,1}, a group outside [0, K) or a
+    non-finite feature, and what is wrong with it; None when every row is valid."""
+    bad_label = (labels != 0) & (labels != 1)
+    bad_group = (groups < 0) | (groups >= K)
+    bad_feature = ~np.isfinite(features).all(axis=1)
+    rows = np.flatnonzero(bad_label | bad_group | bad_feature)
+    if not rows.size:
+        return None
+    row = int(rows[0])
+    if bad_label[row]:
+        return row, f"label {labels[row]} not in {{0,1}}"
+    if bad_group[row]:
+        return row, f"group {groups[row]} outside [0, {K})"
+    return row, "non-finite feature value"
 
 
 def pair_cell(group_i, group_j, label, K: int):
@@ -147,7 +140,7 @@ class PairSet:
 
     A pair is a row of three index columns: its query and the positions of
     items i and j within that query.  ``arrays`` gathers labels, groups and
-    feature differences from the dataset's flat item arrays.
+    feature differences from the dataset's columns.
     """
 
     query_index: np.ndarray
@@ -161,17 +154,15 @@ class PairSet:
     @cached_property
     def arrays(self) -> PairArrays:
         ds = self.source
-        sizes = np.asarray([len(q) for q in ds.queries], dtype=np.int64)
-        offsets = np.cumsum(sizes) - sizes
-        # Flat item indices into ds.flat_*.
-        fi = offsets[self.query_index] + self.i
-        fj = offsets[self.query_index] + self.j
-        diff = ds.flat_features[fi]
-        diff -= ds.flat_features[fj]
-        groups = ds.flat_groups
+        # Row indices of items i and j into the dataset's columns.
+        fi = ds.offsets[self.query_index]
+        fj = fi + self.j
+        fi += self.i
+        diff = ds.features[fi]
+        diff -= ds.features[fj]
         # Labels differ within a pair, so the pair label is item i's label.
-        label = ds.flat_labels[fi]
-        gi, gj = groups[fi], groups[fj]
+        label = ds.labels[fi]
+        gi, gj = ds.groups[fi], ds.groups[fj]
         # Stored in the narrowest dtype that holds 2K² ids (1 byte up to K=11).
         cell = pair_cell(gi, gj, label, ds.K).astype(np.min_scalar_type(2 * ds.K**2 - 1))
         return PairArrays(self.query_index, self.i, self.j, label, gi, gj, diff, cell)
@@ -207,11 +198,12 @@ def load_csv(path, declared_K: int) -> Dataset:
 
     The feature dimension is inferred from the header; ``declared_K`` caps
     the allowed group ids.  Raises ParseError (with line number) on
-    malformed rows and ValidationError on schema or value violations.
+    malformed rows and ValidationError on schema or value violations;
+    malformed rows are reported before out-of-range values.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -228,48 +220,50 @@ def load_csv(path, declared_K: int) -> Dataset:
                 f"feature columns must be f0..f{d - 1}; got {header[3:]}", line=1
             )
 
-        order: list[str] = []
-        by_query: dict[str, list[Item]] = {}
-        n_rows = 0
+        # Query ids are numbered in order of first appearance.
+        codes: dict[str, int] = {}
+        query, groups, labels, feats, lines = [], [], [], [], []
         for row in reader:
             line = reader.line_num
             if len(row) != 3 + d:
-                raise ParseError(
-                    f"expected {3 + d} columns, got {len(row)}", line=line
-                )
-            qid = row[0]
+                raise ParseError(f"expected {3 + d} columns, got {len(row)}", line=line)
             try:
-                group = int(row[1])
+                groups.append(int(row[1]))
             except ValueError:
                 raise ParseError(f"group {row[1]!r} is not an integer", line=line) from None
             try:
-                label = int(row[2])
+                labels.append(int(row[2]))
             except ValueError:
                 raise ParseError(f"label {row[2]!r} is not an integer", line=line) from None
             try:
-                feats = np.array([float(v) for v in row[3:]], dtype=np.float64)
+                feats.extend([float(v) for v in row[3:]])
             except ValueError:
                 raise ParseError(f"non-numeric feature in {row[3:]}", line=line) from None
+            query.append(codes.setdefault(row[0], len(codes)))
+            lines.append(line)
 
-            if label not in (0, 1):
-                raise ValidationError(f"line {line}: label {label} not in {{0,1}}")
-            if not 0 <= group < declared_K:
-                raise ValidationError(
-                    f"line {line}: group {group} outside [0, {declared_K})"
-                )
-            if not np.all(np.isfinite(feats)):
-                raise ValidationError(f"line {line}: non-finite feature value")
-
-            if qid not in by_query:
-                order.append(qid)
-                by_query[qid] = []
-            by_query[qid].append(Item(feats, label, group))
-            n_rows += 1
-
-    if n_rows == 0:
+    if not lines:
         raise ValidationError(f"empty dataset: {path} has a header but no rows")
-    queries = [QueryGroup(qid, by_query[qid]) for qid in order]
-    return Dataset(queries, d=d, K=declared_K).validate()
+    features = np.array(feats, dtype=np.float64).reshape(len(lines), d)
+    # A value beyond int64 makes a float or object column, which the row
+    # check rejects, so the columns that pass it are int64.
+    labels, groups = np.array(labels), np.array(groups)
+    bad = _first_bad_row(features, labels, groups, declared_K)
+    if bad is not None:
+        row, problem = bad
+        raise ValidationError(f"line {lines[row]}: {problem}")
+    order = np.argsort(query, kind="stable")
+    offsets = np.cumsum([0, *np.bincount(query)])
+    return Dataset(list(codes), offsets, features[order], labels[order], groups[order], declared_K)
+
+
+def _utf8_lines(fh, path):
+    """The lines of a text file opened as UTF-8; bytes that do not decode
+    are a ValidationError naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"dataset {path} is not UTF-8 text: {exc}") from None
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -283,10 +277,8 @@ def save_csv(ds: Dataset, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "group", "label"] + [f"f{i}" for i in range(ds.d)])
         for q in ds.queries:
-            for it in q.items:
-                writer.writerow(
-                    [q.query_id, it.group, it.label] + [repr(float(v)) for v in it.features]
-                )
+            for group, label, feats in zip(q.groups.tolist(), q.labels.tolist(), q.features.tolist()):
+                writer.writerow([q.query_id, group, label] + [repr(v) for v in feats])
 
 
 def save_truth_csv(truth: SynthTruth, ds: Dataset, path) -> None:
@@ -295,9 +287,9 @@ def save_truth_csv(truth: SynthTruth, ds: Dataset, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query_id", "y_true"])
-        for qi, q in enumerate(ds.queries):
-            for t in range(len(q)):
-                writer.writerow([q.query_id, repr(float(truth.item_probs[qi][t]))])
+        for q, probs in zip(ds.queries, truth.item_probs):
+            for p in probs.tolist():
+                writer.writerow([q.query_id, repr(p)])
 
 
 def _round_half_down(x: float) -> int:
@@ -335,7 +327,12 @@ def split_queries(
     train_idx = sorted(perm[n_test + n_valid :].tolist())
 
     def subset(idx):
-        return Dataset([ds.queries[i] for i in idx], d=ds.d, K=ds.K)
+        sizes = np.diff(ds.offsets)[idx]
+        offsets = np.cumsum([0, *sizes])
+        # Each chosen query's rows, shifted from its old start to its new one.
+        rows = np.arange(offsets[-1]) + np.repeat(ds.offsets[idx] - offsets[:-1], sizes)
+        qids = [ds.query_ids[i] for i in idx]
+        return Dataset(qids, offsets, ds.features[rows], ds.labels[rows], ds.groups[rows], ds.K)
 
     return subset(train_idx), subset(valid_idx), subset(test_idx)
 
@@ -385,21 +382,20 @@ def generate_synthetic(
     # Remove the quality component so groups differ in features, not merit.
     means -= np.outer(means @ v, v)
 
-    queries: list[QueryGroup] = []
+    # Drawn query by query in a fixed order, so a seed keeps giving the same dataset.
+    columns = []
     probs: list[np.ndarray] = []
-    for qi in range(n_queries):
+    for _ in range(n_queries):
         groups = rng.integers(0, K, size=items_per_query)
         feats = means[groups] + rng.normal(size=(items_per_query, d))
         quality = feats @ v
         true_p = stable_sigmoid(quality)
         observed_p = stable_sigmoid(quality - bias_strength * (groups != 0))
-        labels = (rng.random(items_per_query) < observed_p).astype(int)
-        items = [
-            Item(feats[t], int(labels[t]), int(groups[t]))
-            for t in range(items_per_query)
-        ]
-        queries.append(QueryGroup(f"q{qi}", items))
+        labels = (rng.random(items_per_query) < observed_p).astype(np.int64)
+        columns.append((feats, labels, groups))
         probs.append(np.asarray(true_p, dtype=np.float64))
 
-    ds = Dataset(queries, d=d, K=K).validate()
+    features, labels, groups = (np.concatenate(col) for col in zip(*columns))
+    offsets = np.arange(n_queries + 1, dtype=np.int64) * items_per_query
+    ds = Dataset([f"q{qi}" for qi in range(n_queries)], offsets, features, labels, groups, K)
     return ds, SynthTruth(probs)

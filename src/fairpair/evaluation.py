@@ -79,6 +79,8 @@ def evaluate(model: LinearRankingModel, ds: Dataset, kind: ConstraintKind) -> Ev
     """Score a model on a dataset using only that dataset's own statistics."""
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
+    if model.d != ds.d:
+        raise ValidationError(f"model dimension {model.d} != the dataset's feature dimension {ds.d}")
     ps = make_pairs(ds)
     if not len(ps):
         raise ValidationError("dataset has no discordant pairs to evaluate")

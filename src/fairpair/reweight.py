@@ -261,9 +261,9 @@ def point_expected_bias(
     """Per-group item-level violation and its defined mask."""
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
-    p = clamp_prob(stable_sigmoid(ds.flat_features @ model.w + model.b))
+    p = clamp_prob(stable_sigmoid(ds.features @ model.w + model.b))
     table = point_constraint_table(kind, stats)
-    cells = item_cell(ds.flat_groups, ds.flat_labels, ds.K)
+    cells = item_cell(ds.groups, ds.labels, ds.K)
     cell_sums = np.bincount(cells, weights=p, minlength=table.shape[-1])
     return table @ cell_sums / p.size, point_constraint_mask(kind, stats)
 
@@ -273,7 +273,7 @@ def point_weights(
 ) -> np.ndarray:
     """Per-item weight at the observed label, normalized over both labels."""
     s = _exponents(coeffs, point_constraint_mask(kind, stats), point_constraint_table(kind, stats))
-    return _own_label_weights(s)[item_cell(ds.flat_groups, ds.flat_labels, ds.K)]
+    return _own_label_weights(s)[item_cell(ds.groups, ds.labels, ds.K)]
 
 
 def pointwise_reweight_train(

@@ -195,8 +195,8 @@ def train_weighted(
 
 def pointwise_loss(model: LinearRankingModel, ds: Dataset, weights: np.ndarray) -> float:
     """Mean weighted cross-entropy of item labels under sigmoid(score)."""
-    p = clamp_prob(stable_sigmoid(ds.flat_features @ model.w + model.b))
-    y = ds.flat_labels
+    p = clamp_prob(stable_sigmoid(ds.features @ model.w + model.b))
+    y = ds.labels
     terms = weights * -(y * np.log(p) + (1 - y) * np.log1p(-p))
     return float(terms.mean())
 
@@ -211,7 +211,7 @@ def train_pointwise(
 
     Unlike the pairwise trainer, the bias receives a nonzero gradient here.
     """
-    X, y = ds.flat_features, ds.flat_labels
+    X, y = ds.features, ds.labels
     n = y.size
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")

@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from fairpair.data import Dataset, Item, QueryGroup
-
-
-def build_query(query_id, labels, groups, features):
-    """Build a QueryGroup from parallel per-item lists."""
-    items = [
-        Item(np.asarray(f, dtype=np.float64), int(l), int(g))
-        for l, g, f in zip(labels, groups, features)
-    ]
-    return QueryGroup(query_id, items)
+from fairpair.data import Dataset
 
 
 def build_dataset(queries, d, K):
     """queries: list of (query_id, labels, groups, features)."""
-    return Dataset([build_query(*q) for q in queries], d=d, K=K).validate()
+    sizes = [len(labels) for _, labels, _, _ in queries]
+    return Dataset(
+        [qid for qid, _, _, _ in queries],
+        np.cumsum([0] + sizes, dtype=np.int64),
+        np.array([f for q in queries for f in q[3]], dtype=np.float64).reshape(sum(sizes), d),
+        np.array([l for q in queries for l in q[1]], dtype=np.int64),
+        np.array([g for q in queries for g in q[2]], dtype=np.int64),
+        K,
+    ).validate()
 
 
 def random_dataset(rng, n_queries=4, items_per_query=8, d=3, K=2):

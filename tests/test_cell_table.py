@@ -95,26 +95,26 @@ def loop_point_constraint_at_one(kind, stats, k, groups, labels):
 
 
 def loop_point_expected_bias(model, ds, stats, kind):
-    p = clamp_prob(stable_sigmoid(ds.flat_features @ model.w + model.b))
+    p = clamp_prob(stable_sigmoid(ds.features @ model.w + model.b))
     mask = point_constraint_mask(kind, stats)
     values = np.zeros(stats.K)
     for k in range(stats.K):
         if mask[k]:
-            c = loop_point_constraint_at_one(kind, stats, k, ds.flat_groups, ds.flat_labels)
+            c = loop_point_constraint_at_one(kind, stats, k, ds.groups, ds.labels)
             values[k] = float(np.mean(p * c))
     return values, mask
 
 
 def loop_point_weights(coeffs, stats, ds, kind):
     mask = point_constraint_mask(kind, stats)
-    s = np.zeros(ds.flat_groups.size)
+    s = np.zeros(ds.groups.size)
     for k in range(stats.K):
         if mask[k] and coeffs[k] != 0.0:
             s += coeffs[k] * loop_point_constraint_at_one(
-                kind, stats, k, ds.flat_groups, ds.flat_labels
+                kind, stats, k, ds.groups, ds.labels
             )
     w0, w1 = loop_normalized_pair(s)
-    return np.where(ds.flat_labels == 1, w1, w0)
+    return np.where(ds.labels == 1, w1, w0)
 
 
 def random_coefficients(rng, K, scale):

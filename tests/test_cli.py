@@ -148,6 +148,18 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 0
         assert (tmp_path / "run2" / "model.json").exists()
 
+    def test_non_utf8_dataset_named(self, tmp_path, capsys):
+        gen_out = tmp_path / "gen"
+        assert main(["generate", "--config", write_config(tmp_path, base_config(gen_out))]) == 0
+        data = gen_out / "dataset.csv"
+        data.write_bytes(data.read_bytes().replace(b"\nq3,", b"\nq\xff3,", 1))
+        doc = base_config(tmp_path / "run")
+        doc["dataset"] = {"csv": str(data), "K": 2}
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(tmp_path, doc, "csv.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(data) in err and "UTF-8" in err
+
 
 class TestSweep:
     def test_missing_coefficients_is_validation_error(self, tmp_path):
@@ -220,6 +232,16 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", cfg]) == 1
         assert str(out / "model.json") in capsys.readouterr().err
 
+    def test_model_of_other_dimension_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, base_config(out))]) == 0
+        doc = base_config(out)
+        doc["dataset"]["synth"]["d"] = 4
+        capsys.readouterr()
+        assert main(["evaluate", "--config", write_config(tmp_path, doc, "d4.json")]) == 1
+        err = capsys.readouterr().err
+        assert "model dimension 3" in err and "dimension 4" in err
+
     def test_rewrites_reports(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, base_config(out))
@@ -238,6 +260,12 @@ class TestConfigHandling:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 1
+
+    def test_non_utf8_config_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(json.dumps(base_config(tmp_path / "out")).encode().replace(b"out", b"\xff", 1))
+        assert main(["train", "--config", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
 
     def test_both_sources_rejected(self, tmp_path):
         doc = base_config(tmp_path / "out")

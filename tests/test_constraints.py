@@ -14,7 +14,7 @@ from fairpair.constraints import (
     point_constraint,
     point_constraint_mask,
 )
-from fairpair.data import Item, make_pairs
+from fairpair.data import make_pairs
 from fairpair.errors import ConstraintUndefined, ValidationError
 
 PAIR_KINDS = [
@@ -91,9 +91,9 @@ class TestComputeStats:
 
         n_items = ds.n_items
         for k in range(3):
-            in_group = sum(1 for q in ds.queries for it in q.items if it.group == k)
+            in_group = sum(1 for q in ds.queries for g in q.groups if g == k)
             pos_in_group = sum(
-                1 for q in ds.queries for it in q.items if it.group == k and it.label == 1
+                1 for q in ds.queries for g, l in zip(q.groups, q.labels) if g == k and l == 1
             )
             assert stats.item_frac[k] == pytest.approx(in_group / n_items, abs=1e-15)
             assert stats.pos_item_frac[k] == pytest.approx(
@@ -228,17 +228,17 @@ class TestPointConstraint:
         stats = make_stats(
             [[1.0]], [[0.5]], 0.5, item_frac=[0.5, 0.5], pos_item_frac=[0.25, 0.25]
         )
-        item = Item(np.zeros(2), label=1, group=0)
-        got = point_constraint(ConstraintKind.POINT_STATISTICAL, stats, 0, item, label=1)
+        got = point_constraint(
+            ConstraintKind.POINT_STATISTICAL, stats, 0, group=0, item_label=1, label=1
+        )
         assert got == pytest.approx(1.0)
 
     def test_label_zero(self):
         stats = make_stats(
             [[1.0]], [[0.5]], 0.5, item_frac=[0.5, 0.5], pos_item_frac=[0.25, 0.25]
         )
-        item = Item(np.zeros(2), label=1, group=0)
         for kind in (ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY):
-            assert point_constraint(kind, stats, 0, item, label=0) == 0.0
+            assert point_constraint(kind, stats, 0, group=0, item_label=1, label=0) == 0.0
 
     def test_equal_opportunity_hand_built(self):
         # Six items: groups [0,0,0,1,1,1], labels [1,1,0,1,0,0].
@@ -256,22 +256,21 @@ class TestPointConstraint:
         assert stats.pos_item_frac[1] == pytest.approx(pos_frac_g1)
 
         kind = ConstraintKind.POINT_EQUAL_OPPORTUNITY
-        for it in ds.queries[0].items:
+        q = ds.queries[0]
+        for group, item_label in zip(q.groups.tolist(), q.labels.tolist()):
             for k, frac in ((0, pos_frac_g0), (1, pos_frac_g1)):
-                expected = it.label * ((1.0 if it.group == k else 0.0) / frac - 1 / pos_total)
-                assert point_constraint(kind, stats, k, it, label=1) == pytest.approx(
-                    expected
-                )
+                expected = item_label * ((1.0 if group == k else 0.0) / frac - 1 / pos_total)
+                got = point_constraint(kind, stats, k, group, item_label, label=1)
+                assert got == pytest.approx(expected)
 
     def test_undefined_group_raises(self):
         stats = make_stats(
             [[1.0]], [[0.5]], 0.5, item_frac=[1.0, 0.0], pos_item_frac=[0.5, 0.0]
         )
-        item = Item(np.zeros(2), label=1, group=0)
         with pytest.raises(ConstraintUndefined):
-            point_constraint(ConstraintKind.POINT_STATISTICAL, stats, 1, item, label=1)
+            point_constraint(ConstraintKind.POINT_STATISTICAL, stats, 1, 0, 1, label=1)
         with pytest.raises(ConstraintUndefined):
-            point_constraint(ConstraintKind.POINT_EQUAL_OPPORTUNITY, stats, 1, item, label=1)
+            point_constraint(ConstraintKind.POINT_EQUAL_OPPORTUNITY, stats, 1, 0, 1, label=1)
 
 
 class TestMasks:

@@ -1,5 +1,8 @@
 """Tests for CSV loading, query splitting, pair generation, and synthesis."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import build_dataset, random_dataset
 from fairpair.data import (
+    Dataset,
     SynthTruth,
     generate_synthetic,
     load_csv,
@@ -104,6 +108,105 @@ class TestLoadCsv:
             np.testing.assert_array_equal(qa.labels, qb.labels)
             np.testing.assert_array_equal(qa.groups, qb.groups)
             np.testing.assert_array_equal(qa.features, qb.features)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # Any finite double (the strategy yields -0.0, subnormals and values
+        # near ±1.8e308; the extremes are added explicitly), any query sizes.
+        finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]
+        )
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+        d = data.draw(st.integers(1, 3))
+        K = data.draw(st.integers(1, 3))
+        ids = data.draw(
+            st.lists(
+                st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                        max_size=4),
+                min_size=len(sizes), max_size=len(sizes), unique=True,
+            )
+        )
+        queries = [
+            (
+                qid,
+                data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                data.draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)),
+                [data.draw(st.lists(finite, min_size=d, max_size=d)) for _ in range(n)],
+            )
+            for qid, n in zip(ids, sizes)
+        ]
+        ds = build_dataset(queries, d=d, K=K)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "round.csv"
+            save_csv(ds, path)
+            back = load_csv(path, declared_K=K)
+        assert back.query_ids == ds.query_ids
+        np.testing.assert_array_equal(back.offsets, ds.offsets)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        np.testing.assert_array_equal(back.groups, ds.groups)
+        assert back.features.shape == ds.features.shape
+        np.testing.assert_array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
+
+    def test_malformed_row_reported_before_out_of_range_value(self, tmp_path):
+        # Rows are parsed first and checked for range in one pass afterwards.
+        path = write(tmp_path, "query_id,group,label,f0\nq1,0,2,1.0\nq1,0,1,abc\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_csv(path, declared_K=1)
+
+
+class TestDatasetValidate:
+    def test_duplicate_query_id(self):
+        with pytest.raises(ValidationError, match="duplicate query_id 'a'"):
+            build_dataset([("a", [1], [0], [[0.0]]), ("a", [0], [0], [[1.0]])], d=1, K=1)
+
+    @pytest.mark.parametrize(
+        "offsets, n_rows, d",
+        [([0, 3], 4, 1), ([1, 4], 4, 1), ([0, 2, 1, 4], 4, 1), ([0, 4], 4, 0)],
+        ids=["rows-past-offsets", "offsets-start-late", "offsets-decrease", "1-d-features"],
+    )
+    def test_inconsistent_columns(self, offsets, n_rows, d):
+        features = np.zeros((n_rows, d)) if d else np.zeros(n_rows)
+        ds = Dataset(
+            [f"q{i}" for i in range(len(offsets) - 1)],
+            np.array(offsets, dtype=np.int64),
+            features,
+            np.zeros(n_rows, dtype=np.int64),
+            np.zeros(n_rows, dtype=np.int64),
+            K=1,
+        )
+        with pytest.raises(ValidationError, match="offsets and columns"):
+            ds.validate()
+
+    def test_empty_query(self):
+        with pytest.raises(ValidationError, match="query 'b' has no items"):
+            build_dataset([("a", [1], [0], [[0.0]]), ("b", [], [], [])], d=1, K=1)
+
+    @pytest.mark.parametrize(
+        "label, group, feature, message",
+        [
+            (2, 0, 1.0, r"query 'b': label 2 not in \{0,1\}"),
+            (1, 3, 1.0, r"query 'b': group 3 outside \[0, 2\)"),
+            (1, -1, 1.0, r"query 'b': group -1 outside \[0, 2\)"),
+            (1, 0, float("nan"), "query 'b': non-finite feature value"),
+        ],
+    )
+    def test_bad_row_names_its_query(self, label, group, feature, message):
+        queries = [
+            ("a", [1, 0], [0, 1], [[0.0], [1.0]]),
+            ("b", [0, label], [1, group], [[2.0], [feature]]),
+        ]
+        with pytest.raises(ValidationError, match=message):
+            build_dataset(queries, d=1, K=2)
+
+    def test_queries_are_views_of_the_columns(self, rng):
+        ds = random_dataset(rng, n_queries=3, items_per_query=4)
+        for qi, q in enumerate(ds.queries):
+            rows = slice(ds.offsets[qi], ds.offsets[qi + 1])
+            assert q.query_id == ds.query_ids[qi] and len(q) == 4
+            assert np.shares_memory(q.features, ds.features)
+            np.testing.assert_array_equal(q.labels, ds.labels[rows])
+            np.testing.assert_array_equal(q.groups, ds.groups[rows])
 
 
 class TestSplitQueries:
@@ -318,8 +421,8 @@ class TestGenerateSynthetic:
         # With no bias, observed labels are draws from the true item
         # probabilities, so each group's empirical rate tracks its truth.
         ds, truth = generate_synthetic(400, 30, 5, 2, bias_strength=0.0, seed=11)
-        labels = ds.flat_labels
-        groups = ds.flat_groups
+        labels = ds.labels
+        groups = ds.groups
         probs = np.concatenate(truth.item_probs)
         assert labels.size >= 10_000
         for g in range(2):
@@ -330,8 +433,8 @@ class TestGenerateSynthetic:
         # Monte-Carlo estimate over >= 10^4 items: group 0 keeps its rate,
         # the others lose roughly sigmoid(q) - sigmoid(q - bias).
         ds, truth = generate_synthetic(400, 30, 5, 3, bias_strength=1.0, seed=11)
-        labels = ds.flat_labels
-        groups = ds.flat_groups
+        labels = ds.labels
+        groups = ds.groups
         assert labels.size >= 10_000
         rate0 = labels[groups == 0].mean()
         for g in (1, 2):

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset, random_dataset
 from fairpair.constraints import ConstraintKind, compute_group_stats, pair_constraint_mask
 from fairpair.data import generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
-from fairpair.evaluation import auc, evaluate, fairness_score
+from fairpair.evaluation import _midrank_auc, auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel
 from fairpair.reweight import DeltaMatrix
 
@@ -66,6 +68,19 @@ class TestAuc:
             mean, _ = auc(model, ds)
             scores = ds.queries[0].features @ model.w
             assert mean == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 1)), min_size=2, max_size=25)
+        .filter(lambda rows: 0 < sum(label for _, label in rows) < len(rows))
+    )
+    def test_midrank_equals_pair_counting(self, rows):
+        # Integer scores from a small range, so ties are common.
+        scores = np.array([float(s) for s, _ in rows])
+        labels = np.array([label for _, label in rows])
+        assert _midrank_auc(scores, labels) == pytest.approx(
+            brute_force_auc(scores, labels), abs=1e-12
+        )
 
     def test_pair_free_queries_excluded(self):
         ds = build_dataset(
@@ -219,6 +234,11 @@ class TestEvaluate:
             expected_delta[1, 0] - expected_delta[0, 1],
         )
         assert report.fairness == pytest.approx(1.0 - worst, abs=1e-12)
+
+    def test_model_dimension_must_match(self, rng):
+        ds = random_dataset(rng, d=4)
+        with pytest.raises(ValidationError, match="model dimension 3 .* dimension 4"):
+            evaluate(LinearRankingModel.zeros(3), ds, STAT)
 
     def test_requires_pairwise_kind(self, rng):
         ds = random_dataset(rng)

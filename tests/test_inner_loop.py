@@ -68,8 +68,8 @@ def old_train_weighted(ps, weights, cfg, init=None):
 
 
 def old_train_pointwise(ds, weights, cfg, init=None):
-    X = ds.flat_features
-    y = ds.flat_labels.astype(np.float64)
+    X = ds.features
+    y = ds.labels.astype(np.float64)
     n = y.size
     weights = np.asarray(weights, dtype=np.float64)
     if init is None:

@@ -264,7 +264,7 @@ class TestTrainPointwise:
         ds = build_dataset([("q", labels, [0] * 6, feats)], d=2, K=1)
         cfg = TrainConfig(learning_rate=0.1, epochs=300, batch_size=16, seed=0)
         model = train_pointwise(ds, np.full(6, 0.5), cfg)
-        p = stable_sigmoid(ds.flat_features @ model.w + model.b)
+        p = stable_sigmoid(ds.features @ model.w + model.b)
         assert np.all((p > 0.5) == (labels == 1))
 
     def test_zero_epochs_returns_init(self, rng):
