@@ -10,9 +10,7 @@ from .constraints import (
     GroupStats,
     compute_group_stats,
     compute_point_stats,
-    pair_constraint,
     pair_constraint_mask,
-    point_constraint,
     point_constraint_mask,
 )
 from .data import (
@@ -26,9 +24,9 @@ from .data import (
     save_csv,
     split_queries,
 )
-from .errors import ConstraintUndefined, FairpairError, ParseError, ValidationError
+from .errors import FairpairError, ParseError, ValidationError
 from .evaluation import EvalReport, auc, evaluate, fairness_score
-from .model import LinearRankingModel, load_model, pair_prob, save_model, score
+from .model import LinearRankingModel, load_model, save_model
 from .reweight import (
     Coefficients,
     DeltaMatrix,
@@ -37,7 +35,6 @@ from .reweight import (
     bias_correction_identity,
     expected_bias,
     fair_train,
-    pair_weight,
     pair_weights,
     pointwise_reweight_train,
 )
@@ -45,8 +42,6 @@ from .training import (
     AdamState,
     TrainConfig,
     adam_update,
-    loss_gradient,
-    pair_loss,
     train_pointwise,
     train_weighted,
     weighted_loss,

@@ -6,8 +6,7 @@ bias; a fair model has zero average.  Every constraint is identically
 zero at label 0, so only the label-1 branch ever contributes.
 
 True order probabilities inside the inter/intra/marginal formulas are
-unknown in practice and are proxied by the observed pair labels; tests
-built on synthetic data may substitute the generator's ground truth.
+unknown in practice and are proxied by the observed pair labels.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import PairSet, item_cell, pair_cell
-from .errors import ConstraintUndefined, ValidationError
+from .data import PairSet
+from .errors import ValidationError
 
 
 class ConstraintKind(Enum):
@@ -132,97 +131,44 @@ def _pair_constraint_at_one(
     stats: GroupStats,
     k: int,
     l: int,
-    group_i,
-    group_j,
-    l_true,
-):
-    """Vectorized constraint value at pair label 1; inputs may be arrays."""
-    group_i = np.asarray(group_i)
-    group_j = np.asarray(group_j)
-    l_true = np.asarray(l_true, dtype=np.float64)
+    group_i: np.ndarray,
+    group_j: np.ndarray,
+    label: np.ndarray,
+) -> np.ndarray:
+    """(k, l) constraint value at pair label 1 of pairs with the given groups
+    and observed labels; the label proxies the true order probability."""
     if kind is ConstraintKind.PAIR_STATISTICAL:
         member = (group_i == k) & (group_j == l)
         return member / stats.pair_frac[k, l] - 1.0
     if kind is ConstraintKind.PAIR_INTER_GROUP or kind is ConstraintKind.PAIR_INTRA_GROUP:
         member = (group_i == k) & (group_j == l)
-        return l_true * (member / stats.pos_pair_frac[k, l] - 1.0 / stats.pos_frac)
+        return label * (member / stats.pos_pair_frac[k, l] - 1.0 / stats.pos_frac)
     # Marginal: membership of the first item only, against the row total.
     member = group_i == k
-    return l_true * (member / stats.pos_pair_frac[k].sum() - 1.0 / stats.pos_frac)
+    return label * (member / stats.pos_pair_frac[k].sum() - 1.0 / stats.pos_frac)
 
 
-def pair_constraint_table(kind: ConstraintKind, stats: GroupStats, l_true=None) -> np.ndarray:
+def pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
     """(K, K, 2K²) constraint values at pair label 1 of every pair cell.
 
     Entry [k, l, c] is the (k, l) constraint of the pairs in ``pair_cell``
-    c.  ``l_true`` defaults to each cell's label, the observed-label
-    proxy.  Undefined (k, l) rows are 0.
+    c, with each cell's label as the proxy.  Undefined (k, l) rows are 0.
     """
     K = stats.K
     group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)
-    proxy = label if l_true is None else l_true
     table = np.zeros((K, K, 2 * K * K))
     for k, l in zip(*np.nonzero(pair_constraint_mask(kind, stats))):
-        table[k, l] = _pair_constraint_at_one(kind, stats, k, l, group_i, group_j, proxy)
+        table[k, l] = _pair_constraint_at_one(kind, stats, k, l, group_i, group_j, label)
     return table
-
-
-def pair_constraint(
-    kind: ConstraintKind,
-    stats: GroupStats,
-    k: int,
-    l: int,
-    group_i: int,
-    group_j: int,
-    label: int,
-    l_true: float | None = None,
-) -> float:
-    """Constraint value for one pair evaluated at the given pair label.
-
-    ``l_true`` is the pair's true order probability; by default the
-    evaluation label itself is used, which is the observed-label proxy
-    when a pair is evaluated at its own label.  Raises ConstraintUndefined
-    when the (k, l) entry has no value for this kind and statistics.
-    """
-    mask = pair_constraint_mask(kind, stats)
-    if not mask[k, l]:
-        raise ConstraintUndefined(f"{kind.value} constraint undefined for groups ({k},{l})")
-    if label == 0:
-        return 0.0
-    cell = pair_cell(group_i, group_j, label, stats.K)
-    return float(pair_constraint_table(kind, stats, l_true)[k, l, cell])
-
-
-def point_constraint(
-    kind: ConstraintKind,
-    stats: GroupStats,
-    k: int,
-    group: int,
-    item_label: int,
-    label: int,
-) -> float:
-    """Pointwise constraint value for one item at the given label.
-
-    ``group`` and ``item_label`` are the item's group and observed label.
-
-    POINT_STATISTICAL compares group membership against the group's item
-    share; POINT_EQUAL_OPPORTUNITY restricts the comparison to positive
-    items (the observed label stands in for the unknown ground truth).
-    """
-    mask = point_constraint_mask(kind, stats)
-    if not mask[k]:
-        raise ConstraintUndefined(f"{kind.value} constraint undefined for group {k}")
-    if label == 0:
-        return 0.0
-    cell = item_cell(group, item_label, stats.item_frac.size)
-    return float(point_constraint_table(kind, stats)[k, cell])
 
 
 def point_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
     """(K, 2K) pointwise constraint values at label 1 of every item cell.
 
     Column c holds the items in ``item_cell`` c; each cell's label is the
-    proxy.  Undefined rows are 0.
+    proxy.  POINT_STATISTICAL compares group membership against the group's
+    item share; POINT_EQUAL_OPPORTUNITY restricts the comparison to positive
+    items.  Undefined rows are 0.
     """
     K = stats.item_frac.size
     groups, labels = np.indices((K, 2)).reshape(2, -1)

@@ -122,16 +122,11 @@ def item_cell(group, label, K: int):
 
 @dataclass(eq=False)
 class PairArrays:
-    """Column view of a PairSet for vectorized computation."""
+    """Per-pair columns gathered from a PairSet's dataset, in pair order."""
 
-    query_index: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    label: np.ndarray
-    group_i: np.ndarray
-    group_j: np.ndarray
+    label: np.ndarray  # 1 when item i is the positive one
     feat_diff: np.ndarray  # (n_pairs, d) rows x_i - x_j
-    cell: np.ndarray  # pair_cell of each pair
+    cell: np.ndarray  # pair_cell of each pair: its groups and label
 
 
 @dataclass(eq=False)
@@ -139,8 +134,8 @@ class PairSet:
     """All ordered discordant pairs of a dataset, in deterministic order.
 
     A pair is a row of three index columns: its query and the positions of
-    items i and j within that query.  ``arrays`` gathers labels, groups and
-    feature differences from the dataset's columns.
+    items i and j within that query.  ``arrays`` gathers each pair's label,
+    feature difference and group cell from the dataset's columns.
     """
 
     query_index: np.ndarray
@@ -162,10 +157,10 @@ class PairSet:
         diff -= ds.features[fj]
         # Labels differ within a pair, so the pair label is item i's label.
         label = ds.labels[fi]
-        gi, gj = ds.groups[fi], ds.groups[fj]
         # Stored in the narrowest dtype that holds 2K² ids (1 byte up to K=11).
-        cell = pair_cell(gi, gj, label, ds.K).astype(np.min_scalar_type(2 * ds.K**2 - 1))
-        return PairArrays(self.query_index, self.i, self.j, label, gi, gj, diff, cell)
+        cell_dtype = np.min_scalar_type(2 * ds.K**2 - 1)
+        cell = pair_cell(ds.groups[fi], ds.groups[fj], label, ds.K).astype(cell_dtype)
+        return PairArrays(label, diff, cell)
 
 
 @dataclass(eq=False)
@@ -173,24 +168,10 @@ class SynthTruth:
     """Per-item true label probabilities from the synthetic generator.
 
     ``item_probs[q][i]`` is the unbiased probability that item i of query q
-    is positive.  Pair-level truth is derived on demand: given that the two
-    labels differ, the probability that i's draw was the positive one.
+    is positive.
     """
 
     item_probs: list[np.ndarray]
-
-    def item_prob(self, query_index: int, item_index: int) -> float:
-        return float(self.item_probs[query_index][item_index])
-
-    def pair_prob(self, query_index: int, i: int, j: int) -> float | None:
-        """True order probability for pair (i, j); None when undefined."""
-        p_i = self.item_prob(query_index, i)
-        p_j = self.item_prob(query_index, j)
-        num = p_i * (1.0 - p_j)
-        den = num + (1.0 - p_i) * p_j
-        if den == 0.0:
-            return None
-        return num / den
 
 
 def load_csv(path, declared_K: int) -> Dataset:

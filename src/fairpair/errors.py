@@ -18,11 +18,3 @@ class ParseError(ValidationError):
         super().__init__(message)
         self.line = line
 
-
-class ConstraintUndefined(FairpairError):
-    """A constraint has no value for the requested group pair.
-
-    Raised when a denominator in the constraint formula is zero, e.g. a
-    group pair that never occurs in the data.  Callers iterating over
-    constraints should skip the offending entry rather than abort.
-    """

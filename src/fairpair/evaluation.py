@@ -15,29 +15,35 @@ from .errors import ValidationError
 from .model import LinearRankingModel, score_matrix
 
 
-def _midrank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Pair-counting AUC with half credit for score ties, via midranks."""
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    midranks = (ends - counts + 1 + ends) / 2.0
-    pos_rank_sum = float(midranks[inverse][labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
 def auc(model: LinearRankingModel, ds: Dataset) -> tuple[float, list[float]]:
-    """Mean per-query AUC; queries without a discordant pair are excluded."""
-    per_query: list[float] = []
-    for q in ds.queries:
-        labels = q.labels
-        n_pos = int(labels.sum())
-        if n_pos == 0 or n_pos == labels.size:
-            continue
-        per_query.append(_midrank_auc(score_matrix(model, q.features), labels))
-    if not per_query:
+    """Mean per-query AUC; queries without a discordant pair are excluded.
+
+    Each query's AUC counts its discordant pairs with half credit for score
+    ties, via midranks.  One sort by (query, score) ranks every query at
+    once; midranks are half-integers, so their per-query sums are exact.
+    """
+    sizes = np.diff(ds.offsets)
+    query = np.repeat(np.arange(sizes.size), sizes)
+    scores = score_matrix(model, ds.features)
+    order = np.lexsort((scores, query))
+    scores, query = scores[order], query[order]
+    # Runs of tied scores within a query, by their first sorted position.
+    new_run = np.ones(scores.size, dtype=bool)
+    new_run[1:] = (query[1:] != query[:-1]) | (scores[1:] != scores[:-1])
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(starts, append=scores.size)
+    # Sorting keeps each query's rows at its offsets, so ranks count from there.
+    first = starts - ds.offsets[query[starts]]
+    midranks = np.repeat((2 * first + counts + 1) / 2.0, counts)
+    positive = ds.labels[order] == 1
+    n_pos = np.bincount(query[positive], minlength=sizes.size)
+    pos_rank_sum = np.bincount(query[positive], weights=midranks[positive], minlength=sizes.size)
+    defined = (n_pos > 0) & (n_pos < sizes)
+    if not defined.any():
         raise ValidationError("AUC undefined: no query has a discordant pair")
-    return float(np.mean(per_query)), per_query
+    n_pos, n_neg = n_pos[defined], sizes[defined] - n_pos[defined]
+    per_query = (pos_rank_sum[defined] - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(np.mean(per_query)), per_query.tolist()
 
 
 def fairness_score(delta: "reweight.DeltaMatrix") -> float:

@@ -1,4 +1,4 @@
-"""Linear ranking model: scores and pairwise order probabilities."""
+"""Linear ranking model: scoring, the stable sigmoid and model persistence."""
 
 from __future__ import annotations
 
@@ -64,16 +64,6 @@ class LinearRankingModel:
         return cls(np.zeros(d), 0.0)
 
 
-def score(model: LinearRankingModel, x) -> float:
-    """Score a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d,):
-        raise ValidationError(
-            f"feature dimension {x.shape} does not match model dimension {model.d}"
-        )
-    return float(model.w @ x + model.b)
-
-
 def score_matrix(model: LinearRankingModel, X: np.ndarray) -> np.ndarray:
     """Score a (n, d) feature matrix."""
     if X.shape[1] != model.d:
@@ -81,20 +71,6 @@ def score_matrix(model: LinearRankingModel, X: np.ndarray) -> np.ndarray:
             f"feature dimension {X.shape[1]} does not match model dimension {model.d}"
         )
     return X @ model.w + model.b
-
-
-def pair_prob(model: LinearRankingModel, x_i, x_j) -> float:
-    """Model probability that item i outranks item j.
-
-    Computed from the score difference, so the bias term cancels exactly.
-    The result is clamped into (0, 1) to keep downstream logs finite.
-    """
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    if x_i.shape != (model.d,) or x_j.shape != (model.d,):
-        raise ValidationError("pair features must both have the model dimension")
-    z = model.w @ (x_i - x_j)
-    return float(clamp_prob(stable_sigmoid(z)))
 
 
 def save_model(model: LinearRankingModel, path) -> None:

@@ -28,7 +28,7 @@ from .constraints import (
     point_constraint_mask,
     point_constraint_table,
 )
-from .data import Dataset, PairSet, item_cell, make_pairs, pair_cell
+from .data import Dataset, PairSet, item_cell, make_pairs
 from .errors import ValidationError
 from .model import LinearRankingModel, clamp_prob, stable_sigmoid
 from .training import TrainConfig, require_types, train_pointwise, train_weighted
@@ -128,36 +128,16 @@ def _own_label_weights(s: np.ndarray) -> np.ndarray:
     return np.where(np.arange(s.size) % 2 == 1, e1, e0) / (e0 + e1)
 
 
-def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str, l_true=None):
+def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str):
     """Weight of every ``pair_cell`` at its own label."""
     mask = pair_constraint_mask(coeffs.kind, stats)
     if weight_form == "general":
-        s = _exponents(coeffs.values, mask, pair_constraint_table(coeffs.kind, stats, l_true))
+        s = _exponents(coeffs.values, mask, pair_constraint_table(coeffs.kind, stats))
     elif weight_form == "indicator":
         s = np.repeat(np.where(mask, coeffs.values, 0.0).ravel(), 2)
     else:
         raise ValidationError(f"unknown weight_form {weight_form!r}")
     return _own_label_weights(s)
-
-
-def pair_weight(
-    coeffs: Coefficients,
-    stats: GroupStats,
-    group_i: int,
-    group_j: int,
-    pair_label: int,
-    l_true: float | None = None,
-    weight_form: str = "general",
-) -> float:
-    """Closed-form weight of one pair at the given label.
-
-    The exponent is the coefficient-weighted constraint sum at label 1
-    (the "general" form) or the bare group-pair coefficient (the
-    "indicator" form); label 0 always has exponent 0.  Weights for the two
-    labels sum to 1.
-    """
-    weights = _pair_cell_weights(coeffs, stats, weight_form, l_true)
-    return float(weights[pair_cell(group_i, group_j, pair_label, stats.K)])
 
 
 def pair_weights(

@@ -2,10 +2,10 @@
 
 The pairwise objective is the mean over pairs of
 ``weight * cross_entropy(predicted order probability, pair label)``;
-the pointwise variant applies the same loss to item labels.  Gradients
-are packed as [w..., b]; the bias has zero gradient in the pairwise case
-because it cancels in every score difference, so the pairwise trainer
-steps w alone and returns the initial bias.
+the pointwise variant applies the same loss to item labels and steps
+[w..., b].  The bias has zero gradient in the pairwise case because it
+cancels in every score difference, so the pairwise trainer steps w alone
+and returns the initial bias.
 """
 
 from __future__ import annotations
@@ -105,31 +105,6 @@ def adam_update(
     return AdamState(m, v, t), params - step
 
 
-def pair_loss(l_hat: float, l: int, weight: float) -> float:
-    """Weighted cross-entropy of a predicted order probability."""
-    if weight <= 0:
-        raise ValidationError("pair weight must be > 0")
-    p = float(clamp_prob(l_hat))
-    return weight * -(l * np.log(p) + (1 - l) * np.log1p(-p))
-
-
-def loss_gradient(
-    model: LinearRankingModel, x_i, x_j, l: int, weight: float
-) -> np.ndarray:
-    """Gradient of the weighted pair loss, packed as [dw..., db].
-
-    db is identically zero: the bias cancels in the score difference.
-    """
-    if weight <= 0:
-        raise ValidationError("pair weight must be > 0")
-    diff = np.asarray(x_i, dtype=np.float64) - np.asarray(x_j, dtype=np.float64)
-    l_hat = clamp_prob(stable_sigmoid(model.w @ diff))
-    grad = np.empty(model.d + 1)
-    grad[:-1] = weight * (l_hat - l) * diff
-    grad[-1] = 0.0
-    return grad
-
-
 def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -> float:
     """Mean weighted pair loss over a whole pair set."""
     arr = ps.arrays
@@ -137,6 +112,23 @@ def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -
     lab = arr.label
     terms = weights * -(lab * np.log(p) + (1 - lab) * np.log1p(-p))
     return float(terms.mean())
+
+
+def batch_gradient(
+    w: np.ndarray, x: np.ndarray, label: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Gradient in w of the mean weighted pair loss over one minibatch.
+
+    ``x`` holds the batch's feature differences and ``label`` and
+    ``weights`` its pair labels and weights.  The bias has no entry: it
+    cancels in every score difference, so its gradient is zero.
+    """
+    resid = clamp_prob(stable_sigmoid(x @ w))
+    resid -= label
+    resid *= weights
+    grad = resid @ x
+    grad /= label.size
+    return grad
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -183,22 +175,10 @@ def train_weighted(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x = np.take(diff, idx, axis=0)
-            resid = clamp_prob(stable_sigmoid(x @ w))
-            resid -= lab.take(idx)
-            resid *= weights.take(idx)
-            grad = resid @ x
-            grad /= idx.size
+            grad = batch_gradient(w, x, lab.take(idx), weights.take(idx))
             state, w = adam_update(state, w, grad, cfg)
 
     return LinearRankingModel(w, float(init.b))
-
-
-def pointwise_loss(model: LinearRankingModel, ds: Dataset, weights: np.ndarray) -> float:
-    """Mean weighted cross-entropy of item labels under sigmoid(score)."""
-    p = clamp_prob(stable_sigmoid(ds.features @ model.w + model.b))
-    y = ds.labels
-    terms = weights * -(y * np.log(p) + (1 - y) * np.log1p(-p))
-    return float(terms.mean())
 
 
 def train_pointwise(

@@ -1,9 +1,11 @@
-"""Shared builders for hand-constructed datasets."""
+"""Shared builders for hand-constructed datasets and pair sets, and a numerical gradient."""
 
 import numpy as np
 import pytest
 
-from fairpair.data import Dataset
+from fairpair.data import Dataset, PairSet, make_pairs
+from fairpair.model import LinearRankingModel
+from fairpair.training import weighted_loss
 
 
 def build_dataset(queries, d, K):
@@ -35,3 +37,26 @@ def random_dataset(rng, n_queries=4, items_per_query=8, d=3, K=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def pair_subset(ps, idx):
+    """The pairs of ps at positions idx, as a pair set on the same dataset."""
+    return PairSet(ps.query_index[idx], ps.i[idx], ps.j[idx], ps.source)
+
+
+def numeric_gradient(ps, weights, w, h=1e-6):
+    """Central differences of weighted_loss in the model weights w."""
+    grad = np.empty(w.size)
+    for c in range(w.size):
+        step = np.zeros(w.size)
+        step[c] = h
+        up = weighted_loss(LinearRankingModel(w + step), ps, weights)
+        down = weighted_loss(LinearRankingModel(w - step), ps, weights)
+        grad[c] = (up - down) / (2 * h)
+    return grad
+
+
+def all_cells_pairs():
+    """A K=2 pair set with a pair in each of the 8 (group_i, group_j, label) cells."""
+    ds = build_dataset([("q", [1, 0, 0, 1], [0, 1, 0, 1], [[0.0]] * 4)], d=1, K=2)
+    return make_pairs(ds)

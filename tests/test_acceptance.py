@@ -14,20 +14,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_dataset, random_dataset
+from conftest import build_dataset, numeric_gradient, pair_subset, random_dataset
 from fairpair.cli import main
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
     compute_point_stats,
-    pair_constraint,
     pair_constraint_mask,
-    point_constraint,
-    point_constraint_mask,
+    pair_constraint_table,
+    point_constraint_table,
 )
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.evaluation import auc
-from fairpair.model import LinearRankingModel, pair_prob
+from fairpair.model import LinearRankingModel
 from fairpair.reweight import (
     Coefficients,
     DeltaMatrix,
@@ -35,10 +34,10 @@ from fairpair.reweight import (
     FairTrainConfig,
     bias_correction_identity,
     fair_train,
-    pair_weight,
+    pair_weights,
     update_coefficients,
 )
-from fairpair.training import TrainConfig, pair_loss, loss_gradient, train_weighted
+from fairpair.training import TrainConfig, batch_gradient, train_weighted
 
 STAT = ConstraintKind.PAIR_STATISTICAL
 
@@ -134,8 +133,10 @@ def test_criterion_1_bias_correction_identity(rng):
 
 
 def test_criterion_2_weight_closed_form(rng):
-    # 10^4 random (coefficients, pair) draws: the two label weights sum to 1
-    # and the label-1 weight is the sigmoid of the constraint sum.
+    # 10^4 random (coefficients, pair) draws through pair_weights: a label-1
+    # pair weighs sigmoid(s) and a label-0 pair 1 - sigmoid(s), where s is
+    # the coefficient-weighted constraint sum of its cell, so the two label
+    # weights of a group pair sum to 1.
     worst_sum = 0.0
     worst_sig = 0.0
     checked = 0
@@ -147,13 +148,12 @@ def test_criterion_2_weight_closed_form(rng):
             continue
         stats = compute_group_stats(ps)
         mask = pair_constraint_mask(STAT, stats)
+        groups_i, groups_j, labels = np.unravel_index(ps.arrays.cell, (K, K, 2))
         for _ in range(100):
             lam = rng.normal(scale=2.0, size=(K, K)) * mask
-            coeffs = Coefficients(lam, STAT)
-            gi, gj = int(rng.integers(0, K)), int(rng.integers(0, K))
-            w1 = pair_weight(coeffs, stats, gi, gj, 1)
-            w0 = pair_weight(coeffs, stats, gi, gj, 0)
-            worst_sum = max(worst_sum, abs(w0 + w1 - 1.0))
+            weights = pair_weights(Coefficients(lam, STAT), stats, ps)
+            t = int(rng.integers(len(ps)))
+            gi, gj, label = groups_i[t], groups_j[t], labels[t]
             s = sum(
                 lam[k, l]
                 * ((1.0 if (gi == k and gj == l) else 0.0) / stats.pair_frac[k, l] - 1.0)
@@ -162,7 +162,10 @@ def test_criterion_2_weight_closed_form(rng):
                 if mask[k, l]
             )
             sig = 1.0 / (1.0 + math.exp(-s)) if s >= 0 else math.exp(s) / (1.0 + math.exp(s))
-            worst_sig = max(worst_sig, abs(w1 - sig))
+            worst_sig = max(worst_sig, abs(weights[t] - (sig if label == 1 else 1.0 - sig)))
+            mirror = np.flatnonzero((groups_i == gi) & (groups_j == gj) & (labels != label))
+            if mirror.size:
+                worst_sum = max(worst_sum, abs(weights[t] + weights[mirror[0]] - 1.0))
             checked += 1
     _report(
         "criterion 2: closed-form weight normalization and sigmoid identity",
@@ -172,24 +175,20 @@ def test_criterion_2_weight_closed_form(rng):
 
 
 def test_criterion_3_gradient_check(rng):
-    # Analytic pairwise-loss gradient vs central finite differences.
-    h = 1e-6
+    # The minibatch gradient train_weighted steps on vs central finite
+    # differences of weighted_loss over the same pairs.
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(1, 6))
+        ps = make_pairs(random_dataset(rng, n_queries=2, items_per_query=5, d=d))
+        idx = rng.permutation(len(ps))[: int(rng.integers(1, len(ps) + 1))]
+        weights = rng.uniform(0.1, 3.0, size=len(ps))
         w = rng.normal(size=d)
-        xi, xj = rng.normal(size=d), rng.normal(size=d)
-        l = int(rng.integers(0, 2))
-        weight = float(rng.uniform(0.1, 3.0))
-        analytic = loss_gradient(LinearRankingModel(w, 0.0), xi, xj, l, weight)[:-1]
-        numeric = np.empty(d)
-        for c in range(d):
-            wp, wm = w.copy(), w.copy()
-            wp[c] += h
-            wm[c] -= h
-            lp = pair_loss(pair_prob(LinearRankingModel(wp, 0.0), xi, xj), l, weight)
-            lm = pair_loss(pair_prob(LinearRankingModel(wm, 0.0), xi, xj), l, weight)
-            numeric[c] = (lp - lm) / (2 * h)
+        # Gathered as train_weighted gathers a minibatch.
+        arr = ps.arrays
+        x = np.take(arr.feat_diff, idx, axis=0)
+        analytic = batch_gradient(w, x, arr.label.take(idx), weights.take(idx))
+        numeric = numeric_gradient(pair_subset(ps, idx), weights[idx], w)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, rel)
     _report(
@@ -237,51 +236,29 @@ def test_criterion_4_auc_oracle(rng):
 
 
 def test_criterion_5_constraint_identities(rng):
-    # Zero at label 0 for every family, mean-zero statistical constraint,
-    # and consistency of the positive-pair proportions.
+    # Read from the constraint tables: the label-proxied families are zero
+    # on label-0 cells, the statistical constraint has mean zero over its own
+    # pairs, and the positive-pair proportions are consistent.
     zero_ok = True
     for _ in range(20):
         ds = random_dataset(rng, n_queries=4, items_per_query=6, K=3)
-        ps = make_pairs(ds)
-        stats = compute_group_stats(ps)
+        stats = compute_group_stats(make_pairs(ds))
         for kind in (
-            ConstraintKind.PAIR_STATISTICAL,
             ConstraintKind.PAIR_INTER_GROUP,
             ConstraintKind.PAIR_INTRA_GROUP,
             ConstraintKind.PAIR_MARGINAL,
         ):
-            mask = pair_constraint_mask(kind, stats)
-            for k in range(3):
-                for l in range(3):
-                    if mask[k, l]:
-                        value = pair_constraint(
-                            kind, stats, k, l,
-                            int(rng.integers(0, 3)), int(rng.integers(0, 3)), label=0,
-                        )
-                        zero_ok = zero_ok and value == 0.0
+            zero_ok = zero_ok and np.all(pair_constraint_table(kind, stats)[..., 0::2] == 0.0)
         point_stats = compute_point_stats(ds)
-        for kind in (ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY):
-            pmask = point_constraint_mask(kind, point_stats)
-            for k in range(3):
-                if pmask[k]:
-                    zero_ok = zero_ok and point_constraint(kind, point_stats, k, 0, 1, 0) == 0.0
+        table = point_constraint_table(ConstraintKind.POINT_EQUAL_OPPORTUNITY, point_stats)
+        zero_ok = zero_ok and np.all(table[:, 0::2] == 0.0)
 
     ds = random_dataset(rng, n_queries=5, items_per_query=8, K=3)
     ps = make_pairs(ds)
     stats = compute_group_stats(ps)
-    arr = ps.arrays
     mask = pair_constraint_mask(STAT, stats)
-    worst_mean = 0.0
-    for k in range(3):
-        for l in range(3):
-            if mask[k, l]:
-                vals = [
-                    pair_constraint(
-                        STAT, stats, k, l, int(arr.group_i[t]), int(arr.group_j[t]), 1
-                    )
-                    for t in range(len(ps))
-                ]
-                worst_mean = max(worst_mean, abs(float(np.mean(vals))))
+    means = pair_constraint_table(STAT, stats)[:, :, ps.arrays.cell].mean(axis=-1)
+    worst_mean = float(np.max(np.abs(means[mask])))
     stats_dev = abs(stats.pos_pair_frac.sum() - stats.pos_frac)
     _report(
         "criterion 5: constraint identities",

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_dataset, random_dataset
+from conftest import all_cells_pairs, build_dataset, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
     _pair_constraint_at_one,
     compute_group_stats,
     compute_point_stats,
     pair_constraint_mask,
+    pair_constraint_table,
     point_constraint_mask,
 )
 from fairpair.data import generate_synthetic, make_pairs, split_queries
@@ -26,10 +27,10 @@ from fairpair.errors import ValidationError
 from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
 from fairpair.reweight import (
     Coefficients,
+    _exponents,
     FairTrainConfig,
     expected_bias,
     fair_train,
-    pair_weight,
     pair_weights,
     point_expected_bias,
     point_weights,
@@ -40,8 +41,16 @@ PAIR_KINDS = [k for k in ConstraintKind if k.is_pairwise]
 POINT_KINDS = [k for k in ConstraintKind if k.is_pointwise]
 
 
+def pair_groups(ps):
+    """Item groups of every pair, unpacked from its cell."""
+    K = ps.source.K
+    group_i, group_j, _ = np.unravel_index(ps.arrays.cell, (K, K, 2))
+    return group_i, group_j
+
+
 def loop_expected_bias(model, ps, stats, kind):
     arr = ps.arrays
+    group_i, group_j = pair_groups(ps)
     l_hat = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
     proxy = arr.label.astype(np.float64)
     mask = pair_constraint_mask(kind, stats)
@@ -49,7 +58,7 @@ def loop_expected_bias(model, ps, stats, kind):
     for k in range(stats.K):
         for l in range(stats.K):
             if mask[k, l]:
-                c = _pair_constraint_at_one(kind, stats, k, l, arr.group_i, arr.group_j, proxy)
+                c = _pair_constraint_at_one(kind, stats, k, l, group_i, group_j, proxy)
                 values[k, l] = float(np.mean(l_hat * c))
     return values, mask
 
@@ -63,25 +72,26 @@ def loop_normalized_pair(s):
     return e0 / denom, e1 / denom
 
 
-def loop_weight_exponent_general(coeffs, stats, mask, group_i, group_j, l_true):
+def loop_weight_exponent_general(coeffs, stats, mask, group_i, group_j, proxy):
     s = np.zeros_like(np.asarray(group_i, dtype=np.float64))
     for k in range(stats.K):
         for l in range(stats.K):
             if mask[k, l] and coeffs.values[k, l] != 0.0:
                 s += coeffs.values[k, l] * _pair_constraint_at_one(
-                    coeffs.kind, stats, k, l, group_i, group_j, l_true
+                    coeffs.kind, stats, k, l, group_i, group_j, proxy
                 )
     return s
 
 
 def loop_pair_weights(coeffs, stats, ps, weight_form):
     arr = ps.arrays
+    group_i, group_j = pair_groups(ps)
     mask = pair_constraint_mask(coeffs.kind, stats)
     if weight_form == "general":
         proxy = arr.label.astype(np.float64)
-        s = loop_weight_exponent_general(coeffs, stats, mask, arr.group_i, arr.group_j, proxy)
+        s = loop_weight_exponent_general(coeffs, stats, mask, group_i, group_j, proxy)
     else:
-        s = np.where(mask, coeffs.values, 0.0)[arr.group_i, arr.group_j]
+        s = np.where(mask, coeffs.values, 0.0)[group_i, group_j]
     w0, w1 = loop_normalized_pair(s)
     return np.where(arr.label == 1, w1, w0)
 
@@ -167,13 +177,15 @@ class TestPairTablesMatchLoops:
             assert np.all(delta.values[~mask] == 0.0)
 
     def test_scalar_weight_is_table_lookup(self, rng, kind, K):
+        # A pair's weight is a lookup of its (group_i, group_j, label) cell:
+        # all pairs of one cell share one weight.
         ds, ps, stats = self.setup_data(rng, K)
         coeffs = Coefficients(random_coefficients(rng, K, scale=0.1), kind)
-        weights = pair_weights(coeffs, stats, ps)
-        arr = ps.arrays
-        for t in rng.choice(len(ps), size=20, replace=False):
-            gi, gj, label = int(arr.group_i[t]), int(arr.group_j[t]), int(arr.label[t])
-            assert pair_weight(coeffs, stats, gi, gj, label) == weights[t]
+        for form in ("general", "indicator"):
+            weights = pair_weights(coeffs, stats, ps, form)
+            by_cell = np.zeros(2 * K * K)
+            by_cell[ps.arrays.cell] = weights
+            assert_same_bits(by_cell[ps.arrays.cell], weights)
 
 
 @pytest.mark.parametrize("kind", POINT_KINDS, ids=lambda k: k.value)
@@ -204,18 +216,26 @@ class TestPointTablesMatchLoops:
     seed=st.integers(0, 2**32 - 1),
     K=st.integers(1, 5),
     kind=st.sampled_from(PAIR_KINDS),
-    l_true=st.floats(0.0, 1.0),
 )
-def test_label_weights_of_a_cell_sum_to_one(seed, K, kind, l_true):
+def test_label_weights_of_a_cell_sum_to_one(seed, K, kind):
+    # The label-1 and label-0 weights at one exponent s, exp(s) and exp(0)
+    # normalized, sum to one: a label-1 pair weighs sigmoid(s) of its own
+    # cell and a label-0 pair 1 - sigmoid(s).
     rng = np.random.default_rng(seed)
     ps = make_pairs(random_dataset(rng, n_queries=3, items_per_query=6, K=K))
     stats = compute_group_stats(ps)
     coeffs = Coefficients(random_coefficients(rng, K, scale=5.0), kind)
-    for gi in range(K):
-        for gj in range(K):
-            w0 = pair_weight(coeffs, stats, gi, gj, 0, l_true=l_true)
-            w1 = pair_weight(coeffs, stats, gi, gj, 1, l_true=l_true)
-            assert abs(w0 + w1 - 1.0) <= 1e-15
+    mask = pair_constraint_mask(kind, stats)
+    s = _exponents(coeffs.values, mask, pair_constraint_table(kind, stats))
+    cell = ps.arrays.cell
+    try:
+        weights = pair_weights(coeffs, stats, ps)
+    except ValidationError:
+        # Exponents beyond the float range underflow a weight, which pair_weights refuses.
+        assert np.abs(s[cell]).max() > 700
+        return
+    sig = stable_sigmoid(s[cell])
+    assert np.all(np.abs(np.where(cell % 2 == 1, weights, 1.0 - weights) - sig) <= 1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,7 +245,8 @@ def test_group_stats_equal_group_pair_bincount(seed, K):
     ps = make_pairs(random_dataset(rng, n_queries=3, items_per_query=7, K=K))
     stats = compute_group_stats(ps)
     arr = ps.arrays
-    cell = arr.group_i * K + arr.group_j
+    group_i, group_j = pair_groups(ps)
+    cell = group_i * K + group_j
     pair_frac = (np.bincount(cell, minlength=K * K) / len(ps)).reshape(K, K)
     pos_pair_frac = (
         np.bincount(cell, weights=arr.label.astype(float), minlength=K * K) / len(ps)
@@ -257,6 +278,8 @@ class TestWeightUnderflow:
         stats = compute_group_stats(ps)
         values = np.asarray([[0.0, 1e4], [0.0, 0.0]])
         coeffs = Coefficients(values, ConstraintKind.PAIR_STATISTICAL)
-        assert pair_weight(coeffs, stats, 0, 1, 0) == 0.0
-        assert pair_weight(coeffs, stats, 1, 0, 1) == 0.0
         np.testing.assert_array_equal(pair_weights(coeffs, stats, ps), np.ones(len(ps)))
+        # The same weights on pairs of every cell: cells such as (0, 1, 0)
+        # and (1, 0, 1) weigh 0, and the first is named.
+        with pytest.raises(ValidationError, match=r"cell \(k=0, l=0, label=1\) is 0\.0"):
+            pair_weights(coeffs, stats, all_cells_pairs())

@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
-from conftest import build_dataset, random_dataset
+from conftest import all_cells_pairs, build_dataset, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
     compute_group_stats,
     compute_point_stats,
-    pair_constraint,
     pair_constraint_mask,
-    point_constraint,
+    pair_constraint_table,
     point_constraint_mask,
+    point_constraint_table,
 )
-from fairpair.data import make_pairs
-from fairpair.errors import ConstraintUndefined, ValidationError
+from fairpair.data import item_cell, make_pairs
+from fairpair.errors import ValidationError
+from fairpair.reweight import Coefficients, pair_weights, point_weights
 
 PAIR_KINDS = [
     ConstraintKind.PAIR_STATISTICAL,
@@ -71,8 +72,7 @@ class TestComputeStats:
         count = {}
         pos_count = {}
         positives = 0
-        arr = ps.arrays
-        for qi, i, j, label in zip(arr.query_index, arr.i, arr.j, arr.label):
+        for qi, i, j, label in zip(ps.query_index, ps.i, ps.j, ps.arrays.label):
             q = ds.queries[qi]
             cell = (int(q.groups[i]), int(q.groups[j]))
             count[cell] = count.get(cell, 0) + 1
@@ -112,17 +112,35 @@ class TestComputeStats:
             assert abs(stats.pos_pair_frac.sum() - stats.pos_frac) < 1e-12
 
 
+def cell_table(kind, stats):
+    """pair_constraint_table indexed [k, l, group_i, group_j, label]."""
+    K = stats.K
+    return pair_constraint_table(kind, stats).reshape(K, K, K, K, 2)
+
+
+def item_table(kind, stats):
+    """point_constraint_table indexed [k, group, label]."""
+    K = stats.item_frac.size
+    return point_constraint_table(kind, stats).reshape(K, K, 2)
+
+
+def own_label_weights(s, label):
+    """Weight at its own label of a pair or item whose label-1 exponent is s:
+    exp(s) at label 1 and exp(0) at label 0, normalized over both."""
+    return np.where(label == 1, np.exp(s), 1.0) / (1.0 + np.exp(s))
+
+
 class TestPairConstraint:
     def test_statistical_substitution(self):
         stats = make_stats(
             [[0.25, 0.25], [0.25, 0.25]], [[0.1, 0.15], [0.1, 0.15]], 0.5
         )
-        val = pair_constraint(
-            ConstraintKind.PAIR_STATISTICAL, stats, 0, 1, group_i=0, group_j=1, label=1
-        )
+        val = cell_table(ConstraintKind.PAIR_STATISTICAL, stats)[0, 1, 0, 1, 1]
         assert val == pytest.approx(1 / 0.25 - 1)  # 3.0
 
     def test_label_zero_for_all_kinds(self):
+        # Every constraint is 0 at label 0, so the weights give label 0 the
+        # exponent 0 in every cell, whatever its label-1 value.
         stats = make_stats(
             [[0.25, 0.25], [0.25, 0.25]], [[0.1, 0.15], [0.1, 0.15]], 0.5
         )
@@ -132,65 +150,69 @@ class TestPairConstraint:
             ConstraintKind.PAIR_INTRA_GROUP: (1, 1),
             ConstraintKind.PAIR_MARGINAL: (0, 1),
         }
+        ps = all_cells_pairs()
+        cell = ps.arrays.cell
         for kind, (k, l) in cases.items():
-            assert pair_constraint(kind, stats, k, l, 0, 1, label=0) == 0.0
+            values = np.zeros((2, 2))
+            values[k, l] = 0.7
+            weights = pair_weights(Coefficients(values, kind), stats, ps)
+            s = 0.7 * pair_constraint_table(kind, stats)[k, l, cell]
+            np.testing.assert_allclose(weights, own_label_weights(s, cell % 2), rtol=1e-15)
 
     def test_statistical_nonmember(self):
         stats = make_stats(
             [[0.25, 0.25], [0.25, 0.25]], [[0.1, 0.15], [0.1, 0.15]], 0.5
         )
-        val = pair_constraint(
-            ConstraintKind.PAIR_STATISTICAL, stats, 0, 1, group_i=1, group_j=1, label=1
-        )
-        assert val == -1.0
+        assert cell_table(ConstraintKind.PAIR_STATISTICAL, stats)[0, 1, 1, 1, 1] == -1.0
 
     def test_inter_group_formula(self):
         stats = make_stats([[0.2, 0.3], [0.3, 0.2]], [[0.1, 0.2], [0.1, 0.1]], 0.5)
-        got = pair_constraint(
-            ConstraintKind.PAIR_INTER_GROUP, stats, 0, 1, 0, 1, label=1, l_true=0.8
-        )
-        assert got == pytest.approx(0.8 * (1 / 0.2 - 1 / 0.5))
+        got = cell_table(ConstraintKind.PAIR_INTER_GROUP, stats)[0, 1, 0, 1, 1]
+        assert got == pytest.approx(1 / 0.2 - 1 / 0.5)
 
     def test_intra_group_formula(self):
         stats = make_stats([[0.5, 0.0], [0.0, 0.5]], [[0.25, 0.0], [0.0, 0.25]], 0.5)
-        got = pair_constraint(
-            ConstraintKind.PAIR_INTRA_GROUP, stats, 1, 1, 1, 1, label=1, l_true=1.0
-        )
+        got = cell_table(ConstraintKind.PAIR_INTRA_GROUP, stats)[1, 1, 1, 1, 1]
         assert got == pytest.approx(1 / 0.25 - 1 / 0.5)
 
     def test_marginal_formula_ignores_second_index(self):
         stats = make_stats([[0.2, 0.3], [0.3, 0.2]], [[0.1, 0.2], [0.1, 0.1]], 0.5)
+        table = cell_table(ConstraintKind.PAIR_MARGINAL, stats)
         for l in (0, 1):
-            got = pair_constraint(
-                ConstraintKind.PAIR_MARGINAL, stats, 0, l, 0, 1, label=1, l_true=1.0
-            )
-            # Row total for k=0 is 0.3.
-            assert got == pytest.approx(1 / 0.3 - 1 / 0.5)
+            for group_j in (0, 1):
+                # Row total for k=0 is 0.3.
+                assert table[0, l, 0, group_j, 1] == pytest.approx(1 / 0.3 - 1 / 0.5)
 
     def test_default_proxy_is_the_label(self):
+        # The observed label stands in for the true order probability: each
+        # cell's value is its label times the membership term.
         stats = make_stats([[0.2, 0.3], [0.3, 0.2]], [[0.1, 0.2], [0.1, 0.1]], 0.5)
-        explicit = pair_constraint(
-            ConstraintKind.PAIR_INTER_GROUP, stats, 0, 1, 0, 1, label=1, l_true=1.0
-        )
-        defaulted = pair_constraint(
-            ConstraintKind.PAIR_INTER_GROUP, stats, 0, 1, 0, 1, label=1
-        )
-        assert defaulted == explicit
+        table = cell_table(ConstraintKind.PAIR_INTER_GROUP, stats)
+        for group_i, group_j, label in np.ndindex(2, 2, 2):
+            member = 1.0 if (group_i, group_j) == (0, 1) else 0.0
+            want = label * (member / 0.2 - 1 / 0.5)
+            assert table[0, 1, group_i, group_j, label] == pytest.approx(want)
 
     def test_zero_denominator_raises(self):
+        # A group pair without pairs has no statistical constraint: the entry
+        # is masked and its table row reads 0 instead of dividing by zero.
         stats = make_stats([[0.5, 0.0], [0.0, 0.5]], [[0.25, 0.0], [0.0, 0.25]], 0.5)
-        with pytest.raises(ConstraintUndefined):
-            pair_constraint(ConstraintKind.PAIR_STATISTICAL, stats, 0, 1, 0, 1, label=1)
+        kind = ConstraintKind.PAIR_STATISTICAL
+        assert not pair_constraint_mask(kind, stats)[0, 1]
+        assert np.all(pair_constraint_table(kind, stats)[0, 1] == 0.0)
 
     def test_kind_domain_enforced(self):
         stats = make_stats(
             [[0.25, 0.25], [0.25, 0.25]], [[0.1, 0.15], [0.1, 0.15]], 0.5
         )
-        # Diagonal entries do not exist for the cross-group families.
-        with pytest.raises(ConstraintUndefined):
-            pair_constraint(ConstraintKind.PAIR_STATISTICAL, stats, 0, 0, 0, 0, label=1)
-        with pytest.raises(ConstraintUndefined):
-            pair_constraint(ConstraintKind.PAIR_INTRA_GROUP, stats, 0, 1, 0, 1, label=1)
+        # Diagonal entries do not exist for the cross-group families, nor
+        # off-diagonal ones for the intra-group family.
+        for kind, (k, l) in (
+            (ConstraintKind.PAIR_STATISTICAL, (0, 0)),
+            (ConstraintKind.PAIR_INTRA_GROUP, (0, 1)),
+        ):
+            assert not pair_constraint_mask(kind, stats)[k, l]
+            assert np.all(pair_constraint_table(kind, stats)[k, l] == 0.0)
 
     def test_statistical_mean_zero_over_own_pairs(self, rng):
         for _ in range(5):
@@ -198,29 +220,14 @@ class TestPairConstraint:
             ps = make_pairs(ds)
             stats = compute_group_stats(ps)
             mask = pair_constraint_mask(ConstraintKind.PAIR_STATISTICAL, stats)
-            arr = ps.arrays
-            for k in range(3):
-                for l in range(3):
-                    if not mask[k, l]:
-                        continue
-                    vals = [
-                        pair_constraint(
-                            ConstraintKind.PAIR_STATISTICAL,
-                            stats,
-                            k,
-                            l,
-                            int(arr.group_i[t]),
-                            int(arr.group_j[t]),
-                            label=1,
-                        )
-                        for t in range(len(ps))
-                    ]
-                    assert abs(np.mean(vals)) < 1e-12
+            table = pair_constraint_table(ConstraintKind.PAIR_STATISTICAL, stats)
+            means = table[:, :, ps.arrays.cell].mean(axis=-1)
+            assert np.all(np.abs(means[mask]) < 1e-12)
 
     def test_pairwise_kind_required(self):
         stats = make_stats([[1.0]], [[0.5]], 0.5)
         with pytest.raises(ValidationError):
-            pair_constraint(ConstraintKind.POINT_STATISTICAL, stats, 0, 0, 0, 0, label=1)
+            pair_constraint_table(ConstraintKind.POINT_STATISTICAL, stats)
 
 
 class TestPointConstraint:
@@ -228,17 +235,20 @@ class TestPointConstraint:
         stats = make_stats(
             [[1.0]], [[0.5]], 0.5, item_frac=[0.5, 0.5], pos_item_frac=[0.25, 0.25]
         )
-        got = point_constraint(
-            ConstraintKind.POINT_STATISTICAL, stats, 0, group=0, item_label=1, label=1
-        )
+        got = item_table(ConstraintKind.POINT_STATISTICAL, stats)[0, 0, 1]
         assert got == pytest.approx(1.0)
 
     def test_label_zero(self):
+        # As for pairs, label 0 gets the exponent 0 in every item cell.
         stats = make_stats(
             [[1.0]], [[0.5]], 0.5, item_frac=[0.5, 0.5], pos_item_frac=[0.25, 0.25]
         )
+        ds = build_dataset([("q", [0, 1, 0, 1], [0, 0, 1, 1], [[0.0]] * 4)], d=1, K=2)
+        cell = item_cell(ds.groups, ds.labels, 2)
         for kind in (ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY):
-            assert point_constraint(kind, stats, 0, group=0, item_label=1, label=0) == 0.0
+            weights = point_weights(np.asarray([0.7, 0.0]), stats, ds, kind)
+            s = 0.7 * point_constraint_table(kind, stats)[0, cell]
+            np.testing.assert_allclose(weights, own_label_weights(s, ds.labels), rtol=1e-15)
 
     def test_equal_opportunity_hand_built(self):
         # Six items: groups [0,0,0,1,1,1], labels [1,1,0,1,0,0].
@@ -255,22 +265,22 @@ class TestPointConstraint:
         assert stats.pos_item_frac[0] == pytest.approx(pos_frac_g0)
         assert stats.pos_item_frac[1] == pytest.approx(pos_frac_g1)
 
-        kind = ConstraintKind.POINT_EQUAL_OPPORTUNITY
+        table = item_table(ConstraintKind.POINT_EQUAL_OPPORTUNITY, stats)
         q = ds.queries[0]
         for group, item_label in zip(q.groups.tolist(), q.labels.tolist()):
             for k, frac in ((0, pos_frac_g0), (1, pos_frac_g1)):
                 expected = item_label * ((1.0 if group == k else 0.0) / frac - 1 / pos_total)
-                got = point_constraint(kind, stats, k, group, item_label, label=1)
-                assert got == pytest.approx(expected)
+                assert table[k, group, item_label] == pytest.approx(expected)
 
     def test_undefined_group_raises(self):
+        # A group without items (or without positives) has no pointwise
+        # constraint: masked, and its table row reads 0.
         stats = make_stats(
             [[1.0]], [[0.5]], 0.5, item_frac=[1.0, 0.0], pos_item_frac=[0.5, 0.0]
         )
-        with pytest.raises(ConstraintUndefined):
-            point_constraint(ConstraintKind.POINT_STATISTICAL, stats, 1, 0, 1, label=1)
-        with pytest.raises(ConstraintUndefined):
-            point_constraint(ConstraintKind.POINT_EQUAL_OPPORTUNITY, stats, 1, 0, 1, label=1)
+        for kind in (ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY):
+            assert not point_constraint_mask(kind, stats)[1]
+            assert np.all(point_constraint_table(kind, stats)[1] == 0.0)
 
 
 class TestMasks:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import build_dataset, random_dataset
 from fairpair.data import (
     Dataset,
-    SynthTruth,
     generate_synthetic,
     load_csv,
     make_pairs,
@@ -260,8 +259,7 @@ class TestSplitQueries:
 
 def pair_keys(ps):
     """(query_index, i, j, label) of every pair, in emitted order."""
-    arr = ps.arrays
-    return list(zip(*(c.tolist() for c in (arr.query_index, arr.i, arr.j, arr.label))))
+    return list(zip(*(c.tolist() for c in (ps.query_index, ps.i, ps.j, ps.arrays.label))))
 
 
 def nested_loop_arrays(ds):
@@ -275,17 +273,21 @@ def nested_loop_arrays(ds):
                 if i != j and labels[i] != labels[j]:
                     pairs.append((qi, i, j, int(labels[i] > labels[j])))
     n = len(pairs)
-    cols = [np.empty(n, dtype=np.int64) for _ in range(6)]
+    cols = [np.empty(n, dtype=np.int64) for _ in range(4)]
+    cell = np.empty(n, dtype=np.min_scalar_type(2 * ds.K**2 - 1))
     diff = np.empty((n, ds.d), dtype=np.float64)
     for t, (qi, i, j, lab) in enumerate(pairs):
         q = ds.queries[qi]
-        for col, v in zip(cols, (qi, i, j, lab, q.groups[i], q.groups[j])):
+        for col, v in zip(cols, (qi, i, j, lab)):
             col[t] = v
+        cell[t] = (q.groups[i] * ds.K + q.groups[j]) * 2 + lab
         diff[t] = q.features[i] - q.features[j]
-    return cols + [diff]
+    return cols + [cell, diff]
 
 
-ARRAY_FIELDS = ("query_index", "i", "j", "label", "group_i", "group_j", "feat_diff")
+# The pair set's index columns, then its gathered arrays.
+PAIR_FIELDS = ("query_index", "i", "j")
+ARRAY_FIELDS = ("label", "cell", "feat_diff")
 
 
 def query_spec(rng, qid, n_items, d, K, labels=None):
@@ -317,7 +319,7 @@ class TestMakePairs:
         )
         ps = make_pairs(ds)
         assert len(ps) == 4
-        assert set(ps.arrays.query_index.tolist()) == {0, 1}
+        assert set(ps.query_index.tolist()) == {0, 1}
         # Each pair's feature difference comes from items of its own query.
         np.testing.assert_array_equal(ps.arrays.feat_diff[:, 0], [-1.0, 1.0, -1.0, 1.0])
 
@@ -374,9 +376,9 @@ class TestMakePairs:
 
     @staticmethod
     def _assert_bytes_equal(ps, expected):
-        arr = ps.arrays
-        for name, want in zip(ARRAY_FIELDS, expected):
-            got = getattr(arr, name)
+        columns = [getattr(ps, name) for name in PAIR_FIELDS]
+        columns += [getattr(ps.arrays, name) for name in ARRAY_FIELDS]
+        for name, got, want in zip(PAIR_FIELDS + ARRAY_FIELDS, columns, expected):
             assert got.dtype == want.dtype, name
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
@@ -447,17 +449,3 @@ class TestGenerateSynthetic:
             generate_synthetic(5, 0, 2, 2, 0.0, seed=0)
         with pytest.raises(ValidationError):
             generate_synthetic(5, 5, 0, 2, 0.0, seed=0)
-
-    def test_truth_pair_probability_rule(self):
-        truth = SynthTruth([np.array([0.8, 0.3, 1.0, 0.0])])
-        num = 0.8 * 0.7
-        assert truth.pair_prob(0, 0, 1) == pytest.approx(num / (num + 0.2 * 0.3))
-        # Complementary orientation.
-        assert truth.pair_prob(0, 1, 0) == pytest.approx(
-            1.0 - truth.pair_prob(0, 0, 1)
-        )
-        # Certain winner.
-        assert truth.pair_prob(0, 2, 3) == 1.0
-        # Degenerate: both items deterministic with equal outcomes.
-        degenerate = SynthTruth([np.array([1.0, 1.0])])
-        assert degenerate.pair_prob(0, 0, 1) is None

@@ -12,8 +12,8 @@ from conftest import build_dataset, random_dataset
 from fairpair.constraints import ConstraintKind, compute_group_stats, pair_constraint_mask
 from fairpair.data import generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
-from fairpair.evaluation import _midrank_auc, auc, evaluate, fairness_score
-from fairpair.model import LinearRankingModel
+from fairpair.evaluation import auc, evaluate, fairness_score
+from fairpair.model import LinearRankingModel, score_matrix
 from fairpair.reweight import DeltaMatrix
 
 STAT = ConstraintKind.PAIR_STATISTICAL
@@ -32,6 +32,24 @@ def brute_force_auc(scores, labels):
                 elif scores[i] == scores[j]:
                     total += 0.5
     return total / count
+
+
+def old_auc(model, ds):
+    """The per-query form auc replaced: one np.unique per query."""
+    per_query = []
+    for q in ds.queries:
+        labels = q.labels
+        n_pos = int(labels.sum())
+        if n_pos == 0 or n_pos == labels.size:
+            continue
+        scores = score_matrix(model, q.features)
+        n_neg = labels.size - n_pos
+        _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+        ends = np.cumsum(counts)
+        midranks = (ends - counts + 1 + ends) / 2.0
+        pos_rank_sum = float(midranks[inverse][labels == 1].sum())
+        per_query.append((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(np.mean(per_query)), per_query
 
 
 class TestAuc:
@@ -76,11 +94,34 @@ class TestAuc:
     )
     def test_midrank_equals_pair_counting(self, rows):
         # Integer scores from a small range, so ties are common.
-        scores = np.array([float(s) for s, _ in rows])
-        labels = np.array([label for _, label in rows])
-        assert _midrank_auc(scores, labels) == pytest.approx(
-            brute_force_auc(scores, labels), abs=1e-12
-        )
+        scores = [float(s) for s, _ in rows]
+        labels = [label for _, label in rows]
+        ds = build_dataset([("q", labels, [0] * len(rows), [[s] for s in scores])], d=1, K=1)
+        mean, _ = auc(LinearRankingModel(np.asarray([1.0]), 0.0), ds)
+        assert mean == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+
+    def test_matches_per_query_unique_bits(self, rng):
+        # Small integer features and weights make exact score ties common;
+        # queries of one item and of one label are mixed in.
+        for trial in range(200):
+            d = int(rng.integers(1, 4))
+            queries = []
+            for qi in range(int(rng.integers(1, 8))):
+                n = int(rng.integers(1, 12))
+                kind = rng.integers(0, 4)
+                labels = rng.integers(0, 2, size=n) if kind < 2 else np.full(n, kind - 2)
+                feats = rng.integers(-2, 3, size=(n, d)).astype(float)
+                queries.append((f"q{qi}", labels, [0] * n, feats))
+            queries.append(("mixed", [1, 0], [0, 0], np.zeros((2, d))))
+            ds = build_dataset(queries, d=d, K=1)
+            model = LinearRankingModel(rng.integers(-2, 3, size=d).astype(float), 0.5)
+            assert auc(model, ds) == old_auc(model, ds)
+
+    def test_matches_per_query_unique_on_synthetic(self, rng):
+        ds, _ = generate_synthetic(60, 30, 5, 3, bias_strength=1.0, seed=3)
+        for _ in range(5):
+            model = LinearRankingModel(rng.normal(size=5), float(rng.normal()))
+            assert auc(model, ds) == old_auc(model, ds)
 
     def test_pair_free_queries_excluded(self):
         ds = build_dataset(
@@ -218,8 +259,7 @@ class TestEvaluate:
                 if not mask[k, l]:
                     continue
                 acc = 0.0
-                arr = ps.arrays
-                for qi, i, j in zip(arr.query_index, arr.i, arr.j):
+                for qi, i, j in zip(ps.query_index, ps.i, ps.j):
                     q = ds.queries[qi]
                     z = q.features[i][0] - q.features[j][0]
                     l_hat = 1.0 / (1.0 + math.exp(-z))

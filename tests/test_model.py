@@ -5,39 +5,40 @@ import math
 import numpy as np
 import pytest
 
+from conftest import build_dataset
+from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
 from fairpair.model import (
     PROB_EPS,
     LinearRankingModel,
     load_model,
-    pair_prob,
     save_model,
-    score,
+    score_matrix,
     stable_sigmoid,
 )
+from fairpair.training import weighted_loss
 
 
 class TestScore:
     def test_zero_model(self, rng):
         m = LinearRankingModel.zeros(3)
-        for _ in range(5):
-            assert score(m, rng.normal(size=3)) == 0.0
+        np.testing.assert_array_equal(score_matrix(m, rng.normal(size=(5, 3))), np.zeros(5))
 
     def test_dot_product(self):
         m = LinearRankingModel(np.array([1.0, 0.0]), 0.0)
-        assert score(m, np.array([2.0, 5.0])) == 2.0
+        assert score_matrix(m, np.array([[2.0, 5.0]])).tolist() == [2.0]
 
     def test_bias_shift(self, rng):
         w = rng.normal(size=4)
-        x = rng.normal(size=4)
-        base = score(LinearRankingModel(w, 0.0), x)
-        shifted = score(LinearRankingModel(w, 1.5), x)
-        assert shifted == pytest.approx(base + 1.5)
+        X = rng.normal(size=(6, 4))
+        base = score_matrix(LinearRankingModel(w, 0.0), X)
+        shifted = score_matrix(LinearRankingModel(w, 1.5), X)
+        np.testing.assert_allclose(shifted, base + 1.5)
 
     def test_dimension_mismatch(self):
         m = LinearRankingModel.zeros(3)
         with pytest.raises(ValidationError):
-            score(m, np.zeros(4))
+            score_matrix(m, np.zeros((2, 4)))
 
     def test_non_finite_params_rejected(self):
         with pytest.raises(ValidationError):
@@ -46,49 +47,50 @@ class TestScore:
             LinearRankingModel(np.array([1.0]), float("nan"))
 
 
+def label_one_loss(model, x_pos, x_neg):
+    """weighted_loss of the one pair (x_pos, x_neg) at label 1: -log P(pos outranks neg)."""
+    ds = build_dataset([("q", [1, 0], [0, 0], [x_pos, x_neg])], d=len(x_pos), K=1)
+    # The pair set is the label-1 pair and its mirror; weights 2 and 0
+    # make the mean over both the loss of the first alone.
+    return weighted_loss(model, make_pairs(ds), np.array([2.0, 0.0]))
+
+
 class TestPairProb:
+    # The model's order probability enters the library only through the
+    # pair loss, so each property is read from -log of it.
     def test_identical_items(self, rng):
         m = LinearRankingModel(rng.normal(size=3), 0.3)
         x = rng.normal(size=3)
-        assert pair_prob(m, x, x) == 0.5
+        assert label_one_loss(m, x, x) == math.log(2)
 
     def test_log3_difference(self):
         m = LinearRankingModel(np.array([1.0]), 0.0)
-        assert pair_prob(m, np.array([math.log(3)]), np.array([0.0])) == pytest.approx(
-            0.75, abs=1e-12
-        )
+        loss = label_one_loss(m, [math.log(3)], [0.0])
+        assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_swap_complement(self, rng):
         m = LinearRankingModel(rng.normal(size=3), 0.0)
         for _ in range(100):
             xi, xj = rng.normal(size=3), rng.normal(size=3)
-            assert pair_prob(m, xi, xj) + pair_prob(m, xj, xi) == pytest.approx(
-                1.0, abs=1e-12
-            )
+            p_ij = math.exp(-label_one_loss(m, xi, xj))
+            p_ji = math.exp(-label_one_loss(m, xj, xi))
+            assert p_ij + p_ji == pytest.approx(1.0, abs=1e-12)
 
     def test_bias_invariance(self, rng):
         w = rng.normal(size=3)
         xi, xj = rng.normal(size=3), rng.normal(size=3)
-        values = {pair_prob(LinearRankingModel(w, b), xi, xj) for b in (-1e6, 0.0, 42.0)}
+        values = {label_one_loss(LinearRankingModel(w, b), xi, xj) for b in (-1e6, 0.0, 42.0)}
         assert len(values) == 1
 
     def test_monotone_in_first_score(self):
         m = LinearRankingModel(np.array([1.0]), 0.0)
-        xj = np.array([0.0])
-        probs = [pair_prob(m, np.array([v]), xj) for v in np.linspace(-3, 3, 25)]
-        assert all(a < b for a, b in zip(probs, probs[1:]))
+        losses = [label_one_loss(m, [v], [0.0]) for v in np.linspace(-3, 3, 25)]
+        assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_no_overflow_and_clamping(self):
         m = LinearRankingModel(np.array([1.0]), 0.0)
-        hi = pair_prob(m, np.array([1e3]), np.array([0.0]))
-        lo = pair_prob(m, np.array([-1e3]), np.array([0.0]))
-        assert hi == 1.0 - PROB_EPS
-        assert lo == PROB_EPS
-
-    def test_dimension_mismatch(self):
-        m = LinearRankingModel.zeros(2)
-        with pytest.raises(ValidationError):
-            pair_prob(m, np.zeros(2), np.zeros(3))
+        assert label_one_loss(m, [1e3], [0.0]) == -math.log(1.0 - PROB_EPS)
+        assert label_one_loss(m, [-1e3], [0.0]) == -math.log(PROB_EPS)
 
 
 class TestStableSigmoid:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fairpair.reweight as rw
-from conftest import build_dataset, random_dataset
+from conftest import all_cells_pairs, build_dataset, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
@@ -26,7 +26,6 @@ from fairpair.reweight import (
     bias_correction_identity,
     expected_bias,
     fair_train,
-    pair_weight,
     pair_weights,
     point_weights,
     pointwise_reweight_train,
@@ -92,8 +91,7 @@ class TestExpectedBias:
                     assert delta.values[k, l] == 0.0
                     continue
                 total = 0.0
-                arr = ps.arrays
-                for qi, i, j in zip(arr.query_index, arr.i, arr.j):
+                for qi, i, j in zip(ps.query_index, ps.i, ps.j):
                     q = ds.queries[qi]
                     z = 0.8 * (q.features[i][0] - q.features[j][0])
                     l_hat = 1.0 / (1.0 + math.exp(-z))
@@ -122,12 +120,18 @@ def uniform_stats(K=2):
     )
 
 
+def weight_by_cell(coeffs, stats, weight_form="general"):
+    """pair_weights of a pair in each K=2 cell, indexed [group_i, group_j, label]."""
+    ps = all_cells_pairs()
+    weights = np.empty(8)
+    weights[ps.arrays.cell] = pair_weights(coeffs, stats, ps, weight_form)
+    return weights.reshape(2, 2, 2)
+
+
 class TestPairWeight:
     def test_zero_coefficients_give_half(self):
-        coeffs = Coefficients.zeros(2, STAT)
-        stats = uniform_stats()
-        for label in (0, 1):
-            assert pair_weight(coeffs, stats, 0, 1, label) == 0.5
+        weights = weight_by_cell(Coefficients.zeros(2, STAT), uniform_stats())
+        assert np.all(weights == 0.5)
 
     def test_log3_exponent(self):
         # pair_frac = 1/2 makes the membership constraint equal 1, so one
@@ -141,13 +145,14 @@ class TestPairWeight:
         )
         values = np.zeros((2, 2))
         values[0, 1] = math.log(3)
-        coeffs = Coefficients(values, STAT)
-        assert pair_weight(coeffs, stats, 0, 1, 1) == pytest.approx(0.75, abs=1e-12)
-        assert pair_weight(coeffs, stats, 0, 1, 0) == pytest.approx(0.25, abs=1e-12)
+        weights = weight_by_cell(Coefficients(values, STAT), stats)
+        assert weights[0, 1, 1] == pytest.approx(0.75, abs=1e-12)
+        assert weights[0, 1, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_normalization_and_sigmoid_identity(self, rng):
-        # Random coefficients: the two label weights sum to one and the
-        # label-1 weight equals the sigmoid of the constraint sum.
+        # Random coefficients: every label-1 pair weighs the sigmoid of its
+        # constraint sum, every label-0 pair one minus it, so the two label
+        # weights of a group pair sum to one.
         for _ in range(50):
             K = int(rng.integers(2, 5))
             ds = random_dataset(rng, n_queries=3, items_per_query=6, K=K)
@@ -155,30 +160,28 @@ class TestPairWeight:
             stats = compute_group_stats(ps)
             mask = pair_constraint_mask(STAT, stats)
             values = rng.normal(scale=2.0, size=(K, K)) * mask
-            coeffs = Coefficients(values, STAT)
-            gi, gj = int(rng.integers(0, K)), int(rng.integers(0, K))
+            weights = pair_weights(Coefficients(values, STAT), stats, ps)
 
-            w1 = pair_weight(coeffs, stats, gi, gj, 1)
-            w0 = pair_weight(coeffs, stats, gi, gj, 0)
-            assert abs(w0 + w1 - 1.0) < 1e-12
+            group_i, group_j, label = np.unravel_index(ps.arrays.cell, (K, K, 2))
+            s = np.zeros(len(ps))
+            for k, l in zip(*np.nonzero(mask)):
+                member = (group_i == k) & (group_j == l)
+                s += values[k, l] * (member / stats.pair_frac[k, l] - 1.0)
+            sig = 1.0 / (1.0 + np.exp(-s))
+            assert np.all(np.abs(weights - np.where(label == 1, sig, 1.0 - sig)) < 1e-12)
 
-            s = 0.0
-            for k in range(K):
-                for l in range(K):
-                    if mask[k, l]:
-                        member = 1.0 if (gi == k and gj == l) else 0.0
-                        s += values[k, l] * (member / stats.pair_frac[k, l] - 1.0)
-            assert abs(w1 - 1.0 / (1.0 + math.exp(-s))) < 1e-12
+            by_cell = np.full(2 * K * K, np.nan)
+            by_cell[ps.arrays.cell] = weights
+            sums = by_cell.reshape(K, K, 2).sum(axis=-1)
+            assert np.all(np.abs(sums[~np.isnan(sums)] - 1.0) < 1e-12)
 
     def test_indicator_form(self):
         stats = uniform_stats()
         values = np.asarray([[0.0, math.log(3)], [0.0, 0.0]])
-        coeffs = Coefficients(values, STAT)
-        got = pair_weight(coeffs, stats, 0, 1, 1, weight_form="indicator")
-        assert got == pytest.approx(0.75, abs=1e-12)
+        weights = weight_by_cell(Coefficients(values, STAT), stats, "indicator")
+        assert weights[0, 1, 1] == pytest.approx(0.75, abs=1e-12)
         # Same-group pairs hit masked diagonal entries: exponent 0.
-        got = pair_weight(coeffs, stats, 0, 0, 1, weight_form="indicator")
-        assert got == 0.5
+        assert weights[0, 0, 1] == 0.5
 
     def test_monotone_in_coefficient(self):
         # Raising a coefficient raises the label-1 weight of member pairs.
@@ -187,29 +190,9 @@ class TestPairWeight:
         for lam in (0.0, 0.5, 1.0, 2.0):
             values = np.zeros((2, 2))
             values[0, 1] = lam
-            w1 = pair_weight(Coefficients(values, STAT), stats, 0, 1, 1)
+            w1 = weight_by_cell(Coefficients(values, STAT), stats)[0, 1, 1]
             assert lam == 0.0 or w1 > previous
             previous = w1
-
-    def test_vectorized_matches_scalar(self, rng):
-        ds = random_dataset(rng, n_queries=3, items_per_query=6, K=3)
-        ps = make_pairs(ds)
-        stats = compute_group_stats(ps)
-        mask = pair_constraint_mask(STAT, stats)
-        coeffs = Coefficients(rng.normal(size=(3, 3)) * mask, STAT)
-        for form in ("general", "indicator"):
-            table = pair_weights(coeffs, stats, ps, form)
-            arr = ps.arrays
-            for t in range(len(ps)):
-                scalar = pair_weight(
-                    coeffs,
-                    stats,
-                    int(arr.group_i[t]),
-                    int(arr.group_j[t]),
-                    int(arr.label[t]),
-                    weight_form=form,
-                )
-                assert table[t] == scalar
 
     def test_inter_group_weights_use_label_proxy(self, rng):
         # With the observed-label proxy, a label-0 pair has zero constraint

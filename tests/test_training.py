@@ -1,82 +1,106 @@
-"""Tests for the pairwise trainer, its loss/gradient, and the Adam optimizer."""
+"""Tests for the trainers, the pairwise loss and its batch gradient, and Adam."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import build_dataset, random_dataset
+from conftest import build_dataset, numeric_gradient, pair_subset, random_dataset
 from fairpair import training
 from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
-from fairpair.model import LinearRankingModel, pair_prob, stable_sigmoid
+from fairpair.model import LinearRankingModel, stable_sigmoid
 from fairpair.training import (
     AdamState,
     TrainConfig,
     adam_update,
-    loss_gradient,
-    pair_loss,
-    pointwise_loss,
+    batch_gradient,
     train_pointwise,
     train_weighted,
     weighted_loss,
 )
 
 
+def two_item_pairs(x_pos, x_neg):
+    """The two pairs of one query: the label-1 pair (pos, neg), then its mirror."""
+    ds = build_dataset([("q", [1, 0], [0, 0], [x_pos, x_neg])], d=len(x_pos), K=1)
+    return make_pairs(ds)
+
+
 class TestPairLoss:
+    # weighted_loss is a mean over the pair set, so with two pairs a weight
+    # of 2 on one pair and 0 on the other isolates that pair's loss.
     def test_even_odds_positive(self):
-        assert pair_loss(0.5, 1, 1.0) == pytest.approx(math.log(2), abs=1e-12)
+        ps = two_item_pairs([0.0], [0.0])
+        loss = weighted_loss(LinearRankingModel.zeros(1), ps, np.array([2.0, 0.0]))
+        assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_even_odds_negative_doubled(self):
-        assert pair_loss(0.5, 0, 2.0) == pytest.approx(2 * math.log(2), abs=1e-12)
+        ps = two_item_pairs([0.0], [0.0])
+        loss = weighted_loss(LinearRankingModel.zeros(1), ps, np.array([0.0, 4.0]))
+        assert loss == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_linear_in_weight(self, rng):
+        # Additive over pairs and linear in each pair's weight.
         for _ in range(20):
-            p = rng.uniform(0.01, 0.99)
-            l = int(rng.integers(0, 2))
-            assert pair_loss(p, l, 0.5) == pytest.approx(0.5 * pair_loss(p, l, 1.0))
+            ps = two_item_pairs(rng.normal(size=2), rng.normal(size=2))
+            model = LinearRankingModel(rng.normal(size=2), 0.0)
+            a, b = rng.uniform(0.1, 2.0, size=2)
+            both = weighted_loss(model, ps, np.array([a, b]))
+            split = weighted_loss(model, ps, np.array([a, 0.0])) + weighted_loss(
+                model, ps, np.array([0.0, b])
+            )
+            assert both == pytest.approx(split)
+            assert weighted_loss(model, ps, np.array([0.5 * a, 0.0])) == pytest.approx(
+                0.5 * weighted_loss(model, ps, np.array([a, 0.0]))
+            )
 
-    def test_weight_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            pair_loss(0.5, 1, 0.0)
+    def test_weight_must_be_positive(self, rng):
+        ps = make_pairs(random_dataset(rng))
+        weights = np.full(len(ps), 0.5)
+        weights[3] = 0.0
+        with pytest.raises(ValidationError, match="positive"):
+            train_weighted(ps, weights, TrainConfig())
 
 
 class TestLossGradient:
     def test_equal_features_zero_gradient(self, rng):
-        m = LinearRankingModel(rng.normal(size=3), 0.0)
         x = rng.normal(size=3)
-        np.testing.assert_array_equal(loss_gradient(m, x, x, 1, 1.0), np.zeros(4))
+        arr = two_item_pairs(x, x).arrays
+        grad = batch_gradient(rng.normal(size=3), arr.feat_diff, arr.label, np.ones(2))
+        np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_near_perfect_prediction_vanishes(self):
-        m = LinearRankingModel(np.array([50.0]), 0.0)
-        g = loss_gradient(m, np.array([1.0]), np.array([0.0]), 1, 1.0)
-        assert np.all(np.abs(g) < 1e-12)
+        arr = two_item_pairs([1.0], [0.0]).arrays
+        grad = batch_gradient(np.array([50.0]), arr.feat_diff, arr.label, np.ones(2))
+        assert np.all(np.abs(grad) < 1e-12)
 
     def test_bias_component_always_zero(self, rng):
+        # The bias cancels in every score difference: the loss does not
+        # depend on it, and the gradient has no bias entry.
         for _ in range(20):
-            m = LinearRankingModel(rng.normal(size=4), rng.normal())
-            g = loss_gradient(m, rng.normal(size=4), rng.normal(size=4), 1, 2.0)
-            assert g[-1] == 0.0
+            ps = make_pairs(random_dataset(rng, n_queries=2, items_per_query=5, d=4))
+            weights = rng.uniform(0.1, 3.0, size=len(ps))
+            w = rng.normal(size=4)
+            losses = {
+                weighted_loss(LinearRankingModel(w, b), ps, weights) for b in (-1e6, 0.0, 42.0)
+            }
+            assert len(losses) == 1
+            arr = ps.arrays
+            assert batch_gradient(w, arr.feat_diff, arr.label, weights).shape == (4,)
 
     def test_matches_central_differences(self, rng):
-        # Independent oracle: numerically differentiate the loss itself.
-        h = 1e-6
+        # Independent oracle: numerically differentiate the loss of a
+        # single pair, a one-row batch.
         for _ in range(100):
             d = int(rng.integers(1, 6))
+            pairs = two_item_pairs(rng.normal(size=d), rng.normal(size=d))
+            ps = pair_subset(pairs, [rng.integers(0, 2)])
+            weight = rng.uniform(0.1, 3.0, size=1)
             w = rng.normal(size=d)
-            xi, xj = rng.normal(size=d), rng.normal(size=d)
-            l = int(rng.integers(0, 2))
-            weight = float(rng.uniform(0.1, 3.0))
-
-            analytic = loss_gradient(LinearRankingModel(w, 0.0), xi, xj, l, weight)[:-1]
-            numeric = np.empty(d)
-            for c in range(d):
-                wp, wm = w.copy(), w.copy()
-                wp[c] += h
-                wm[c] -= h
-                lp = pair_loss(pair_prob(LinearRankingModel(wp, 0.0), xi, xj), l, weight)
-                lm = pair_loss(pair_prob(LinearRankingModel(wm, 0.0), xi, xj), l, weight)
-                numeric[c] = (lp - lm) / (2 * h)
+            arr = ps.arrays
+            analytic = batch_gradient(w, arr.feat_diff, arr.label, weight)
+            numeric = numeric_gradient(ps, weight, w)
             denom = max(np.linalg.norm(analytic), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-6
 
@@ -156,8 +180,8 @@ class TestTrainWeighted:
         ps = make_pairs(ds)
         cfg = TrainConfig(learning_rate=0.1, epochs=500, batch_size=8, seed=0)
         model = train_weighted(ps, np.full(len(ps), 0.5), cfg)
-        assert pair_prob(model, ps.source.queries[0].features[0],
-                         ps.source.queries[0].features[1]) > 0.99
+        # The first pair is the label-1 orientation.
+        assert stable_sigmoid(ps.arrays.feat_diff[0] @ model.w) > 0.99
 
     def test_uniform_weight_scale_first_step(self, rng):
         # One full-batch step: any positive constant weight gives the same
@@ -206,26 +230,41 @@ class TestTrainWeighted:
         )
 
     def test_batch_gradient_matches_per_pair_op(self, rng):
-        # One full-batch step of the trainer equals a hand-assembled step
-        # built from the scalar gradient op.
+        # One full-batch step of the trainer is one Adam step on
+        # batch_gradient, which is the derivative of weighted_loss.
         ds = random_dataset(rng, n_queries=2, items_per_query=4)
         ps = make_pairs(ds)
         weights = rng.uniform(0.2, 0.8, size=len(ps))
         cfg = TrainConfig(epochs=1, batch_size=10_000, seed=5)
         trained = train_weighted(ps, weights, cfg)
 
-        init = LinearRankingModel.zeros(ds.d)
-        grads = []
         arr = ps.arrays
-        for t, (qi, i, j, label) in enumerate(zip(arr.query_index, arr.i, arr.j, arr.label)):
-            q = ds.queries[qi]
-            grads.append(loss_gradient(init, q.features[i], q.features[j], label, weights[t]))
+        w0 = np.zeros(ds.d)
+        grad = batch_gradient(w0, arr.feat_diff, arr.label, weights)
+        np.testing.assert_allclose(grad, numeric_gradient(ps, weights, w0), rtol=1e-6)
         # The shuffled batch order does not change a full-batch mean.
-        grad = np.mean(grads, axis=0)
-        _, params = adam_update(
-            AdamState.zeros(ds.d + 1), np.zeros(ds.d + 1), grad, cfg
-        )
-        np.testing.assert_allclose(trained.w, params[:-1], atol=1e-12)
+        _, w = adam_update(AdamState.zeros(ds.d), w0, grad, cfg)
+        np.testing.assert_allclose(trained.w, w, atol=1e-12)
+
+    def test_each_step_uses_batch_gradient(self, rng, monkeypatch):
+        # The trainer's Adam steps take exactly the gradients batch_gradient returns.
+        ps = make_pairs(random_dataset(rng))
+        grads, steps = [], []
+        real_grad, real_adam = training.batch_gradient, training.adam_update
+
+        def recording_grad(*args):
+            grads.append(real_grad(*args))
+            return grads[-1]
+
+        def recording_adam(state, params, grad, cfg):
+            steps.append(grad)
+            return real_adam(state, params, grad, cfg)
+
+        monkeypatch.setattr(training, "batch_gradient", recording_grad)
+        monkeypatch.setattr(training, "adam_update", recording_adam)
+        train_weighted(ps, np.full(len(ps), 0.5), TrainConfig(epochs=2, batch_size=16))
+        assert steps and len(grads) == len(steps)
+        assert all(g is s for g, s in zip(grads, steps))
 
     @pytest.mark.parametrize("epochs,batch_size", [(3, 16), (2, 10_000), (0, 8), (1, 1)])
     def test_one_adam_step_per_minibatch(self, rng, monkeypatch, epochs, batch_size):
@@ -280,11 +319,3 @@ class TestTrainPointwise:
         cfg = TrainConfig(learning_rate=0.1, epochs=50, batch_size=8, seed=0)
         model = train_pointwise(ds, np.full(3, 0.5), cfg)
         assert model.b > 0.5
-
-    def test_pointwise_loss_linear_in_weights(self, rng):
-        ds = random_dataset(rng)
-        weights = rng.uniform(0.1, 0.9, size=ds.n_items)
-        model = LinearRankingModel(rng.normal(size=ds.d), 0.1)
-        assert pointwise_loss(model, ds, 2 * weights) == 2 * pointwise_loss(
-            model, ds, weights
-        )
