@@ -122,20 +122,35 @@ def item_cell(group, label, K: int):
 
 @dataclass(eq=False)
 class PairArrays:
-    """Per-pair columns gathered from a PairSet's dataset, in pair order."""
+    """Per-pair columns gathered from a PairSet's dataset, in pair order.
 
-    label: np.ndarray  # 1 when item i is the positive one
-    feat_diff: np.ndarray  # (n_pairs, d) rows x_i - x_j
+    ``feat_diff`` is built on first read and kept: only the trainer's
+    objective and gradient read it, so a pair set that is only scored or
+    counted never holds the (n_pairs, d) block.
+    """
+
+    label: np.ndarray  # int64, 1 when item i is the positive one
     cell: np.ndarray  # pair_cell of each pair: its groups and label
+    row_i: np.ndarray  # int32 row of item i in the dataset's columns
+    row_j: np.ndarray  # int32 row of item j
+    features: np.ndarray  # the dataset's (n_items, d) column, not a copy
+
+    @cached_property
+    def feat_diff(self) -> np.ndarray:
+        """(n_pairs, d) float64 rows x_i - x_j."""
+        diff = self.features[self.row_i]
+        diff -= self.features[self.row_j]
+        return diff
 
 
 @dataclass(eq=False)
 class PairSet:
     """All ordered discordant pairs of a dataset, in deterministic order.
 
-    A pair is a row of three index columns: its query and the positions of
-    items i and j within that query.  ``arrays`` gathers each pair's label,
-    feature difference and group cell from the dataset's columns.
+    A pair is a row of three int32 index columns: its query and the
+    positions of items i and j within that query.  ``arrays`` gathers each
+    pair's label, group cell and item rows from the dataset's columns:
+    17 bytes a pair up to K=11, besides the 12 of the index columns.
     """
 
     query_index: np.ndarray
@@ -149,18 +164,22 @@ class PairSet:
     @cached_property
     def arrays(self) -> PairArrays:
         ds = self.source
-        # Row indices of items i and j into the dataset's columns.
-        fi = ds.offsets[self.query_index]
-        fj = fi + self.j
-        fi += self.i
-        diff = ds.features[fi]
-        diff -= ds.features[fj]
+        # Each pair's query start, shifted to the rows of items i and j in the
+        # dataset's columns; make_pairs checked that every row fits int32.
+        row_j = ds.offsets[:-1].astype(np.int32)[self.query_index]
+        row_i = row_j + self.i
+        row_j += self.j
         # Labels differ within a pair, so the pair label is item i's label.
-        label = ds.labels[fi]
-        # Stored in the narrowest dtype that holds 2K² ids (1 byte up to K=11).
+        label = ds.labels[row_i]
+        # pair_cell is linear in its coordinates, so it splits into a part of
+        # item i (group and label) and a part of item j (group).  Stored in the
+        # narrowest dtype that holds 2K² ids (1 byte up to K=11).
         cell_dtype = np.min_scalar_type(2 * ds.K**2 - 1)
-        cell = pair_cell(ds.groups[fi], ds.groups[fj], label, ds.K).astype(cell_dtype)
-        return PairArrays(label, diff, cell)
+        part_i = pair_cell(ds.groups, 0, ds.labels, ds.K).astype(cell_dtype)
+        part_j = pair_cell(0, ds.groups, 0, ds.K).astype(cell_dtype)
+        cell = part_i[row_i]
+        cell += part_j[row_j]
+        return PairArrays(label, cell, row_i, row_j, ds.features)
 
 
 @dataclass(eq=False)
@@ -323,15 +342,18 @@ def make_pairs(ds: Dataset) -> PairSet:
 
     Both orientations are produced, so each discordant unordered pair
     contributes one pair with label 1 and one with label 0.  Output order
-    is query order, then i, then j.
+    is query order, then i, then j.  The index columns are int32; a dataset
+    with more items than int32 can address is a ValidationError.
     """
-    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    if ds.n_items > np.iinfo(np.int32).max:
+        raise ValidationError(f"{ds.n_items} items is more than int32 pair indices can address")
+    parts = [(np.zeros(0, dtype=np.int32),) * 3]
     for qi, q in enumerate(ds.queries):
         lab = q.labels
         # nonzero walks row-major (i, then j); the diagonal never differs.
         i, j = np.nonzero(lab[:, None] != lab[None, :])
-        parts.append((np.full(i.size, qi), i, j))
-    qidx, ii, jj = (np.concatenate(col).astype(np.int64, copy=False) for col in zip(*parts))
+        parts.append((np.full(i.size, qi, dtype=np.int32), i.astype(np.int32), j.astype(np.int32)))
+    qidx, ii, jj = (np.concatenate(col) for col in zip(*parts))
     return PairSet(qidx, ii, jj, ds)
 
 

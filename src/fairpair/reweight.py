@@ -31,7 +31,7 @@ from .constraints import (
 from .data import Dataset, PairSet, item_cell, make_pairs
 from .errors import ValidationError
 from .model import LinearRankingModel, clamp_prob, stable_sigmoid
-from .training import TrainConfig, require_types, train_pointwise, train_weighted
+from .training import TrainConfig, check_dimension, require_types, train_pointwise, train_weighted
 
 
 @dataclass(eq=False)
@@ -95,15 +95,21 @@ def expected_bias(
 ) -> DeltaMatrix:
     """Mean predicted-order-probability-weighted constraint per group pair.
 
-    Only the label-1 term contributes because constraints vanish at label
-    0.  Entries whose constraint is undefined are masked and read 0.
+    Scores every item once; a pair's predicted order probability is the
+    sigmoid of its two items' score difference, so no pair features are
+    built.  Only the label-1 term contributes because constraints vanish at
+    label 0.  Entries whose constraint is undefined are masked and read 0.
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
     if not len(ps):
         raise ValidationError("cannot evaluate expected bias on an empty pair set")
+    check_dimension(model, ps)
     arr = ps.arrays
-    l_hat = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
+    s = ps.source.features @ model.w
+    z = s[arr.row_i]
+    z -= s[arr.row_j]
+    l_hat = clamp_prob(stable_sigmoid(z))
     # Constraint values depend only on a pair's cell: sum l_hat per cell first.
     table = pair_constraint_table(kind, stats)
     cell_sums = np.bincount(arr.cell, weights=l_hat, minlength=table.shape[-1])

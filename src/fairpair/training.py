@@ -105,8 +105,17 @@ def adam_update(
     return AdamState(m, v, t), params - step
 
 
+def check_dimension(model: LinearRankingModel, ps: PairSet) -> None:
+    """A model whose dimension differs from the pair set's features is a ValidationError."""
+    if model.d != ps.source.d:
+        raise ValidationError(
+            f"model dimension {model.d} != the pair set's feature dimension {ps.source.d}"
+        )
+
+
 def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -> float:
     """Mean weighted pair loss over a whole pair set."""
+    check_dimension(model, ps)
     arr = ps.arrays
     p = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
     lab = arr.label
@@ -159,8 +168,7 @@ def train_weighted(
     d = ps.source.d
     if init is None:
         init = LinearRankingModel.zeros(d)
-    if init.d != d:
-        raise ValidationError("initial model dimension does not match the dataset")
+    check_dimension(init, ps)
 
     arr = ps.arrays
     diff, lab = arr.feat_diff, arr.label

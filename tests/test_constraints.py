@@ -193,7 +193,7 @@ class TestPairConstraint:
             want = label * (member / 0.2 - 1 / 0.5)
             assert table[0, 1, group_i, group_j, label] == pytest.approx(want)
 
-    def test_zero_denominator_raises(self):
+    def test_zero_denominator_is_masked(self):
         # A group pair without pairs has no statistical constraint: the entry
         # is masked and its table row reads 0 instead of dividing by zero.
         stats = make_stats([[0.5, 0.0], [0.0, 0.5]], [[0.25, 0.0], [0.0, 0.25]], 0.5)
@@ -272,7 +272,7 @@ class TestPointConstraint:
                 expected = item_label * ((1.0 if group == k else 0.0) / frac - 1 / pos_total)
                 assert table[k, group, item_label] == pytest.approx(expected)
 
-    def test_undefined_group_raises(self):
+    def test_undefined_group_is_masked(self):
         # A group without items (or without positives) has no pointwise
         # constraint: masked, and its table row reads 0.
         stats = make_stats(

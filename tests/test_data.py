@@ -273,7 +273,7 @@ def nested_loop_arrays(ds):
                 if i != j and labels[i] != labels[j]:
                     pairs.append((qi, i, j, int(labels[i] > labels[j])))
     n = len(pairs)
-    cols = [np.empty(n, dtype=np.int64) for _ in range(4)]
+    cols = [np.empty(n, dtype=dt) for dt in (np.int32, np.int32, np.int32, np.int64)]
     cell = np.empty(n, dtype=np.min_scalar_type(2 * ds.K**2 - 1))
     diff = np.empty((n, ds.d), dtype=np.float64)
     for t, (qi, i, j, lab) in enumerate(pairs):

@@ -1,6 +1,7 @@
 """Tests for closed-form pair weights, the violation measure, and the outer loop."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fairpair.constraints import (
     compute_group_stats,
     pair_constraint_mask,
 )
-from fairpair.data import generate_synthetic, make_pairs, split_queries
+from fairpair.data import PairArrays, generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel
@@ -108,6 +109,13 @@ class TestExpectedBias:
             expected_bias(
                 LinearRankingModel.zeros(ds.d), ps, stats, ConstraintKind.POINT_STATISTICAL
             )
+
+    def test_model_dimension_checked(self, rng):
+        ds = random_dataset(rng, d=3)
+        ps = make_pairs(ds)
+        stats = compute_group_stats(ps)
+        with pytest.raises(ValidationError, match="model dimension 4 .* dimension 3"):
+            expected_bias(LinearRankingModel.zeros(4), ps, stats, STAT)
 
 
 def uniform_stats(K=2):
@@ -294,6 +302,38 @@ class TestFairTrain:
         m_tr, c_tr, _ = fair_train(train, valid, STAT, small_cfg(T=3))
         m_va, c_va, _ = fair_train(train, valid, STAT, small_cfg(T=3, delta_set="validation"))
         assert not np.array_equal(c_tr.values, c_va.values)
+
+    def test_feat_diff_built_only_for_training_pairs(self, monkeypatch):
+        # Scoring reads item scores, so only the trainer's pair set holds the
+        # (n_pairs, d) feature differences, built once for all T + 1 trainings.
+        import fairpair.evaluation as ev
+
+        made, built = [], []
+
+        def recorded(ds):
+            ps = make_pairs(ds)
+            made.append(ps)
+            return ps
+
+        real = PairArrays.feat_diff.func
+
+        def counted(arr):
+            built.append(arr)
+            return real(arr)
+
+        prop = cached_property(counted)
+        prop.__set_name__(PairArrays, "feat_diff")
+        monkeypatch.setattr(PairArrays, "feat_diff", prop)
+        monkeypatch.setattr(rw, "make_pairs", recorded)
+        monkeypatch.setattr(ev, "make_pairs", recorded)
+
+        train, valid, test = self.biased_splits()
+        evaluate(LinearRankingModel(np.ones(test.d)), test, STAT)
+        fair_train(train, valid, STAT, small_cfg(T=3))
+        ps_test, ps_train, ps_valid = made
+        assert "feat_diff" not in vars(ps_test.arrays)
+        assert "feat_diff" not in vars(ps_valid.arrays)
+        assert len(built) == 1 and built[0] is ps_train.arrays
 
     @pytest.mark.parametrize("delta_set", ["train", "validation"])
     @pytest.mark.parametrize("warm_start", [False, True])

@@ -55,6 +55,11 @@ class TestPairLoss:
                 0.5 * weighted_loss(model, ps, np.array([a, 0.0]))
             )
 
+    def test_model_dimension_checked(self, rng):
+        ps = make_pairs(random_dataset(rng, d=3))
+        with pytest.raises(ValidationError, match="model dimension 2 .* dimension 3"):
+            weighted_loss(LinearRankingModel.zeros(2), ps, np.ones(len(ps)))
+
     def test_weight_must_be_positive(self, rng):
         ps = make_pairs(random_dataset(rng))
         weights = np.full(len(ps), 0.5)
