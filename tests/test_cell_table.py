@@ -176,7 +176,7 @@ class TestPairTablesMatchLoops:
             np.testing.assert_allclose(delta.values, values, rtol=0, atol=1e-12)
             assert np.all(delta.values[~mask] == 0.0)
 
-    def test_pairs_of_one_cell_share_one_weight(self, rng, kind, K):
+    def test_scalar_weight_is_table_lookup(self, rng, kind, K):
         # A pair's weight is a lookup of its (group_i, group_j, label) cell:
         # all pairs of one cell share one weight.
         ds, ps, stats = self.setup_data(rng, K)
