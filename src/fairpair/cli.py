@@ -119,6 +119,8 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
         raise ValidationError(f"dataset.csv must be a path string, got {source['csv']!r}")
     else:
         require_types({"dataset.K": source["K"]}, ints=("dataset.K",))
+        if source["K"] < 1:
+            raise ValidationError("dataset.K must be >= 1")
 
     constraint_name = args.constraint or doc.get("constraint", "statistical")
     if constraint_name not in PAIR_KINDS:

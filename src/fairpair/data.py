@@ -200,70 +200,160 @@ def load_csv(path, declared_K: int) -> Dataset:
     the allowed group ids.  Raises ParseError (with line number) on
     malformed rows and ValidationError on schema or value violations;
     malformed rows are reported before out-of-range values.
+
+    The body is parsed in one ``np.loadtxt`` pass.  A body that pass
+    rejects, or could read differently from the row parser (see
+    ``_BodyLines``), is read again from the start by the row parser, so
+    every file gives the same columns or the same error either way.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"empty dataset: {path} has no header") from None
-        if len(header) < 4 or header[:3] != ["query_id", "group", "label"]:
-            raise ParseError(
-                f"header must start with query_id,group,label,f0,...; got {header}",
-                line=1,
-            )
-        d = len(header) - 3
-        expected_feats = [f"f{i}" for i in range(d)]
-        if header[3:] != expected_feats:
-            raise ParseError(
-                f"feature columns must be f0..f{d - 1}; got {header[3:]}", line=1
-            )
-
-        # Query ids are numbered in order of first appearance.
-        codes: dict[str, int] = {}
-        query, groups, labels, feats, lines = [], [], [], [], []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 3 + d:
-                raise ParseError(f"expected {3 + d} columns, got {len(row)}", line=line)
-            try:
-                groups.append(int(row[1]))
-            except ValueError:
-                raise ParseError(f"group {row[1]!r} is not an integer", line=line) from None
-            try:
-                labels.append(int(row[2]))
-            except ValueError:
-                raise ParseError(f"label {row[2]!r} is not an integer", line=line) from None
-            try:
-                feats.extend([float(v) for v in row[3:]])
-            except ValueError:
-                raise ParseError(f"non-numeric feature in {row[3:]}", line=line) from None
-            query.append(codes.setdefault(row[0], len(codes)))
-            lines.append(line)
-
+        d = _read_header(_records(fh, path), path)
+        parsed = _loadtxt_body(fh, d)
+        if parsed is None:
+            fh.seek(0)
+            records = _records(fh, path)
+            next(records)  # the header, checked above
+            parsed = _parse_rows(records, d)
+    ids, groups, labels, features, lines = parsed
     if not lines:
         raise ValidationError(f"empty dataset: {path} has a header but no rows")
-    features = np.array(feats, dtype=np.float64).reshape(len(lines), d)
-    # A value beyond int64 makes a float or object column, which the row
-    # check rejects, so the columns that pass it are int64.
-    labels, groups = np.array(labels), np.array(groups)
     bad = _first_bad_row(features, labels, groups, declared_K)
     if bad is not None:
         row, problem = bad
         raise ValidationError(f"line {lines[row]}: {problem}")
+    # Query ids are numbered in order of first appearance.
+    codes = {qid: code for code, qid in enumerate(dict.fromkeys(ids))}
+    query = np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
     order = np.argsort(query, kind="stable")
     offsets = np.cumsum([0, *np.bincount(query)])
     return Dataset(list(codes), offsets, features[order], labels[order], groups[order], declared_K)
+
+
+def _records(fh, path):
+    """(line number, fields) of each CSV record of a text file opened as
+    UTF-8.  Bytes that do not decode are a ValidationError naming the file;
+    a record csv rejects, such as one with a field over
+    ``csv.field_size_limit()``, is a ParseError naming its line."""
+    reader = csv.reader(_utf8_lines(fh, path))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _utf8_lines(fh, path):
     """The lines of a text file opened as UTF-8; bytes that do not decode
     are a ValidationError naming the file."""
     try:
-        yield from fh
+        # A loop, not ``yield from``: closing this generator must not close fh.
+        for line in fh:
+            yield line
     except UnicodeDecodeError as exc:
         raise ValidationError(f"dataset {path} is not UTF-8 text: {exc}") from None
+
+
+def _read_header(records, path) -> int:
+    """Check the header record; returns the feature dimension d."""
+    _, header = next(records, (None, None))
+    if header is None:
+        raise ValidationError(f"empty dataset: {path} has no header")
+    if len(header) < 4 or header[:3] != ["query_id", "group", "label"]:
+        raise ParseError(
+            f"header must start with query_id,group,label,f0,...; got {header}", line=1
+        )
+    d = len(header) - 3
+    expected_feats = [f"f{i}" for i in range(d)]
+    if header[3:] != expected_feats:
+        raise ParseError(f"feature columns must be f0..f{d - 1}; got {header[3:]}", line=1)
+    return d
+
+
+def _parse_rows(records, d: int):
+    """The row parser: int() and float() on each field of each record.
+    Returns (query id, group, label, features and line number of each row)."""
+    ids, groups, labels, feats, lines = [], [], [], [], []
+    for line, row in records:
+        if len(row) != 3 + d:
+            raise ParseError(f"expected {3 + d} columns, got {len(row)}", line=line)
+        try:
+            groups.append(int(row[1]))
+        except ValueError:
+            raise ParseError(f"group {row[1]!r} is not an integer", line=line) from None
+        try:
+            labels.append(int(row[2]))
+        except ValueError:
+            raise ParseError(f"label {row[2]!r} is not an integer", line=line) from None
+        try:
+            feats.extend([float(v) for v in row[3:]])
+        except ValueError:
+            raise ParseError(f"non-numeric feature in {row[3:]}", line=line) from None
+        ids.append(row[0])
+        lines.append(line)
+    features = np.array(feats, dtype=np.float64).reshape(len(lines), d)
+    # A value beyond int64 makes a float or object column, which the row
+    # check rejects, so the columns that pass it are int64.
+    return ids, np.array(groups), np.array(labels), features, lines
+
+
+class _Refused(Exception):
+    """The body holds text that np.loadtxt could read differently from the row parser."""
+
+
+# np.loadtxt strips the ASCII separators \x1c-\x1f around a number, which
+# int() and float() reject, and reads '"' as text where csv reads a quote.
+_REFUSED_CHARS = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+class _BodyLines:
+    """The remaining lines of an open CSV, read in chunks and counted, for
+    np.loadtxt.  Raises _Refused on a chunk the row parser could read
+    differently: one that is not ASCII (loadtxt's integer parser takes some
+    non-ASCII letters for digits), starts with an empty line, holds a
+    _REFUSED_CHARS character, or has a line longer than
+    ``csv.field_size_limit()``; and on an empty body.  So loadtxt always
+    finds data, and a row count short of ``count`` means it skipped an
+    empty line."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        limit = csv.field_size_limit()
+        while lines := self.fh.readlines(1 << 16):  # about 64k characters a chunk
+            text = "".join(lines)
+            if (not text.isascii() or text[0] in "\r\n"
+                    or any(c in text for c in _REFUSED_CHARS)
+                    or max(map(len, lines)) > limit):
+                raise _Refused
+            self.count += len(lines)
+            yield from lines
+        if not self.count:
+            raise _Refused
+
+
+def _loadtxt_body(fh, d: int):
+    """Parse the rest of fh, the body after a one-line header, in one
+    np.loadtxt pass; the same tuple as _parse_rows, or None when the row
+    parser must read the file instead."""
+    body = _BodyLines(fh)
+    dtype = np.dtype([("query_id", object), ("group", np.int64), ("label", np.int64),
+                      ("features", np.float64, (d,))])
+    try:
+        table = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                           ndmin=1)
+    except (ValueError, _Refused):  # includes a UnicodeDecodeError
+        return None
+    # loadtxt skips empty lines, which the row parser reports.
+    if table.size != body.count:
+        return None
+    # Without quotes each row is one line.  The header is line 1: a header
+    # record spanning lines has a line break in a field, which _read_header
+    # rejects.
+    lines = range(2, 2 + body.count)
+    return table["query_id"].tolist(), table["group"], table["label"], table["features"], lines
 
 
 def save_csv(ds: Dataset, path) -> None:

@@ -160,6 +160,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(data) in err and "UTF-8" in err
 
+    def test_field_over_csv_limit_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        long_field = "0." + "0" * 200_000
+        data.write_text(f"query_id,group,label,f0\nq1,0,1,0.5\nq1,1,0,{long_field}\n",
+                        encoding="utf-8")
+        doc = base_config(tmp_path / "run")
+        doc["dataset"] = {"csv": str(data), "K": 2}
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(tmp_path, doc, "csv.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 3: field larger than field limit (131072)\n"
+
 
 class TestSweep:
     def test_missing_coefficients_is_validation_error(self, tmp_path):
@@ -342,6 +354,15 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", cfg]) == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_csv_K_below_one_rejected(self, tmp_path, capsys, K):
+        # Rejected with the config, before the CSV (which does not exist) is read.
+        doc = base_config(tmp_path / "out")
+        doc["dataset"] = {"csv": str(tmp_path / "missing.csv"), "K": K}
+        assert main(["train", "--config", write_config(tmp_path, doc)]) == 1
+        assert "dataset.K must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -5,14 +5,23 @@ The earlier generator and CSV loader built one Item object per row, grouped
 the Items by query, and read columns by stacking the per-Item values.  The
 current code builds the columns directly and must give the same bits, the
 same query order and the same query boundaries.
+
+The CSV loader now parses the body with one np.loadtxt pass and keeps its
+row parser for the files that pass refuses; ``row_load_csv`` is the loader
+as it was with the row parser alone, and every file must give it the same
+columns or the same error.
 """
 
 import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fairpair.data
 from fairpair.data import GROUP_MEAN_SCALE, generate_synthetic, load_csv, save_csv
 from fairpair.errors import ParseError, ValidationError
 from fairpair.model import stable_sigmoid
@@ -73,6 +82,64 @@ def old_load_csv(path, declared_K):
                 by_query[row[0]] = []
             by_query[row[0]].append(OldItem(feats, label, group))
     return [(qid, by_query[qid]) for qid in order]
+
+
+def row_load_csv(path, declared_K):
+    """The CSV loader before the np.loadtxt pass: csv.reader, then int() and
+    float() on each field, then one vectorized row check."""
+    path = Path(path)
+
+    def utf8_lines(fh):
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"dataset {path} is not UTF-8 text: {exc}") from None
+
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(utf8_lines(fh))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"empty dataset: {path} has no header") from None
+        if len(header) < 4 or header[:3] != ["query_id", "group", "label"]:
+            raise ParseError(
+                f"header must start with query_id,group,label,f0,...; got {header}", line=1
+            )
+        d = len(header) - 3
+        if header[3:] != [f"f{i}" for i in range(d)]:
+            raise ParseError(f"feature columns must be f0..f{d - 1}; got {header[3:]}", line=1)
+        codes = {}
+        query, groups, labels, feats, lines = [], [], [], [], []
+        for row in reader:
+            line = reader.line_num
+            if len(row) != 3 + d:
+                raise ParseError(f"expected {3 + d} columns, got {len(row)}", line=line)
+            try:
+                groups.append(int(row[1]))
+            except ValueError:
+                raise ParseError(f"group {row[1]!r} is not an integer", line=line) from None
+            try:
+                labels.append(int(row[2]))
+            except ValueError:
+                raise ParseError(f"label {row[2]!r} is not an integer", line=line) from None
+            try:
+                feats.extend([float(v) for v in row[3:]])
+            except ValueError:
+                raise ParseError(f"non-numeric feature in {row[3:]}", line=line) from None
+            query.append(codes.setdefault(row[0], len(codes)))
+            lines.append(line)
+
+    if not lines:
+        raise ValidationError(f"empty dataset: {path} has a header but no rows")
+    features = np.array(feats, dtype=np.float64).reshape(len(lines), d)
+    labels, groups = np.array(labels), np.array(groups)
+    bad = fairpair.data._first_bad_row(features, labels, groups, declared_K)
+    if bad is not None:
+        row, problem = bad
+        raise ValidationError(f"line {lines[row]}: {problem}")
+    order = np.argsort(query, kind="stable")
+    offsets = np.cumsum([0, *np.bincount(query)])
+    return list(codes), offsets, features[order], labels[order], groups[order]
 
 
 def old_columns(queries):
@@ -187,3 +254,127 @@ def test_row_checks_report_the_same_line(tmp_path, bad, message):
     with pytest.raises(ValidationError) as old:
         old_load_csv(path, 2)
     assert str(new.value) == str(old.value) == message
+
+
+def load_outcome(load, path):
+    """What a loader gives for path at K=2: its columns, or its error's type and message."""
+    try:
+        ds = load(path, 2)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    if isinstance(ds, tuple):
+        return ds
+    return ds.query_ids, ds.offsets, ds.features, ds.labels, ds.groups
+
+
+def assert_same_load(path):
+    """load_csv gives row_load_csv's columns bit for bit, or its error; and
+    where the file loads, old_load_csv's columns too."""
+    new, want = load_outcome(load_csv, path), load_outcome(row_load_csv, path)
+    if isinstance(want[0], type):
+        assert new == want
+        return
+    assert isinstance(new[0], list), new
+    assert new[0] == want[0]
+    for got, ref in zip(new[1:], want[1:]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert_same_dataset(load_csv(path, 2), old_load_csv(path, 2))
+
+
+def write_body(path, body, d=1):
+    header = ",".join(["query_id", "group", "label"] + [f"f{i}" for i in range(d)])
+    path.write_bytes((header + "\r\n" + body).encode("utf-8"))
+    return path
+
+
+# Pieces of CSV text: csv syntax, number syntax, and text that np.loadtxt
+# could read differently from int() and float() (a non-ASCII digit, a
+# non-ASCII letter loadtxt's integer parser takes for digits, an ASCII
+# separator it strips from numbers).
+CSV_PIECES = [",", '"', "\r", "\n", " ", *"0123456789", ".", "e", "-", "_", "nan",
+              "\u0663", "\u01fe", "\x1c", "+", "\t", "inf", "1e308", "5e-324", "-0.0"]
+FIELDS = st.lists(st.sampled_from(CSV_PIECES), max_size=4).map("".join)
+BITS = st.sampled_from(["0", "1", " 1", "+0", "1\t", "01"])
+FLOATS = st.sampled_from(["0", "-0.0", "0.5", " 2.5e3", "1e-310", "-1e308", "7.", "+.25"])
+JUNK = st.sampled_from(["2", "-1", "nan", "-inf", "7e", "1 0", "0x1", ""]) | FIELDS
+
+
+@st.composite
+def csv_bodies(draw):
+    """A CSV body: free text over CSV_PIECES, or rows of valid numbers, with
+    or without bad values and free text among them."""
+    kind = draw(st.sampled_from(["text", "rows", "mixed rows"]))
+    if kind == "text":
+        return draw(st.lists(st.sampled_from(CSV_PIECES), max_size=40).map("".join))
+    ids, bit, num = st.sampled_from(["a", "b", "c", " a", "", "a\tb"]), BITS, FLOATS
+    if kind == "mixed rows":
+        ids, bit, num = ids | FIELDS, bit | JUNK, num | JUNK
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    rows = draw(st.lists(st.tuples(ids, bit, bit, num, ends), min_size=1, max_size=6))
+    return "".join(",".join(row[:-1]) + row[-1] for row in rows)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=csv_bodies())
+def test_load_csv_matches_row_parser_property(tmp_path, body):
+    assert_same_load(write_body(tmp_path / "data.csv", body))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "body",
+    [
+        '"a,b",0,1,1.0\n"c",1,0,2.0\n',
+        '"a""b",0,1,1.0\nc,1,0,2.0\n',
+        '"a\nb",0,1,1.0\nc,1,0,2.0\n',
+        "a,0,1,1.0\n\nb,1,0,2.0\n",
+        "a,0,1,1.0\nb,1,0,2.0\n\n",
+        "\na,0,1,1.0\n",
+        "\r\n\r\n",
+        "a,0,1,1.0\rb,1,0,2.0\ra,1,1,3.0\r",
+        "a,0,1,1.0\r\nb,1,0,2.0\r\na,1,1,3.0\r\n",
+        "a,0,1,1.0\n \nb,1,0,2.0\n",
+        "a,0,1,1.0,\nb,1,0,2.0\n",
+        f"a,0,1,1.0\nb,{2**70},0,2.0\n",
+        "a,0,1,1.0\nb,1,0,2.0",
+        "a,0\x1c,1,1.0\n",
+        "a,\u01fe,1,1.0\n",
+        "a,\u0663,1,1_0\n",
+        "\u00e9,1,0,2.0\n",
+        "",
+    ],
+    ids=["quoted-comma", "doubled-quote", "quoted-newline", "blank-middle", "blank-end",
+         "blank-first", "blank-only",
+         "cr-endings", "crlf-endings", "whitespace-line", "trailing-comma", "group-2**70",
+         "no-final-newline", "separator-char", "non-ascii-letter", "non-ascii-digit",
+         "non-ascii-id", "no-rows"],
+)
+def test_load_csv_matches_row_parser(tmp_path, body):
+    assert_same_load(write_body(tmp_path / "data.csv", body))
+
+
+def test_saved_csv_loads_without_the_row_parser(tmp_path, monkeypatch):
+    # The evaluate-csv benchmark shape, with the extreme doubles save_csv writes;
+    # save_csv ends lines with \r\n.  If this file ever fell back to the row
+    # parser, the np.loadtxt pass would be silently lost.
+    ds, _ = generate_synthetic(400, 60, 5, 2, 1.0, seed=0)
+    ds.features[:6, 0] = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 2.5e-320]
+    path = tmp_path / "gen.csv"
+    save_csv(ds, path)
+    assert path.read_bytes().count(b"\r\n") == ds.n_items + 1
+    want = load_outcome(row_load_csv, path)
+
+    def refuse(*args):
+        raise AssertionError("the row parser ran")
+
+    monkeypatch.setattr(fairpair.data, "_parse_rows", refuse)
+    got = load_csv(path, 2)
+    assert got.query_ids == want[0] == ds.query_ids
+    for new, ref, orig in zip((got.offsets, got.features, got.labels, got.groups), want[1:],
+                              (ds.offsets, ds.features, ds.labels, ds.groups)):
+        assert new.dtype == ref.dtype and new.flags.c_contiguous
+        np.testing.assert_array_equal(new.view(np.uint64), ref.view(np.uint64))
+        np.testing.assert_array_equal(new.view(np.uint64), orig.view(np.uint64))
+    assert_same_dataset(got, old_load_csv(path, 2))
