@@ -298,7 +298,7 @@ def _parse_rows(records, d: int):
 
 
 class _Refused(Exception):
-    """The body holds text that np.loadtxt could read differently from the row parser."""
+    """The np.loadtxt pass leaves this body to the row parser."""
 
 
 # np.loadtxt strips the ASCII separators \x1c-\x1f around a number, which

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fairpair.data
-from fairpair.data import GROUP_MEAN_SCALE, generate_synthetic, load_csv, save_csv
+from fairpair.data import GROUP_MEAN_SCALE, Dataset, generate_synthetic, load_csv, save_csv
 from fairpair.errors import ParseError, ValidationError
 from fairpair.model import stable_sigmoid
 
@@ -139,7 +139,7 @@ def row_load_csv(path, declared_K):
         raise ValidationError(f"line {lines[row]}: {problem}")
     order = np.argsort(query, kind="stable")
     offsets = np.cumsum([0, *np.bincount(query)])
-    return list(codes), offsets, features[order], labels[order], groups[order]
+    return Dataset(list(codes), offsets, features[order], labels[order], groups[order], declared_K)
 
 
 def old_columns(queries):
@@ -262,8 +262,6 @@ def load_outcome(load, path):
         ds = load(path, 2)
     except Exception as exc:  # the exception itself is what is compared
         return type(exc), str(exc)
-    if isinstance(ds, tuple):
-        return ds
     return ds.query_ids, ds.offsets, ds.features, ds.labels, ds.groups
 
 
