@@ -203,12 +203,10 @@ def _has_pairs(ds: Dataset) -> bool:
 
 def _write_reports(model, splits: dict[str, Dataset], kind, out_dir: Path) -> None:
     for name, ds in splits.items():
-        if ds.queries and _has_pairs(ds):
+        if _has_pairs(ds):
             report = evaluate(model, ds, kind)
             report.write_json(out_dir / f"eval_{name}.json")
-            print(
-                f"eval_{name}: auc={report.auc:.4f} fairness={report.fairness:.4f}"
-            )
+            print(f"eval_{name}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
 
 
 def cmd_generate(cfg: RunConfig) -> None:

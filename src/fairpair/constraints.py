@@ -83,8 +83,8 @@ def compute_group_stats(ps: PairSet) -> GroupStats:
         raise ValidationError("cannot compute group statistics of an empty pair set")
     K, n = ps.source.K, len(ps)
     counts = np.bincount(ps.arrays.cell, minlength=2 * K * K).reshape(K, K, 2)
-    pos_frac = float(ps.arrays.label.mean())
-    return GroupStats(counts.sum(axis=2) / n, counts[..., 1] / n, pos_frac, *_item_stats(ps.source))
+    pos = counts[..., 1]
+    return GroupStats(counts.sum(axis=2) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
 
 
 def compute_point_stats(ds) -> GroupStats:

@@ -129,11 +129,15 @@ class PairArrays:
     counted never holds the (n_pairs, d) block.
     """
 
-    label: np.ndarray  # int64, 1 when item i is the positive one
     cell: np.ndarray  # pair_cell of each pair: its groups and label
-    row_i: np.ndarray  # int32 row of item i in the dataset's columns
-    row_j: np.ndarray  # int32 row of item j
+    row_i: np.ndarray  # the PairSet's int32 row_i
+    row_j: np.ndarray  # the PairSet's int32 row_j
     features: np.ndarray  # the dataset's (n_items, d) column, not a copy
+
+    @property
+    def label(self) -> np.ndarray:
+        """1 when item i is the positive one: the low bit of ``cell``."""
+        return self.cell & 1
 
     @cached_property
     def feat_diff(self) -> np.ndarray:
@@ -147,39 +151,30 @@ class PairArrays:
 class PairSet:
     """All ordered discordant pairs of a dataset, in deterministic order.
 
-    A pair is a row of three int32 index columns: its query and the
-    positions of items i and j within that query.  ``arrays`` gathers each
-    pair's label, group cell and item rows from the dataset's columns:
-    17 bytes a pair up to K=11, besides the 12 of the index columns.
+    A pair is its two items: their int32 rows in the dataset's columns.
+    ``arrays`` adds each pair's group cell, which also holds its label:
+    9 bytes a pair up to K=11, with the two row columns.
     """
 
-    query_index: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    row_i: np.ndarray
+    row_j: np.ndarray
     source: Dataset
 
     def __len__(self) -> int:
-        return self.i.size
+        return self.row_i.size
 
     @cached_property
     def arrays(self) -> PairArrays:
         ds = self.source
-        # Each pair's query start, shifted to the rows of items i and j in the
-        # dataset's columns; make_pairs checked that every row fits int32.
-        row_j = ds.offsets[:-1].astype(np.int32)[self.query_index]
-        row_i = row_j + self.i
-        row_j += self.j
-        # Labels differ within a pair, so the pair label is item i's label.
-        label = ds.labels[row_i]
-        # pair_cell is linear in its coordinates, so it splits into a part of
-        # item i (group and label) and a part of item j (group).  Stored in the
-        # narrowest dtype that holds 2K² ids (1 byte up to K=11).
+        # pair_cell is linear, so it splits into a part of item i (group and
+        # label, which is the pair label) and a part of item j (group).  Stored
+        # in the narrowest dtype that holds 2K² ids (1 byte up to K=11).
         cell_dtype = np.min_scalar_type(2 * ds.K**2 - 1)
         part_i = pair_cell(ds.groups, 0, ds.labels, ds.K).astype(cell_dtype)
         part_j = pair_cell(0, ds.groups, 0, ds.K).astype(cell_dtype)
-        cell = part_i[row_i]
-        cell += part_j[row_j]
-        return PairArrays(label, cell, row_i, row_j, ds.features)
+        cell = part_i[self.row_i]
+        cell += part_j[self.row_j]
+        return PairArrays(cell, self.row_i, self.row_j, ds.features)
 
 
 @dataclass(eq=False)
@@ -222,6 +217,7 @@ def load_csv(path, declared_K: int) -> Dataset:
     if bad is not None:
         row, problem = bad
         raise ValidationError(f"line {lines[row]}: {problem}")
+    groups, labels = groups.astype(np.int64, copy=False), labels.astype(np.int64, copy=False)
     # Query ids are numbered in order of first appearance.
     codes = {qid: code for code, qid in enumerate(dict.fromkeys(ids))}
     query = np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
@@ -292,9 +288,8 @@ def _parse_rows(records, d: int):
         ids.append(row[0])
         lines.append(line)
     features = np.array(feats, dtype=np.float64).reshape(len(lines), d)
-    # A value beyond int64 makes a float or object column, which the row
-    # check rejects, so the columns that pass it are int64.
-    return ids, np.array(groups), np.array(labels), features, lines
+    # Exact ints, even beyond int64; load_csv makes the checked columns int64.
+    return ids, np.array(groups, dtype=object), np.array(labels, dtype=object), features, lines
 
 
 class _Refused(Exception):
@@ -432,19 +427,19 @@ def make_pairs(ds: Dataset) -> PairSet:
 
     Both orientations are produced, so each discordant unordered pair
     contributes one pair with label 1 and one with label 0.  Output order
-    is query order, then i, then j.  The index columns are int32; a dataset
+    is query order, then i, then j.  The row columns are int32; a dataset
     with more items than int32 can address is a ValidationError.
     """
     if ds.n_items > np.iinfo(np.int32).max:
         raise ValidationError(f"{ds.n_items} items is more than int32 pair indices can address")
-    parts = [(np.zeros(0, dtype=np.int32),) * 3]
-    for qi, q in enumerate(ds.queries):
+    parts = [(np.zeros(0, dtype=np.int32),) * 2]
+    for start, q in zip(ds.offsets[:-1].tolist(), ds.queries):
         lab = q.labels
         # nonzero walks row-major (i, then j); the diagonal never differs.
         i, j = np.nonzero(lab[:, None] != lab[None, :])
-        parts.append((np.full(i.size, qi, dtype=np.int32), i.astype(np.int32), j.astype(np.int32)))
-    qidx, ii, jj = (np.concatenate(col) for col in zip(*parts))
-    return PairSet(qidx, ii, jj, ds)
+        parts.append(((i + start).astype(np.int32), (j + start).astype(np.int32)))
+    row_i, row_j = (np.concatenate(col) for col in zip(*parts))
+    return PairSet(row_i, row_j, ds)
 
 
 def generate_synthetic(

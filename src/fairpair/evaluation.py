@@ -12,7 +12,7 @@ from . import reweight
 from .constraints import ConstraintKind, compute_group_stats
 from .data import Dataset, make_pairs
 from .errors import ValidationError
-from .model import LinearRankingModel, score_matrix
+from .model import LinearRankingModel, check_dimension, score_matrix
 
 
 def auc(model: LinearRankingModel, ds: Dataset) -> tuple[float, list[float]]:
@@ -85,8 +85,7 @@ def evaluate(model: LinearRankingModel, ds: Dataset, kind: ConstraintKind) -> Ev
     """Score a model on a dataset using only that dataset's own statistics."""
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
-    if model.d != ds.d:
-        raise ValidationError(f"model dimension {model.d} != the dataset's feature dimension {ds.d}")
+    check_dimension(model, ds.d)
     ps = make_pairs(ds)
     if not len(ps):
         raise ValidationError("dataset has no discordant pairs to evaluate")

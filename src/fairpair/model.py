@@ -64,12 +64,15 @@ class LinearRankingModel:
         return cls(np.zeros(d), 0.0)
 
 
+def check_dimension(model: LinearRankingModel, d: int) -> None:
+    """A model whose dimension is not the data's feature dimension d is a ValidationError."""
+    if model.d != d:
+        raise ValidationError(f"model dimension {model.d} != the data's feature dimension {d}")
+
+
 def score_matrix(model: LinearRankingModel, X: np.ndarray) -> np.ndarray:
     """Score a (n, d) feature matrix."""
-    if X.shape[1] != model.d:
-        raise ValidationError(
-            f"feature dimension {X.shape[1]} does not match model dimension {model.d}"
-        )
+    check_dimension(model, X.shape[1])
     return X @ model.w + model.b
 
 

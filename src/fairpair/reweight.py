@@ -30,8 +30,8 @@ from .constraints import (
 )
 from .data import Dataset, PairSet, item_cell, make_pairs
 from .errors import ValidationError
-from .model import LinearRankingModel, clamp_prob, stable_sigmoid
-from .training import TrainConfig, check_dimension, require_types, train_pointwise, train_weighted
+from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
+from .training import TrainConfig, require_types, train_pointwise, train_weighted
 
 
 @dataclass(eq=False)
@@ -104,7 +104,7 @@ def expected_bias(
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
     if not len(ps):
         raise ValidationError("cannot evaluate expected bias on an empty pair set")
-    check_dimension(model, ps)
+    check_dimension(model, ps.source.d)
     arr = ps.arrays
     s = ps.source.features @ model.w
     z = s[arr.row_i]
@@ -146,6 +146,17 @@ def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str
     return _own_label_weights(s)
 
 
+def _weights_at_cells(weights: np.ndarray, cells: np.ndarray, what: str, coords: dict):
+    """``weights[cells]``; a cell holding rows whose weight is not > 0 is a
+    ValidationError naming the cell by ``coords``, its axes' names and sizes."""
+    bad = (np.bincount(cells, minlength=weights.size) > 0) & ~(weights > 0)
+    if bad.any():
+        at = np.unravel_index(np.flatnonzero(bad)[0], tuple(coords.values()))
+        cell = ", ".join(f"{name}={int(v)}" for name, v in zip(coords, at))
+        raise ValidationError(f"{what} weight of cell ({cell}) is {float(weights[bad][0])!r}")
+    return weights[cells]
+
+
 def pair_weights(
     coeffs: Coefficients,
     stats: GroupStats,
@@ -157,14 +168,9 @@ def pair_weights(
     A cell holding pairs whose weight under- or overflows to 0 (or NaN) is
     a ValidationError naming the cell.
     """
-    cell = ps.arrays.cell
     weights = _pair_cell_weights(coeffs, stats, weight_form)
-    bad = (np.bincount(cell, minlength=weights.size) > 0) & ~(weights > 0)
-    if bad.any():
-        k, l, label = np.argwhere(bad.reshape(stats.K, stats.K, 2))[0]
-        w = float(weights[bad][0])
-        raise ValidationError(f"pair weight of cell (k={k}, l={l}, label={label}) is {w!r}")
-    return weights[cell]
+    coords = {"k": stats.K, "l": stats.K, "label": 2}
+    return _weights_at_cells(weights, ps.arrays.cell, "pair", coords)
 
 
 def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) -> Coefficients:
@@ -257,9 +263,11 @@ def point_expected_bias(
 def point_weights(
     coeffs: np.ndarray, stats: GroupStats, ds: Dataset, kind: ConstraintKind
 ) -> np.ndarray:
-    """Per-item weight at the observed label, normalized over both labels."""
+    """Per-item weight at the observed label, normalized over both labels;
+    a cell holding items whose weight is not > 0 is a ValidationError."""
     s = _exponents(coeffs, point_constraint_mask(kind, stats), point_constraint_table(kind, stats))
-    return _own_label_weights(s)[item_cell(ds.groups, ds.labels, ds.K)]
+    cells = item_cell(ds.groups, ds.labels, ds.K)
+    return _weights_at_cells(_own_label_weights(s), cells, "item", {"k": ds.K, "label": 2})
 
 
 def pointwise_reweight_train(
@@ -286,10 +294,14 @@ def pointwise_reweight_train(
     else:
         ds_delta, stats_delta = train, stats
 
-    for _ in range(cfg.T):
+    for t in range(1, cfg.T + 1):
         values, mask = point_expected_bias(model, ds_delta, stats_delta, kind)
         coeffs = coeffs - cfg.eta_lambda * np.where(mask, values, 0.0)
-        weights = point_weights(coeffs, stats, train, kind)
+        try:
+            weights = point_weights(coeffs, stats, train, kind)
+        except ValidationError as exc:
+            msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
+            raise ValidationError(msg) from exc
         init = model if cfg.warm_start else None
         model = train_pointwise(train, weights, cfg.inner, init=init)
     return model

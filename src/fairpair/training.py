@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, PairSet
 from .errors import ValidationError
-from .model import LinearRankingModel, clamp_prob, stable_sigmoid
+from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
 
 
 def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
@@ -105,17 +105,9 @@ def adam_update(
     return AdamState(m, v, t), params - step
 
 
-def check_dimension(model: LinearRankingModel, ps: PairSet) -> None:
-    """A model whose dimension differs from the pair set's features is a ValidationError."""
-    if model.d != ps.source.d:
-        raise ValidationError(
-            f"model dimension {model.d} != the pair set's feature dimension {ps.source.d}"
-        )
-
-
 def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -> float:
     """Mean weighted pair loss over a whole pair set."""
-    check_dimension(model, ps)
+    check_dimension(model, ps.source.d)
     arr = ps.arrays
     p = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
     lab = arr.label
@@ -168,7 +160,7 @@ def train_weighted(
     d = ps.source.d
     if init is None:
         init = LinearRankingModel.zeros(d)
-    check_dimension(init, ps)
+    check_dimension(init, d)
 
     arr = ps.arrays
     diff, lab = arr.feat_diff, arr.label
@@ -206,8 +198,7 @@ def train_pointwise(
     weights = _check_weights(weights, n)
     if init is None:
         init = LinearRankingModel.zeros(ds.d)
-    if init.d != ds.d:
-        raise ValidationError("initial model dimension does not match the dataset")
+    check_dimension(init, ds.d)
 
     params = np.concatenate([init.w, [init.b]])
     state = AdamState.zeros(params.size)

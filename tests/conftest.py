@@ -41,7 +41,7 @@ def rng():
 
 def pair_subset(ps, idx):
     """The pairs of ps at positions idx, as a pair set on the same dataset."""
-    return PairSet(ps.query_index[idx], ps.i[idx], ps.j[idx], ps.source)
+    return PairSet(ps.row_i[idx], ps.row_j[idx], ps.source)
 
 
 def numeric_gradient(ps, weights, w, h=1e-6):

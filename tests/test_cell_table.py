@@ -34,6 +34,7 @@ from fairpair.reweight import (
     pair_weights,
     point_expected_bias,
     point_weights,
+    pointwise_reweight_train,
 )
 from fairpair.training import TrainConfig
 
@@ -269,6 +270,15 @@ class TestWeightUnderflow:
         message = str(info.value)
         assert "outer iteration 1 with eta_lambda=10000.0" in message
         assert "pair weight of cell (k=0, l=1, label=1) is 0.0" in message
+
+    def test_pointwise_large_eta_lambda_names_cell_iteration_and_step(self):
+        train, valid, _ = self.splits()
+        cfg = FairTrainConfig(eta_lambda=1e6, T=3, inner=TrainConfig(epochs=2, seed=17))
+        with pytest.raises(ValidationError) as info:
+            pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
+        message = str(info.value)
+        assert "outer iteration 1 with eta_lambda=1000000.0" in message
+        assert "item weight of cell (k=0, label=1) is 0.0" in message
 
     def test_only_cells_holding_pairs_are_checked(self):
         # Group 0 items are all positive and group 1 items all negative, so

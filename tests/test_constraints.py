@@ -72,11 +72,10 @@ class TestComputeStats:
         count = {}
         pos_count = {}
         positives = 0
-        for qi, i, j, label in zip(ps.query_index, ps.i, ps.j, ps.arrays.label):
-            q = ds.queries[qi]
-            cell = (int(q.groups[i]), int(q.groups[j]))
+        for i, j in zip(ps.row_i, ps.row_j):
+            cell = (int(ds.groups[i]), int(ds.groups[j]))
             count[cell] = count.get(cell, 0) + 1
-            if label == 1:
+            if ds.labels[i] > ds.labels[j]:
                 pos_count[cell] = pos_count.get(cell, 0) + 1
                 positives += 1
         for k in range(3):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import build_dataset, random_dataset
 from fairpair.data import (
     Dataset,
+    _round_half_down,
     generate_synthetic,
     load_csv,
     make_pairs,
@@ -84,6 +85,23 @@ class TestLoadCsv:
     def test_group_out_of_declared_range(self, tmp_path):
         path = write(tmp_path, "query_id,group,label,f0\nq1,2,1,1.0\n")
         with pytest.raises(ValidationError, match="group"):
+            load_csv(path, declared_K=2)
+
+    @pytest.mark.parametrize(
+        "column, values, message",
+        [
+            ("group", [-1, 2**63], "line 2: group -1 outside"),
+            ("group", [0, 2**63, -(2**53) - 1], "line 3: group 9223372036854775808 outside"),
+            ("label", [1, 0, 2**64], "line 4: label 18446744073709551616 not in"),
+        ],
+    )
+    def test_values_beyond_int64_reported_exactly(self, tmp_path, column, values, message):
+        # One column holding a negative value and one beyond int64 used to
+        # become float64, so the error named a rounded value or the wrong row.
+        rows = [(v, 0) if column == "group" else (0, v) for v in values]
+        body = "".join(f"q1,{g},{lab},1.0\n" for g, lab in rows)
+        path = write(tmp_path, "query_id,group,label,f0\n" + body)
+        with pytest.raises(ValidationError, match=message):
             load_csv(path, declared_K=2)
 
     def test_bad_header(self, tmp_path):
@@ -238,6 +256,38 @@ class TestSplitQueries:
             assert parts[0] | parts[1] | parts[2] == {q.query_id for q in ds.queries}
             assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=25),
+        ratio_test=st.floats(0.0, 0.6),
+        ratio_valid=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_split_is_a_partition_of_the_queries(self, sizes, ratio_test, ratio_valid, seed):
+        rng = np.random.default_rng(seed)
+        ds = build_dataset(
+            [query_spec(rng, f"q{qi}", n, 2, 3) for qi, n in enumerate(sizes)], d=2, K=3
+        )
+        n = len(sizes)
+        n_test, n_valid = _round_half_down(ratio_test * n), _round_half_down(ratio_valid * n)
+        n_train = n - n_test - n_valid
+        if (ratio_test + ratio_valid >= 1 or (ratio_test > 0 and n_test == 0)
+                or (ratio_valid > 0 and n_valid == 0) or n_train <= 0):
+            with pytest.raises(ValidationError):
+                split_queries(ds, ratio_test, ratio_valid, seed)
+            return
+        splits = split_queries(ds, ratio_test, ratio_valid, seed)
+        assert [len(s.queries) for s in splits] == [n_train, n_valid, n_test]
+        source = {q.query_id: q for q in ds.queries}
+        seen = [q for s in splits for q in s.queries]
+        # Each query id lands in exactly one split, with its rows' bits unchanged.
+        assert sorted(q.query_id for q in seen) == sorted(source)
+        for q in seen:
+            want = source[q.query_id]
+            for column in ("features", "labels", "groups"):
+                got, ref = getattr(q, column), getattr(want, column)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
     def test_too_few_queries(self, rng):
         ds = random_dataset(rng, n_queries=2, items_per_query=3, d=2, K=2)
         with pytest.raises(ValidationError, match="too few queries"):
@@ -258,12 +308,21 @@ class TestSplitQueries:
 
 
 def pair_keys(ps):
-    """(query_index, i, j, label) of every pair, in emitted order."""
-    return list(zip(*(c.tolist() for c in (ps.query_index, ps.i, ps.j, ps.arrays.label))))
+    """(query index, i, j, label) of every pair, in emitted order, with i and j
+    the positions of the pair's two rows within their query."""
+    offsets = ps.source.offsets
+    query = np.searchsorted(offsets, ps.row_i, side="right") - 1
+    assert np.array_equal(np.searchsorted(offsets, ps.row_j, side="right") - 1, query)
+    start = offsets[query]
+    columns = (query, ps.row_i - start, ps.row_j - start, ps.arrays.label)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def nested_loop_arrays(ds):
-    """Reference enumeration: one Python tuple per pair, copied row by row."""
+    """Reference enumeration: one Python tuple per pair, copied row by row.
+
+    Returns the PAIR_FIELDS and ARRAY_FIELDS columns by name, and the pair
+    labels as "label" (int64)."""
     pairs = []
     for qi, q in enumerate(ds.queries):
         labels = q.labels
@@ -273,21 +332,22 @@ def nested_loop_arrays(ds):
                 if i != j and labels[i] != labels[j]:
                     pairs.append((qi, i, j, int(labels[i] > labels[j])))
     n = len(pairs)
-    cols = [np.empty(n, dtype=dt) for dt in (np.int32, np.int32, np.int32, np.int64)]
+    row_i, row_j = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    label = np.empty(n, dtype=np.int64)
     cell = np.empty(n, dtype=np.min_scalar_type(2 * ds.K**2 - 1))
     diff = np.empty((n, ds.d), dtype=np.float64)
     for t, (qi, i, j, lab) in enumerate(pairs):
         q = ds.queries[qi]
-        for col, v in zip(cols, (qi, i, j, lab)):
-            col[t] = v
+        row_i[t], row_j[t] = ds.offsets[qi] + i, ds.offsets[qi] + j
+        label[t] = lab
         cell[t] = (q.groups[i] * ds.K + q.groups[j]) * 2 + lab
         diff[t] = q.features[i] - q.features[j]
-    return cols + [cell, diff]
+    return {"row_i": row_i, "row_j": row_j, "label": label, "cell": cell, "feat_diff": diff}
 
 
-# The pair set's index columns, then its gathered arrays.
-PAIR_FIELDS = ("query_index", "i", "j")
-ARRAY_FIELDS = ("label", "cell", "feat_diff")
+# The pair set's row columns, then its gathered arrays.
+PAIR_FIELDS = ("row_i", "row_j")
+ARRAY_FIELDS = ("cell", "feat_diff")
 
 
 def query_spec(rng, qid, n_items, d, K, labels=None):
@@ -319,7 +379,8 @@ class TestMakePairs:
         )
         ps = make_pairs(ds)
         assert len(ps) == 4
-        assert set(ps.query_index.tolist()) == {0, 1}
+        # Each pair's two rows lie in one query, and both queries give pairs.
+        assert ps.row_i.tolist() == [0, 1, 2, 3] and ps.row_j.tolist() == [1, 0, 3, 2]
         # Each pair's feature difference comes from items of its own query.
         np.testing.assert_array_equal(ps.arrays.feat_diff[:, 0], [-1.0, 1.0, -1.0, 1.0])
 
@@ -378,10 +439,25 @@ class TestMakePairs:
     def _assert_bytes_equal(ps, expected):
         columns = [getattr(ps, name) for name in PAIR_FIELDS]
         columns += [getattr(ps.arrays, name) for name in ARRAY_FIELDS]
-        for name, got, want in zip(PAIR_FIELDS + ARRAY_FIELDS, columns, expected):
+        for name, got in zip(PAIR_FIELDS + ARRAY_FIELDS, columns):
+            want = expected[name]
             assert got.dtype == want.dtype, name
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("K", [1, 2, 11])
+    def test_arrays_hold_nine_bytes_a_pair(self, rng, K):
+        # A pair is its two int32 rows and a one-byte cell (K <= 11); the
+        # label is the cell's low bit, not a stored column.
+        ds = random_dataset(rng, n_queries=3, items_per_query=7, d=2, K=K)
+        ps = make_pairs(ds)
+        arr = ps.arrays
+        per_pair = {id(v): v for obj in (ps, arr) for v in vars(obj).values()
+                    if isinstance(v, np.ndarray) and v.ndim == 1 and v.size == len(ps)}
+        assert "feat_diff" not in vars(arr)
+        assert sum(v.nbytes for v in per_pair.values()) == 9 * len(ps) > 0
+        np.testing.assert_array_equal(arr.label, arr.cell & 1)
+        np.testing.assert_array_equal(arr.label, nested_loop_arrays(ds)["label"])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -259,11 +259,10 @@ class TestEvaluate:
                 if not mask[k, l]:
                     continue
                 acc = 0.0
-                for qi, i, j in zip(ps.query_index, ps.i, ps.j):
-                    q = ds.queries[qi]
-                    z = q.features[i][0] - q.features[j][0]
+                for i, j in zip(ps.row_i, ps.row_j):
+                    z = ds.features[i][0] - ds.features[j][0]
                     l_hat = 1.0 / (1.0 + math.exp(-z))
-                    member = q.groups[i] == k and q.groups[j] == l
+                    member = ds.groups[i] == k and ds.groups[j] == l
                     acc += l_hat * ((1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0)
                 expected_delta[k, l] = acc / len(ps)
         np.testing.assert_allclose(report.delta.values, expected_delta, atol=1e-12)

@@ -92,11 +92,10 @@ class TestExpectedBias:
                     assert delta.values[k, l] == 0.0
                     continue
                 total = 0.0
-                for qi, i, j in zip(ps.query_index, ps.i, ps.j):
-                    q = ds.queries[qi]
-                    z = 0.8 * (q.features[i][0] - q.features[j][0])
+                for i, j in zip(ps.row_i, ps.row_j):
+                    z = 0.8 * (ds.features[i][0] - ds.features[j][0])
                     l_hat = 1.0 / (1.0 + math.exp(-z))
-                    member = q.groups[i] == k and q.groups[j] == l
+                    member = ds.groups[i] == k and ds.groups[j] == l
                     c = (1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0
                     total += l_hat * c
                 assert delta.values[k, l] == pytest.approx(total / len(ps), abs=1e-12)

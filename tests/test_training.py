@@ -302,6 +302,12 @@ class TestTrainWeighted:
 
 
 class TestTrainPointwise:
+    def test_model_dimension_checked(self, rng):
+        ds = random_dataset(rng, d=3)
+        init = LinearRankingModel.zeros(2)
+        with pytest.raises(ValidationError, match="model dimension 2 .* dimension 3"):
+            train_pointwise(ds, np.full(ds.n_items, 0.5), TrainConfig(), init=init)
+
     def test_learns_separable_items(self, rng):
         labels = np.array([1, 1, 1, 0, 0, 0])
         feats = np.where(labels[:, None] == 1, 1.0, -1.0) + 0.01 * rng.normal(size=(6, 2))
