@@ -124,27 +124,15 @@ def item_cell(group, label, K: int):
 class PairArrays:
     """Per-pair columns gathered from a PairSet's dataset, in pair order.
 
-    ``feat_diff`` is built on first read and kept: only the trainer's
-    objective and gradient read it, so a pair set that is only scored or
-    counted never holds the (n_pairs, d) block.
+    No pair feature rows are kept: the trainer gathers x_i - x_j a chunk at a time.
     """
 
     cell: np.ndarray  # pair_cell of each pair: its groups and label
-    row_i: np.ndarray  # the PairSet's int32 row_i
-    row_j: np.ndarray  # the PairSet's int32 row_j
-    features: np.ndarray  # the dataset's (n_items, d) column, not a copy
 
     @property
     def label(self) -> np.ndarray:
         """1 when item i is the positive one: the low bit of ``cell``."""
         return self.cell & 1
-
-    @cached_property
-    def feat_diff(self) -> np.ndarray:
-        """(n_pairs, d) float64 rows x_i - x_j."""
-        diff = self.features[self.row_i]
-        diff -= self.features[self.row_j]
-        return diff
 
 
 @dataclass(eq=False)
@@ -174,7 +162,7 @@ class PairSet:
         part_j = pair_cell(0, ds.groups, 0, ds.K).astype(cell_dtype)
         cell = part_i[self.row_i]
         cell += part_j[self.row_j]
-        return PairArrays(cell, self.row_i, self.row_j, ds.features)
+        return PairArrays(cell)
 
 
 @dataclass(eq=False)

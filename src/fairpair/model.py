@@ -19,21 +19,23 @@ def stable_sigmoid(z):
     """Numerically stable logistic function, elementwise.
 
     Never evaluates exp on a positive argument, so it cannot overflow for
-    any finite input.  With e = exp(-|z|) this is 1 / (1 + e) for z >= 0
-    and e / (1 + e) otherwise, computed in place without masking.  Accepts
-    scalars or arrays; a 0-d input returns a Python float.
+    any finite input.  exp(min(z, 0)) / (1 + exp(-|z|)) is 1 / (1 + e) for
+    z >= 0 and e / (1 + e) otherwise, with e = exp(-|z|), and needs no mask.
+    Accepts scalars or arrays; a 0-d input returns a Python float.
     """
     z = np.asarray(z, dtype=np.float64)
-    # min(z, -z) is -|z|, except that a NaN keeps its sign (as exp(z) did).
-    e = np.negative(z, out=np.empty_like(z))
-    np.minimum(z, e, out=e)
-    np.exp(e, out=e)
-    denom = 1.0 + e
-    np.copyto(e, 1.0, where=z >= 0)
-    e /= denom
-    if e.ndim == 0:
-        return float(e)
-    return e
+    # Every step writes to an explicit buffer, so a 0-d input stays an array;
+    # min(z, -z) is -|z| except that a NaN keeps its sign (as exp(z) did).
+    num = np.minimum(z, 0.0, out=np.empty_like(z))
+    np.exp(num, out=num)
+    denom = np.negative(z, out=np.empty_like(z))
+    np.minimum(z, denom, out=denom)
+    np.exp(denom, out=denom)
+    denom += 1.0
+    num /= denom
+    if num.ndim == 0:
+        return float(num)
+    return num
 
 
 def clamp_prob(p):

@@ -105,14 +105,13 @@ def expected_bias(
     if not len(ps):
         raise ValidationError("cannot evaluate expected bias on an empty pair set")
     check_dimension(model, ps.source.d)
-    arr = ps.arrays
     s = ps.source.features @ model.w
-    z = s[arr.row_i]
-    z -= s[arr.row_j]
+    z = s[ps.row_i]
+    z -= s[ps.row_j]
     l_hat = clamp_prob(stable_sigmoid(z))
     # Constraint values depend only on a pair's cell: sum l_hat per cell first.
     table = pair_constraint_table(kind, stats)
-    cell_sums = np.bincount(arr.cell, weights=l_hat, minlength=table.shape[-1])
+    cell_sums = np.bincount(ps.arrays.cell, weights=l_hat, minlength=table.shape[-1])
     return DeltaMatrix(table @ cell_sums / len(ps), pair_constraint_mask(kind, stats))
 
 

@@ -19,7 +19,11 @@ import numpy as np
 
 from .data import Dataset, PairSet
 from .errors import ValidationError
-from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
+from .model import PROB_EPS, LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
+
+# train_weighted gathers the rows x_i - x_j of whole minibatches in chunks of
+# about this many bytes, never an (n_pairs, d) block.
+GATHER_BYTES = 256 * 1024
 
 
 def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
@@ -108,9 +112,10 @@ def adam_update(
 def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -> float:
     """Mean weighted pair loss over a whole pair set."""
     check_dimension(model, ps.source.d)
-    arr = ps.arrays
-    p = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
-    lab = arr.label
+    diff = ps.source.features.take(ps.row_i, axis=0)
+    diff -= ps.source.features.take(ps.row_j, axis=0)
+    p = clamp_prob(stable_sigmoid(diff @ model.w))
+    lab = ps.arrays.label
     terms = weights * -(lab * np.log(p) + (1 - lab) * np.log1p(-p))
     return float(terms.mean())
 
@@ -124,12 +129,11 @@ def batch_gradient(
     ``weights`` its pair labels and weights.  The bias has no entry: it
     cancels in every score difference, so its gradient is zero.
     """
-    resid = clamp_prob(stable_sigmoid(x @ w))
+    resid = stable_sigmoid(x @ w)
+    np.clip(resid, PROB_EPS, 1.0 - PROB_EPS, out=resid)
     resid -= label
     resid *= weights
-    grad = resid @ x
-    grad /= label.size
-    return grad
+    return resid @ x / label.size
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -150,8 +154,10 @@ def train_weighted(
     """Minimize the weighted pairwise loss with minibatch Adam.
 
     Pairs are reshuffled every epoch from a generator seeded by cfg.seed,
-    so the result is deterministic for fixed inputs.  The bias is returned
-    as given in ``init``.  epochs=0 returns the initial model unchanged.
+    so the result is deterministic for fixed inputs.  Each minibatch steps
+    on its view of a chunk of gathered rows x_i - x_j (see GATHER_BYTES).
+    The bias is returned as given in ``init``.  epochs=0 returns the
+    initial model unchanged.
     """
     if not len(ps):
         raise ValidationError("cannot train on an empty pair set")
@@ -162,8 +168,9 @@ def train_weighted(
         init = LinearRankingModel.zeros(d)
     check_dimension(init, d)
 
-    arr = ps.arrays
-    diff, lab = arr.feat_diff, arr.label
+    X, row_i, row_j, lab = ps.source.features, ps.row_i, ps.row_j, ps.arrays.label
+    bs = cfg.batch_size
+    chunk = bs * max(1, GATHER_BYTES // (8 * d * bs))
     # A zero gradient leaves Adam's step 0, so stepping the bias would
     # return it bit for bit; only w is stepped.
     w = init.w.copy()
@@ -172,11 +179,15 @@ def train_weighted(
 
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x = np.take(diff, idx, axis=0)
-            grad = batch_gradient(w, x, lab.take(idx), weights.take(idx))
-            state, w = adam_update(state, w, grad, cfg)
+        for lo in range(0, n, chunk):
+            idx = order[lo : lo + chunk]
+            xs = X.take(row_i.take(idx), axis=0)
+            xs -= X.take(row_j.take(idx), axis=0)
+            ls, ws = lab.take(idx), weights.take(idx)
+            for start in range(0, idx.size, bs):
+                batch = slice(start, start + bs)
+                grad = batch_gradient(w, xs[batch], ls[batch], ws[batch])
+                state, w = adam_update(state, w, grad, cfg)
 
     return LinearRankingModel(w, float(init.b))
 

@@ -39,6 +39,12 @@ def rng():
     return np.random.default_rng(42)
 
 
+def pair_feature_diff(ps):
+    """The (n_pairs, d) feature rows x_i - x_j of a pair set's pairs."""
+    X = ps.source.features
+    return X[ps.row_i] - X[ps.row_j]
+
+
 def pair_subset(ps, idx):
     """The pairs of ps at positions idx, as a pair set on the same dataset."""
     return PairSet(ps.row_i[idx], ps.row_j[idx], ps.source)

@@ -14,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_dataset, numeric_gradient, pair_subset, random_dataset
+from conftest import (
+    build_dataset,
+    numeric_gradient,
+    pair_feature_diff,
+    pair_subset,
+    random_dataset,
+)
 from fairpair.cli import main
 from fairpair.constraints import (
     ConstraintKind,
@@ -186,7 +192,7 @@ def test_criterion_3_gradient_check(rng):
         w = rng.normal(size=d)
         # Gathered as train_weighted gathers a minibatch.
         arr = ps.arrays
-        x = np.take(arr.feat_diff, idx, axis=0)
+        x = np.take(pair_feature_diff(ps), idx, axis=0)
         analytic = batch_gradient(w, x, arr.label.take(idx), weights.take(idx))
         numeric = numeric_gradient(pair_subset(ps, idx), weights[idx], w)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_cells_pairs, build_dataset, random_dataset
+from conftest import all_cells_pairs, build_dataset, pair_feature_diff, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
     _pair_constraint_at_one,
@@ -52,7 +52,7 @@ def pair_groups(ps):
 def loop_expected_bias(model, ps, stats, kind):
     arr = ps.arrays
     group_i, group_j = pair_groups(ps)
-    l_hat = clamp_prob(stable_sigmoid(arr.feat_diff @ model.w))
+    l_hat = clamp_prob(stable_sigmoid(pair_feature_diff(ps) @ model.w))
     proxy = arr.label.astype(np.float64)
     mask = pair_constraint_mask(kind, stats)
     values = np.zeros((stats.K, stats.K))

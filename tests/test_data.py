@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_dataset, random_dataset
+from conftest import build_dataset, pair_feature_diff, random_dataset
 from fairpair.data import (
     Dataset,
     _round_half_down,
@@ -347,7 +347,7 @@ def nested_loop_arrays(ds):
 
 # The pair set's row columns, then its gathered arrays.
 PAIR_FIELDS = ("row_i", "row_j")
-ARRAY_FIELDS = ("cell", "feat_diff")
+ARRAY_FIELDS = ("cell",)
 
 
 def query_spec(rng, qid, n_items, d, K, labels=None):
@@ -382,7 +382,7 @@ class TestMakePairs:
         # Each pair's two rows lie in one query, and both queries give pairs.
         assert ps.row_i.tolist() == [0, 1, 2, 3] and ps.row_j.tolist() == [1, 0, 3, 2]
         # Each pair's feature difference comes from items of its own query.
-        np.testing.assert_array_equal(ps.arrays.feat_diff[:, 0], [-1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(pair_feature_diff(ps)[:, 0], [-1.0, 1.0, -1.0, 1.0])
 
     def test_antisymmetry_and_count(self, rng):
         for _ in range(20):
@@ -421,7 +421,7 @@ class TestMakePairs:
         ds = build_dataset([], d=3, K=2)
         ps = make_pairs(ds)
         assert len(ps) == 0
-        assert ps.arrays.feat_diff.shape == (0, 3)
+        assert pair_feature_diff(ps).shape == (0, 3)
         self._assert_bytes_equal(ps, nested_loop_arrays(ds))
 
     def test_single_label_queries_give_empty_arrays(self, rng):
@@ -432,14 +432,16 @@ class TestMakePairs:
         )
         ps = make_pairs(ds)
         assert len(ps) == 0
-        assert ps.arrays.feat_diff.shape == (0, 3)
+        assert pair_feature_diff(ps).shape == (0, 3)
         self._assert_bytes_equal(ps, nested_loop_arrays(ds))
 
     @staticmethod
     def _assert_bytes_equal(ps, expected):
         columns = [getattr(ps, name) for name in PAIR_FIELDS]
         columns += [getattr(ps.arrays, name) for name in ARRAY_FIELDS]
-        for name, got in zip(PAIR_FIELDS + ARRAY_FIELDS, columns):
+        columns.append(pair_feature_diff(ps))
+        names = PAIR_FIELDS + ARRAY_FIELDS + ("feat_diff",)
+        for name, got in zip(names, columns):
             want = expected[name]
             assert got.dtype == want.dtype, name
             assert got.shape == want.shape, name
@@ -452,9 +454,9 @@ class TestMakePairs:
         ds = random_dataset(rng, n_queries=3, items_per_query=7, d=2, K=K)
         ps = make_pairs(ds)
         arr = ps.arrays
-        per_pair = {id(v): v for obj in (ps, arr) for v in vars(obj).values()
-                    if isinstance(v, np.ndarray) and v.ndim == 1 and v.size == len(ps)}
-        assert "feat_diff" not in vars(arr)
+        held = [v for obj in (ps, arr) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        per_pair = {id(v): v for v in held if v.ndim == 1 and v.size == len(ps)}
+        assert all(v.ndim == 1 for v in held)
         assert sum(v.nbytes for v in per_pair.values()) == 9 * len(ps) > 0
         np.testing.assert_array_equal(arr.label, arr.cell & 1)
         np.testing.assert_array_equal(arr.label, nested_loop_arrays(ds)["label"])

@@ -1,9 +1,11 @@
 """Differential tests: the inner Adam loop against in-test copies of its
-earlier form.
+earlier forms.
 
 The earlier trainers fancy-indexed each minibatch twice, stepped the
-pairwise bias through Adam with a zero gradient, and used a sigmoid that
-masked its two branches.  The current code must give the same bits.
+pairwise bias through Adam with a zero gradient, used a sigmoid that
+masked its two branches, and took each minibatch's rows from one
+(n_pairs, d) block of pair feature rows.  The current code must give the
+same bits.
 """
 
 import math
@@ -11,13 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import pair_feature_diff, pair_subset, random_dataset
+from fairpair import training
 from fairpair.data import make_pairs
 from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
 from fairpair.training import (
     AdamState,
     TrainConfig,
     adam_update,
+    batch_gradient,
     train_pointwise,
     train_weighted,
 )
@@ -51,7 +55,7 @@ def old_train_weighted(ps, weights, cfg, init=None):
     if init is None:
         init = LinearRankingModel.zeros(ps.source.d)
     arr = ps.arrays
-    diff = arr.feat_diff
+    diff = pair_feature_diff(ps)
     lab = arr.label.astype(np.float64)
     params = np.concatenate([init.w, [init.b]])
     state = AdamState.zeros(params.size)
@@ -65,6 +69,26 @@ def old_train_weighted(ps, weights, cfg, init=None):
             grad = np.concatenate([resid @ diff[idx] / idx.size, [0.0]])
             state, params = old_adam_update(state, params, grad, cfg)
     return LinearRankingModel(params[:-1].copy(), float(params[-1]))
+
+
+def block_train_weighted(ps, weights, cfg, init=None):
+    """train_weighted as it was before the chunked gather: every minibatch
+    takes its rows from one (n_pairs, d) block of pair feature rows."""
+    n = len(ps)
+    if init is None:
+        init = LinearRankingModel.zeros(ps.source.d)
+    diff, lab = pair_feature_diff(ps), ps.arrays.label
+    w = init.w.copy()
+    state = AdamState.zeros(ps.source.d)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x = np.take(diff, idx, axis=0)
+            grad = batch_gradient(w, x, lab.take(idx), weights.take(idx))
+            state, w = adam_update(state, w, grad, cfg)
+    return LinearRankingModel(w, float(init.b))
 
 
 def old_train_pointwise(ds, weights, cfg, init=None):
@@ -157,6 +181,71 @@ def test_warm_started_outer_chain_matches(rng, pairs):
         assert_same_model(new, old)
 
 
+def chunk_budget(monkeypatch, d, batch_size, batches):
+    """Set the gather budget to ``batches`` whole minibatches of feature rows."""
+    monkeypatch.setattr(training, "GATHER_BYTES", 8 * d * batch_size * batches)
+    return batch_size * batches
+
+
+@pytest.mark.parametrize("d", [1, 5, 11, 40])
+@pytest.mark.parametrize("batch_size", [1, 3, 100])
+def test_chunked_gather_matches_block_loop(rng, monkeypatch, batch_size, d):
+    # Three chunks and a ragged fourth, whose last minibatch is ragged too;
+    # minibatch views start at byte offsets 8 * d * batch_size * k.
+    ps = make_pairs(random_dataset(rng, n_queries=6, items_per_query=20, d=d, K=2))
+    chunk = chunk_budget(monkeypatch, d, batch_size, max(3, 150 // batch_size))
+    sub = pair_subset(ps, rng.permutation(len(ps))[: 3 * chunk + batch_size // 2 + 1])
+    assert len(sub) % chunk != 0 and (batch_size == 1 or len(sub) % batch_size != 0)
+    weights = rng.uniform(0.05, 3.0, size=len(sub))
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=3)
+    assert_same_model(
+        train_weighted(sub, weights, cfg), block_train_weighted(sub, weights, cfg)
+    )
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below-one-chunk", "one-chunk", "chunk-plus-1"])
+def test_chunk_boundaries_match_block_loop(rng, monkeypatch, extra):
+    ps = make_pairs(random_dataset(rng, n_queries=3, items_per_query=8, d=3, K=2))
+    chunk = chunk_budget(monkeypatch, 3, 7, 4)
+    idx = rng.permutation(len(ps))[: chunk + extra]
+    sub = pair_subset(ps, idx)
+    weights = rng.uniform(0.05, 3.0, size=len(sub))
+    cfg = TrainConfig(epochs=3, batch_size=7, seed=1)
+    assert_same_model(
+        train_weighted(sub, weights, cfg), block_train_weighted(sub, weights, cfg)
+    )
+
+
+@pytest.mark.parametrize(
+    "gather_bytes,cfg_kwargs,init",
+    [
+        pytest.param(8 * 5 * 10, {"epochs": 2, "batch_size": 50}, None, id="batch-over-budget"),
+        pytest.param(None, {"epochs": 3, "batch_size": 16, "seed": 4}, (1.0, -1.25),
+                     id="warm-start"),
+        pytest.param(None, {"epochs": 0}, (0.3, 0.37), id="zero-epochs"),
+        pytest.param(None, {"epochs": 2, "batch_size": 37}, None, id="module-budget"),
+    ],
+)
+def test_chunked_gather_cases_match_block_loop(rng, monkeypatch, gather_bytes, cfg_kwargs, init):
+    # The module budget holds 177 minibatches of 37 five-wide rows, so that
+    # case needs more than 6549 pairs to cross a chunk.
+    ps = make_pairs(random_dataset(rng, n_queries=5, items_per_query=60, d=5, K=2))
+    if gather_bytes is None:
+        assert len(ps) > 37 * (training.GATHER_BYTES // (8 * 5 * 37))
+    else:
+        monkeypatch.setattr(training, "GATHER_BYTES", gather_bytes)
+    weights = rng.uniform(0.05, 3.0, size=len(ps))
+    cfg = TrainConfig(**cfg_kwargs)
+    model = None
+    if init is not None:
+        scale, b = init
+        model = LinearRankingModel(scale * rng.normal(size=ps.source.d), b)
+    assert_same_model(
+        train_weighted(ps, weights, cfg, init=model),
+        block_train_weighted(ps, weights, cfg, init=model),
+    )
+
+
 @pytest.mark.parametrize(
     "cfg_kwargs,init",
     [
@@ -206,7 +295,8 @@ def test_adam_update_leaves_inputs_untouched(rng):
 
 EDGE_VALUES = [
     math.inf, -math.inf, 0.0, -0.0, math.nan, -math.nan, 1e3, -1e3,
-    1e-300, -1e-300, 5e-324, 36.7, -36.7, 745.2, -745.2, 709.8, -709.8,
+    1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7, 745.2, -745.2, 709.8, -709.8,
+    709.0, -745.0,
 ]
 
 

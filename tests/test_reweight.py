@@ -1,7 +1,6 @@
 """Tests for closed-form pair weights, the violation measure, and the outer loop."""
 
 import math
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from fairpair.constraints import (
     compute_group_stats,
     pair_constraint_mask,
 )
-from fairpair.data import PairArrays, generate_synthetic, make_pairs, split_queries
+from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel
@@ -302,37 +301,31 @@ class TestFairTrain:
         m_va, c_va, _ = fair_train(train, valid, STAT, small_cfg(T=3, delta_set="validation"))
         assert not np.array_equal(c_tr.values, c_va.values)
 
-    def test_feat_diff_built_only_for_training_pairs(self, monkeypatch):
-        # Scoring reads item scores, so only the trainer's pair set holds the
-        # (n_pairs, d) feature differences, built once for all T + 1 trainings.
+    def test_no_pair_set_holds_pair_feature_rows(self, monkeypatch):
+        # Scoring reads item scores and the trainer gathers x_i - x_j a chunk
+        # at a time, so after evaluate and T + 1 trainings every array a pair
+        # set holds is one column: none is an (n_pairs, d) block.
         import fairpair.evaluation as ev
 
-        made, built = [], []
+        made = []
 
         def recorded(ds):
             ps = make_pairs(ds)
             made.append(ps)
             return ps
 
-        real = PairArrays.feat_diff.func
-
-        def counted(arr):
-            built.append(arr)
-            return real(arr)
-
-        prop = cached_property(counted)
-        prop.__set_name__(PairArrays, "feat_diff")
-        monkeypatch.setattr(PairArrays, "feat_diff", prop)
         monkeypatch.setattr(rw, "make_pairs", recorded)
         monkeypatch.setattr(ev, "make_pairs", recorded)
 
         train, valid, test = self.biased_splits()
         evaluate(LinearRankingModel(np.ones(test.d)), test, STAT)
         fair_train(train, valid, STAT, small_cfg(T=3))
-        ps_test, ps_train, ps_valid = made
-        assert "feat_diff" not in vars(ps_test.arrays)
-        assert "feat_diff" not in vars(ps_valid.arrays)
-        assert len(built) == 1 and built[0] is ps_train.arrays
+        assert len(made) == 3
+        for ps in made:
+            assert "arrays" in vars(ps)
+            held = [v for obj in (ps, ps.arrays) for v in vars(obj).values()
+                    if isinstance(v, np.ndarray)]
+            assert held and all(v.shape == (len(ps),) for v in held)
 
     @pytest.mark.parametrize("delta_set", ["train", "validation"])
     @pytest.mark.parametrize("warm_start", [False, True])

@@ -1,11 +1,18 @@
 """Tests for the trainers, the pairwise loss and its batch gradient, and Adam."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import build_dataset, numeric_gradient, pair_subset, random_dataset
+from conftest import (
+    build_dataset,
+    numeric_gradient,
+    pair_feature_diff,
+    pair_subset,
+    random_dataset,
+)
 from fairpair import training
 from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
@@ -71,13 +78,13 @@ class TestPairLoss:
 class TestLossGradient:
     def test_equal_features_zero_gradient(self, rng):
         x = rng.normal(size=3)
-        arr = two_item_pairs(x, x).arrays
-        grad = batch_gradient(rng.normal(size=3), arr.feat_diff, arr.label, np.ones(2))
+        ps = two_item_pairs(x, x)
+        grad = batch_gradient(rng.normal(size=3), pair_feature_diff(ps), ps.arrays.label, np.ones(2))
         np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_near_perfect_prediction_vanishes(self):
-        arr = two_item_pairs([1.0], [0.0]).arrays
-        grad = batch_gradient(np.array([50.0]), arr.feat_diff, arr.label, np.ones(2))
+        ps = two_item_pairs([1.0], [0.0])
+        grad = batch_gradient(np.array([50.0]), pair_feature_diff(ps), ps.arrays.label, np.ones(2))
         assert np.all(np.abs(grad) < 1e-12)
 
     def test_bias_component_always_zero(self, rng):
@@ -91,8 +98,8 @@ class TestLossGradient:
                 weighted_loss(LinearRankingModel(w, b), ps, weights) for b in (-1e6, 0.0, 42.0)
             }
             assert len(losses) == 1
-            arr = ps.arrays
-            assert batch_gradient(w, arr.feat_diff, arr.label, weights).shape == (4,)
+            x = pair_feature_diff(ps)
+            assert batch_gradient(w, x, ps.arrays.label, weights).shape == (4,)
 
     def test_matches_central_differences(self, rng):
         # Independent oracle: numerically differentiate the loss of a
@@ -103,8 +110,7 @@ class TestLossGradient:
             ps = pair_subset(pairs, [rng.integers(0, 2)])
             weight = rng.uniform(0.1, 3.0, size=1)
             w = rng.normal(size=d)
-            arr = ps.arrays
-            analytic = batch_gradient(w, arr.feat_diff, arr.label, weight)
+            analytic = batch_gradient(w, pair_feature_diff(ps), ps.arrays.label, weight)
             numeric = numeric_gradient(ps, weight, w)
             denom = max(np.linalg.norm(analytic), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-6
@@ -186,7 +192,7 @@ class TestTrainWeighted:
         cfg = TrainConfig(learning_rate=0.1, epochs=500, batch_size=8, seed=0)
         model = train_weighted(ps, np.full(len(ps), 0.5), cfg)
         # The first pair is the label-1 orientation.
-        assert stable_sigmoid(ps.arrays.feat_diff[0] @ model.w) > 0.99
+        assert stable_sigmoid(pair_feature_diff(ps)[0] @ model.w) > 0.99
 
     def test_uniform_weight_scale_first_step(self, rng):
         # One full-batch step: any positive constant weight gives the same
@@ -243,9 +249,8 @@ class TestTrainWeighted:
         cfg = TrainConfig(epochs=1, batch_size=10_000, seed=5)
         trained = train_weighted(ps, weights, cfg)
 
-        arr = ps.arrays
         w0 = np.zeros(ds.d)
-        grad = batch_gradient(w0, arr.feat_diff, arr.label, weights)
+        grad = batch_gradient(w0, pair_feature_diff(ps), ps.arrays.label, weights)
         np.testing.assert_allclose(grad, numeric_gradient(ps, weights, w0), rtol=1e-6)
         # The shuffled batch order does not change a full-batch mean.
         _, w = adam_update(AdamState.zeros(ds.d), w0, grad, cfg)
@@ -286,6 +291,21 @@ class TestTrainWeighted:
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size)
         train_weighted(ps, np.full(len(ps), 0.5), cfg)
         assert len(calls) == epochs * math.ceil(len(ps) / batch_size)
+
+    def test_peak_memory_below_a_quarter_of_pair_feature_rows(self, rng):
+        # Training gathers x_i - x_j a chunk of minibatches at a time, so its
+        # peak stays far below the (n_pairs, d) float64 block it never builds.
+        ds = random_dataset(rng, n_queries=60, items_per_query=90, d=8)
+        ps = make_pairs(ds)
+        assert len(ps) >= 200_000
+        weights = np.ones(len(ps))
+        tracemalloc.start()
+        try:
+            train_weighted(ps, weights, TrainConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(ps) * ds.d * 8 / 4
 
     def test_empty_pairset_rejected(self):
         ds = build_dataset([("q", [1, 1], [0, 0], [[0.0], [1.0]])], d=1, K=1)
