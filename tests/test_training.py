@@ -295,6 +295,8 @@ class TestTrainWeighted:
     def test_peak_memory_below_a_quarter_of_pair_feature_rows(self, rng):
         # Training gathers x_i - x_j a chunk of minibatches at a time, so its
         # peak stays far below the (n_pairs, d) float64 block it never builds.
+        # The epoch's int64 permutation alone takes 8 bytes a pair, 2d bytes
+        # a pair is the bound, so d must exceed 4.
         ds = random_dataset(rng, n_queries=60, items_per_query=90, d=8)
         ps = make_pairs(ds)
         assert len(ps) >= 200_000
