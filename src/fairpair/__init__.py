@@ -30,9 +30,7 @@ from .model import LinearRankingModel, load_model, save_model
 from .reweight import (
     Coefficients,
     DeltaMatrix,
-    EnumeratedInstance,
     FairTrainConfig,
-    bias_correction_identity,
     expected_bias,
     fair_train,
     pair_weights,

@@ -46,11 +46,11 @@ class ConstraintKind(Enum):
 
 @dataclass(eq=False)
 class GroupStats:
-    """Empirical group statistics of a pair set and its source items.
+    """Empirical group statistics of a pair set's ordered pairs and its source items.
 
-    pair_frac[k, l]      fraction of pairs whose items fall in (G_k, G_l)
-    pos_pair_frac[k, l]  fraction of pairs in (G_k, G_l) with pair label 1
-    pos_frac             fraction of all pairs with pair label 1
+    pair_frac[k, l]      fraction of ordered pairs whose items fall in (G_k, G_l)
+    pos_pair_frac[k, l]  fraction of ordered pairs in (G_k, G_l) with pair label 1
+    pos_frac             fraction of all ordered pairs with pair label 1
     item_frac[k]         fraction of source items in G_k
     pos_item_frac[k]     fraction of source items in G_k with label 1
     """
@@ -78,13 +78,17 @@ def _item_stats(ds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_group_stats(ps: PairSet) -> GroupStats:
-    """Count group-pair membership and positive-label proportions over all pairs."""
+    """Count group-pair membership and positive-label proportions over all ordered pairs.
+
+    Each pair is the label-1 pair (i, j) of its cell and the label-0 pair
+    (j, i) of the transposed one, so the label-0 counts are the transpose of
+    the label-1 counts, out of 2 * len(ps) ordered pairs.
+    """
     if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
-    K, n = ps.source.K, len(ps)
-    counts = np.bincount(ps.arrays.cell, minlength=2 * K * K).reshape(K, K, 2)
-    pos = counts[..., 1]
-    return GroupStats(counts.sum(axis=2) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
+    K, n = ps.source.K, 2 * len(ps)
+    pos = np.bincount(ps.arrays.cell, minlength=2 * K * K)[1::2].reshape(K, K)
+    return GroupStats((pos + pos.T) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
 
 
 def compute_point_stats(ds) -> GroupStats:

@@ -115,6 +115,12 @@ def pair_cell(group_i, group_j, label, K: int):
     return np.ravel_multi_index((group_i, group_j, label), (K, K, 2))
 
 
+def mirror_cells(K: int) -> np.ndarray:
+    """The pair_cell of each cell's mirror: (k, l, label) -> (l, k, 1 - label)."""
+    group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)
+    return pair_cell(group_j, group_i, 1 - label, K)
+
+
 def item_cell(group, label, K: int):
     """Index of an item's (group, label) in the row-major (K, 2) grid."""
     return np.ravel_multi_index((group, label), (K, 2))
@@ -127,21 +133,19 @@ class PairArrays:
     No pair feature rows are kept: the trainer gathers x_i - x_j a chunk at a time.
     """
 
-    cell: np.ndarray  # pair_cell of each pair: its groups and label
-
-    @property
-    def label(self) -> np.ndarray:
-        """1 when item i is the positive one: the low bit of ``cell``."""
-        return self.cell & 1
+    cell: np.ndarray  # pair_cell of each pair (i, j, 1): its groups, item i first
 
 
 @dataclass(eq=False)
 class PairSet:
-    """All ordered discordant pairs of a dataset, in deterministic order.
+    """Every discordant within-query pair once, positive item first, in
+    deterministic order.
 
-    A pair is its two items: their int32 rows in the dataset's columns.
-    ``arrays`` adds each pair's group cell, which also holds its label:
-    9 bytes a pair up to K=11, with the two row columns.
+    A pair is its two items: their int32 rows in the dataset's columns.  It
+    stands for both ordered pairs of the pairwise objective: (i, j) at pair
+    label 1 and its mirror (j, i) at label 0, whose loss terms are the same.
+    ``arrays`` adds each pair's group cell: 9 bytes a pair up to K=11, with
+    the two row columns.
     """
 
     row_i: np.ndarray
@@ -155,10 +159,10 @@ class PairSet:
     def arrays(self) -> PairArrays:
         ds = self.source
         # pair_cell is linear, so it splits into a part of item i (group and
-        # label, which is the pair label) and a part of item j (group).  Stored
-        # in the narrowest dtype that holds 2K² ids (1 byte up to K=11).
+        # the pair label 1) and a part of item j (group).  Stored in the
+        # narrowest dtype that holds 2K² ids (1 byte up to K=11).
         cell_dtype = np.min_scalar_type(2 * ds.K**2 - 1)
-        part_i = pair_cell(ds.groups, 0, ds.labels, ds.K).astype(cell_dtype)
+        part_i = pair_cell(ds.groups, 0, 1, ds.K).astype(cell_dtype)
         part_j = pair_cell(0, ds.groups, 0, ds.K).astype(cell_dtype)
         cell = part_i[self.row_i]
         cell += part_j[self.row_j]
@@ -411,20 +415,20 @@ def split_queries(
 
 
 def make_pairs(ds: Dataset) -> PairSet:
-    """Emit every ordered within-query pair whose item labels differ.
+    """Emit every within-query pair (i, j) with label[i] > label[j].
 
-    Both orientations are produced, so each discordant unordered pair
-    contributes one pair with label 1 and one with label 0.  Output order
-    is query order, then i, then j.  The row columns are int32; a dataset
-    with more items than int32 can address is a ValidationError.
+    Each discordant pair comes once, positive item first; its mirror (j, i)
+    at pair label 0 is implied (see PairSet).  Output order is query order,
+    then i, then j.  The row columns are int32; a dataset with more items
+    than int32 can address is a ValidationError.
     """
     if ds.n_items > np.iinfo(np.int32).max:
         raise ValidationError(f"{ds.n_items} items is more than int32 pair indices can address")
     parts = [(np.zeros(0, dtype=np.int32),) * 2]
     for start, q in zip(ds.offsets[:-1].tolist(), ds.queries):
         lab = q.labels
-        # nonzero walks row-major (i, then j); the diagonal never differs.
-        i, j = np.nonzero(lab[:, None] != lab[None, :])
+        # nonzero walks row-major (i, then j).
+        i, j = np.nonzero(lab[:, None] > lab[None, :])
         parts.append(((i + start).astype(np.int32), (j + start).astype(np.int32)))
     row_i, row_j = (np.concatenate(col) for col in zip(*parts))
     return PairSet(row_i, row_j, ds)

@@ -28,7 +28,7 @@ from .constraints import (
     point_constraint_mask,
     point_constraint_table,
 )
-from .data import Dataset, PairSet, item_cell, make_pairs
+from .data import Dataset, PairSet, item_cell, make_pairs, mirror_cells
 from .errors import ValidationError
 from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
 from .training import TrainConfig, require_types, train_pointwise, train_weighted
@@ -93,12 +93,13 @@ class IterationRecord:
 def expected_bias(
     model: LinearRankingModel, ps: PairSet, stats: GroupStats, kind: ConstraintKind
 ) -> DeltaMatrix:
-    """Mean predicted-order-probability-weighted constraint per group pair.
+    """Mean predicted-order-probability-weighted constraint per group pair,
+    over the ordered pairs.
 
-    Scores every item once; a pair's predicted order probability is the
-    sigmoid of its two items' score difference, so no pair features are
-    built.  Only the label-1 term contributes because constraints vanish at
-    label 0.  Entries whose constraint is undefined are masked and read 0.
+    Scores every item once; an ordered pair's predicted order probability
+    is the sigmoid of its two items' score difference, so no pair features
+    are built.  Only the label-1 term contributes because constraints vanish
+    at label 0.  Entries whose constraint is undefined are masked and read 0.
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
@@ -108,11 +109,16 @@ def expected_bias(
     s = ps.source.features @ model.w
     z = s[ps.row_i]
     z -= s[ps.row_j]
-    l_hat = clamp_prob(stable_sigmoid(z))
-    # Constraint values depend only on a pair's cell: sum l_hat per cell first.
+    # Constraint values depend only on an ordered pair's cell: sum l_hat per
+    # cell first.  A pair is (i, j) in its cell, predicted sigmoid(z), and
+    # (j, i) in the mirror cell, predicted sigmoid(-z).
     table = pair_constraint_table(kind, stats)
-    cell_sums = np.bincount(ps.arrays.cell, weights=l_hat, minlength=table.shape[-1])
-    return DeltaMatrix(table @ cell_sums / len(ps), pair_constraint_mask(kind, stats))
+    cell, size = ps.arrays.cell, table.shape[-1]
+    cell_sums = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=size)
+    np.negative(z, out=z)
+    mirror_sums = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=size)
+    cell_sums += mirror_sums[mirror_cells(stats.K)]
+    return DeltaMatrix(table @ cell_sums / (2 * len(ps)), pair_constraint_mask(kind, stats))
 
 
 def _exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -145,15 +151,14 @@ def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str
     return _own_label_weights(s)
 
 
-def _weights_at_cells(weights: np.ndarray, cells: np.ndarray, what: str, coords: dict):
-    """``weights[cells]``; a cell holding rows whose weight is not > 0 is a
+def _check_cell_weights(weights: np.ndarray, held: np.ndarray, what: str, coords: dict):
+    """A cell holding rows (``held`` > 0) whose weight is not > 0 is a
     ValidationError naming the cell by ``coords``, its axes' names and sizes."""
-    bad = (np.bincount(cells, minlength=weights.size) > 0) & ~(weights > 0)
+    bad = (held > 0) & ~(weights > 0)
     if bad.any():
         at = np.unravel_index(np.flatnonzero(bad)[0], tuple(coords.values()))
         cell = ", ".join(f"{name}={int(v)}" for name, v in zip(coords, at))
         raise ValidationError(f"{what} weight of cell ({cell}) is {float(weights[bad][0])!r}")
-    return weights[cells]
 
 
 def pair_weights(
@@ -162,14 +167,20 @@ def pair_weights(
     ps: PairSet,
     weight_form: str = "general",
 ) -> np.ndarray:
-    """Weight of every pair at its observed label, aligned with ps order.
+    """Weight of every pair, aligned with ps order.
 
-    A cell holding pairs whose weight under- or overflows to 0 (or NaN) is
-    a ValidationError naming the cell.
+    A pair weighs the mean of its two ordered pairs' weights, (i, j) at
+    label 1 and (j, i) at label 0, whose loss terms are the same, so its
+    mean weighted loss is that of the ordered pairs.  An ordered cell
+    holding pairs whose weight under- or overflows to 0 (or NaN) is a
+    ValidationError naming the cell.
     """
     weights = _pair_cell_weights(coeffs, stats, weight_form)
+    mirror, cell = mirror_cells(stats.K), ps.arrays.cell
+    held = np.bincount(cell, minlength=weights.size)
     coords = {"k": stats.K, "l": stats.K, "label": 2}
-    return _weights_at_cells(weights, ps.arrays.cell, "pair", coords)
+    _check_cell_weights(weights, held + held[mirror], "pair", coords)
+    return ((weights + weights[mirror]) / 2)[cell]
 
 
 def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) -> Coefficients:
@@ -265,8 +276,10 @@ def point_weights(
     """Per-item weight at the observed label, normalized over both labels;
     a cell holding items whose weight is not > 0 is a ValidationError."""
     s = _exponents(coeffs, point_constraint_mask(kind, stats), point_constraint_table(kind, stats))
-    cells = item_cell(ds.groups, ds.labels, ds.K)
-    return _weights_at_cells(_own_label_weights(s), cells, "item", {"k": ds.K, "label": 2})
+    weights, cells = _own_label_weights(s), item_cell(ds.groups, ds.labels, ds.K)
+    held = np.bincount(cells, minlength=weights.size)
+    _check_cell_weights(weights, held, "item", {"k": ds.K, "label": 2})
+    return weights[cells]
 
 
 def pointwise_reweight_train(
@@ -304,73 +317,6 @@ def pointwise_reweight_train(
         init = model if cfg.warm_start else None
         model = train_pointwise(train, weights, cfg.inner, init=init)
     return model
-
-
-@dataclass(eq=False)
-class EnumeratedInstance:
-    """A finite universe of feature pairs for exact objective checks.
-
-    mass[x] is the sampling probability of pair x, true_pos[x] the true
-    order probability, constraint_pos[x, k, l] the constraint value at
-    label 1 (label 0 values default to zero), and predicted_pos[x] the
-    model's order probability at some arbitrary fixed model.
-    """
-
-    mass: np.ndarray  # (n,)
-    true_pos: np.ndarray  # (n,)
-    constraint_pos: np.ndarray  # (n, K, K)
-    predicted_pos: np.ndarray  # (n,)
-    constraint_neg: np.ndarray | None = None
-
-
-def _instance_losses(inst: EnumeratedInstance, loss: str) -> tuple[np.ndarray, np.ndarray]:
-    p = clamp_prob(inst.predicted_pos)
-    if loss == "cross_entropy":
-        return -np.log1p(-p), -np.log(p)
-    if loss == "squared":
-        return p**2, (p - 1.0) ** 2
-    raise ValidationError(f"unknown loss {loss!r}")
-
-
-def bias_correction_identity(
-    inst: EnumeratedInstance, coeffs: Coefficients, loss: str = "cross_entropy"
-) -> tuple[float, float]:
-    """Evaluate both sides of the reweighting equivalence by enumeration.
-
-    The biased label distribution is constructed so that the true labels
-    are its coefficient-tilted exponential family member; the left side is
-    the weighted objective under biased labels, the right side the scaled
-    objective under true labels on the correspondingly tilted feature
-    distribution.  The two agree identically for any loss.
-    """
-    lam = coeffs.values
-    s1 = np.einsum("nkl,kl->n", inst.constraint_pos, lam)
-    if inst.constraint_neg is not None:
-        s0 = np.einsum("nkl,kl->n", inst.constraint_neg, lam)
-    else:
-        s0 = np.zeros_like(s1)
-    e1 = np.exp(s1)
-    e0 = np.exp(s0)
-    w1 = e1 / (e0 + e1)
-    w0 = e0 / (e0 + e1)
-
-    # Invert the tilt: biased label odds are the true odds divided by exp(s).
-    b1 = inst.true_pos / e1
-    b0 = (1.0 - inst.true_pos) / e0
-    norm = b1 + b0
-    b1 /= norm
-    b0 /= norm
-
-    phi = w1 * b1 + w0 * b0
-    scale = float(np.sum(inst.mass * phi))
-    tilted_mass = inst.mass * phi / scale
-
-    loss0, loss1 = _instance_losses(inst, loss)
-    lhs = float(np.sum(inst.mass * (b1 * w1 * loss1 + b0 * w0 * loss0)))
-    rhs = scale * float(
-        np.sum(tilted_mass * (inst.true_pos * loss1 + (1.0 - inst.true_pos) * loss0))
-    )
-    return lhs, rhs
 
 
 def write_history_csv(history: list[IterationRecord], K: int, path) -> None:

@@ -1,11 +1,13 @@
 """Weighted pairwise (and pointwise) training with a from-scratch Adam.
 
 The pairwise objective is the mean over pairs of
-``weight * cross_entropy(predicted order probability, pair label)``;
-the pointwise variant applies the same loss to item labels and steps
-[w..., b].  The bias has zero gradient in the pairwise case because it
-cancels in every score difference, so the pairwise trainer steps w alone
-and returns the initial bias.
+``weight * -log(predicted order probability)``: every pair of a PairSet
+has its positive item first, so its pair label is 1, and its weight
+stands for its mirror too (see reweight.pair_weights).  The pointwise
+variant applies the cross-entropy to item labels and steps [w..., b].
+The bias has zero gradient in the pairwise case because it cancels in
+every score difference, so the pairwise trainer steps w alone and
+returns the initial bias.
 """
 
 from __future__ import annotations
@@ -115,25 +117,21 @@ def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -
     diff = ps.source.features.take(ps.row_i, axis=0)
     diff -= ps.source.features.take(ps.row_j, axis=0)
     p = clamp_prob(stable_sigmoid(diff @ model.w))
-    lab = ps.arrays.label
-    terms = weights * -(lab * np.log(p) + (1 - lab) * np.log1p(-p))
-    return float(terms.mean())
+    return float((weights * -np.log(p)).mean())
 
 
-def batch_gradient(
-    w: np.ndarray, x: np.ndarray, label: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient in w of the mean weighted pair loss over one minibatch.
 
-    ``x`` holds the batch's feature differences and ``label`` and
-    ``weights`` its pair labels and weights.  The bias has no entry: it
-    cancels in every score difference, so its gradient is zero.
+    ``x`` holds the batch's feature differences and ``weights`` its pair
+    weights; every pair label is 1.  The bias has no entry: it cancels in
+    every score difference, so its gradient is zero.
     """
     resid = stable_sigmoid(x @ w)
     np.clip(resid, PROB_EPS, 1.0 - PROB_EPS, out=resid)
-    resid -= label
+    resid -= 1.0
     resid *= weights
-    return resid @ x / label.size
+    return resid @ x / weights.size
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -154,10 +152,10 @@ def train_weighted(
     """Minimize the weighted pairwise loss with minibatch Adam.
 
     Pairs are reshuffled every epoch from a generator seeded by cfg.seed,
-    so the result is deterministic for fixed inputs.  Each minibatch steps
-    on its view of a chunk of gathered rows x_i - x_j (see GATHER_BYTES).
-    The bias is returned as given in ``init``.  epochs=0 returns the
-    initial model unchanged.
+    so the result is deterministic for fixed inputs; ``cfg.batch_size``
+    counts pairs of ``ps``.  Each minibatch steps on its view of a chunk of
+    gathered rows x_i - x_j (see GATHER_BYTES).  The bias is returned as
+    given in ``init``.  epochs=0 returns the initial model unchanged.
     """
     if not len(ps):
         raise ValidationError("cannot train on an empty pair set")
@@ -168,7 +166,7 @@ def train_weighted(
         init = LinearRankingModel.zeros(d)
     check_dimension(init, d)
 
-    X, row_i, row_j, lab = ps.source.features, ps.row_i, ps.row_j, ps.arrays.label
+    X, row_i, row_j = ps.source.features, ps.row_i, ps.row_j
     bs = cfg.batch_size
     chunk = bs * max(1, GATHER_BYTES // (8 * d * bs))
     # A zero gradient leaves Adam's step 0, so stepping the bias would
@@ -178,15 +176,17 @@ def train_weighted(
     rng = np.random.default_rng(cfg.seed)
 
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        # The permutation rng.permutation(n) gives, in half its int64 memory.
+        order = np.arange(n, dtype=np.int32)
+        rng.shuffle(order)
         for lo in range(0, n, chunk):
             idx = order[lo : lo + chunk]
             xs = X.take(row_i.take(idx), axis=0)
             xs -= X.take(row_j.take(idx), axis=0)
-            ls, ws = lab.take(idx), weights.take(idx)
+            ws = weights.take(idx)
             for start in range(0, idx.size, bs):
                 batch = slice(start, start + bs)
-                grad = batch_gradient(w, xs[batch], ls[batch], ws[batch])
+                grad = batch_gradient(w, xs[batch], ws[batch])
                 state, w = adam_update(state, w, grad, cfg)
 
     return LinearRankingModel(w, float(init.b))

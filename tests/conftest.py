@@ -63,6 +63,7 @@ def numeric_gradient(ps, weights, w, h=1e-6):
 
 
 def all_cells_pairs():
-    """A K=2 pair set with a pair in each of the 8 (group_i, group_j, label) cells."""
+    """A K=2 pair set with a pair in each of the 4 label-1 cells, so its
+    ordered pairs fill all 8 (group_i, group_j, label) cells."""
     ds = build_dataset([("q", [1, 0, 0, 1], [0, 1, 0, 1], [[0.0]] * 4)], d=1, K=2)
     return make_pairs(ds)

@@ -21,6 +21,7 @@ from conftest import (
     pair_subset,
     random_dataset,
 )
+from enumeration import EnumeratedInstance, bias_correction_identity
 from fairpair.cli import main
 from fairpair.constraints import (
     ConstraintKind,
@@ -36,14 +37,13 @@ from fairpair.model import LinearRankingModel
 from fairpair.reweight import (
     Coefficients,
     DeltaMatrix,
-    EnumeratedInstance,
     FairTrainConfig,
-    bias_correction_identity,
     fair_train,
     pair_weights,
     update_coefficients,
 )
 from fairpair.training import TrainConfig, batch_gradient, train_weighted
+from ordered_pairs import fold, ordered_pairs, ordered_weights
 
 STAT = ConstraintKind.PAIR_STATISTICAL
 
@@ -139,12 +139,15 @@ def test_criterion_1_bias_correction_identity(rng):
 
 
 def test_criterion_2_weight_closed_form(rng):
-    # 10^4 random (coefficients, pair) draws through pair_weights: a label-1
-    # pair weighs sigmoid(s) and a label-0 pair 1 - sigmoid(s), where s is
-    # the coefficient-weighted constraint sum of its cell, so the two label
-    # weights of a group pair sum to 1.
+    # 10^4 random (coefficients, ordered pair) draws: a label-1 pair weighs
+    # sigmoid(s) and a label-0 pair 1 - sigmoid(s), where s is the
+    # coefficient-weighted constraint sum of its cell, so the two label
+    # weights of a group pair sum to 1.  The ordered pairs are the pair set's
+    # pairs in both orientations, and pair_weights weighs each pair the mean
+    # of its two ordered pairs' weights.
     worst_sum = 0.0
     worst_sig = 0.0
+    mean_ok = True
     checked = 0
     while checked < 10_000:
         K = int(rng.integers(2, 5))
@@ -154,11 +157,14 @@ def test_criterion_2_weight_closed_form(rng):
             continue
         stats = compute_group_stats(ps)
         mask = pair_constraint_mask(STAT, stats)
-        groups_i, groups_j, labels = np.unravel_index(ps.arrays.cell, (K, K, 2))
+        ordered = ordered_pairs(ps)
+        groups_i, groups_j, labels = np.unravel_index(ordered.cell, (K, K, 2))
         for _ in range(100):
             lam = rng.normal(scale=2.0, size=(K, K)) * mask
-            weights = pair_weights(Coefficients(lam, STAT), stats, ps)
-            t = int(rng.integers(len(ps)))
+            coeffs = Coefficients(lam, STAT)
+            weights = ordered_weights(coeffs, stats, ordered)
+            mean_ok &= np.array_equal(pair_weights(coeffs, stats, ps), fold(weights, ordered))
+            t = int(rng.integers(len(ordered)))
             gi, gj, label = groups_i[t], groups_j[t], labels[t]
             s = sum(
                 lam[k, l]
@@ -175,8 +181,9 @@ def test_criterion_2_weight_closed_form(rng):
             checked += 1
     _report(
         "criterion 2: closed-form weight normalization and sigmoid identity",
-        worst_sum < 1e-12 and worst_sig < 1e-12,
-        f"worst sum dev={worst_sum:.2e}, worst sigmoid dev={worst_sig:.2e}",
+        worst_sum < 1e-12 and worst_sig < 1e-12 and mean_ok,
+        f"worst sum dev={worst_sum:.2e}, worst sigmoid dev={worst_sig:.2e}, "
+        f"pair weight is the ordered mean={mean_ok}",
     )
 
 
@@ -191,9 +198,8 @@ def test_criterion_3_gradient_check(rng):
         weights = rng.uniform(0.1, 3.0, size=len(ps))
         w = rng.normal(size=d)
         # Gathered as train_weighted gathers a minibatch.
-        arr = ps.arrays
         x = np.take(pair_feature_diff(ps), idx, axis=0)
-        analytic = batch_gradient(w, x, arr.label.take(idx), weights.take(idx))
+        analytic = batch_gradient(w, x, weights.take(idx))
         numeric = numeric_gradient(pair_subset(ps, idx), weights[idx], w)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, rel)
@@ -244,7 +250,7 @@ def test_criterion_4_auc_oracle(rng):
 def test_criterion_5_constraint_identities(rng):
     # Read from the constraint tables: the label-proxied families are zero
     # on label-0 cells, the statistical constraint has mean zero over its own
-    # pairs, and the positive-pair proportions are consistent.
+    # ordered pairs, and the positive-pair proportions are consistent.
     zero_ok = True
     for _ in range(20):
         ds = random_dataset(rng, n_queries=4, items_per_query=6, K=3)
@@ -263,7 +269,7 @@ def test_criterion_5_constraint_identities(rng):
     ps = make_pairs(ds)
     stats = compute_group_stats(ps)
     mask = pair_constraint_mask(STAT, stats)
-    means = pair_constraint_table(STAT, stats)[:, :, ps.arrays.cell].mean(axis=-1)
+    means = pair_constraint_table(STAT, stats)[:, :, ordered_pairs(ps).cell].mean(axis=-1)
     worst_mean = float(np.max(np.abs(means[mask])))
     stats_dev = abs(stats.pos_pair_frac.sum() - stats.pos_frac)
     _report(

@@ -3,8 +3,9 @@
 Every pairwise constraint value depends only on a pair's cell (group_i,
 group_j, label), and every pointwise value only on an item's (group,
 label) cell.  The reference functions below are copies of the per-pair and
-per-item loops that the tables replaced; the table code must reproduce
-their weights bit for bit and their violations to 1e-12.
+per-item loops that the tables replaced, run on the ordered pairs (both
+orientations of each pair, see ordered_pairs.py); the table code must
+reproduce their weights bit for bit and their violations to 1e-12.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_cells_pairs, build_dataset, pair_feature_diff, random_dataset
+from conftest import all_cells_pairs, build_dataset, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
     _pair_constraint_at_one,
@@ -37,23 +38,23 @@ from fairpair.reweight import (
     pointwise_reweight_train,
 )
 from fairpair.training import TrainConfig
+from ordered_pairs import fold, ordered_feature_diff, ordered_pairs
 
 PAIR_KINDS = [k for k in ConstraintKind if k.is_pairwise]
 POINT_KINDS = [k for k in ConstraintKind if k.is_pointwise]
 
 
-def pair_groups(ps):
-    """Item groups of every pair, unpacked from its cell."""
-    K = ps.source.K
-    group_i, group_j, _ = np.unravel_index(ps.arrays.cell, (K, K, 2))
+def pair_groups(op):
+    """Item groups of every ordered pair, unpacked from its cell."""
+    K = op.source.K
+    group_i, group_j, _ = np.unravel_index(op.cell, (K, K, 2))
     return group_i, group_j
 
 
-def loop_expected_bias(model, ps, stats, kind):
-    arr = ps.arrays
-    group_i, group_j = pair_groups(ps)
-    l_hat = clamp_prob(stable_sigmoid(pair_feature_diff(ps) @ model.w))
-    proxy = arr.label.astype(np.float64)
+def loop_expected_bias(model, op, stats, kind):
+    group_i, group_j = pair_groups(op)
+    l_hat = clamp_prob(stable_sigmoid(ordered_feature_diff(op) @ model.w))
+    proxy = op.label.astype(np.float64)
     mask = pair_constraint_mask(kind, stats)
     values = np.zeros((stats.K, stats.K))
     for k in range(stats.K):
@@ -84,17 +85,17 @@ def loop_weight_exponent_general(coeffs, stats, mask, group_i, group_j, proxy):
     return s
 
 
-def loop_pair_weights(coeffs, stats, ps, weight_form):
-    arr = ps.arrays
-    group_i, group_j = pair_groups(ps)
+def loop_pair_weights(coeffs, stats, op, weight_form):
+    """Each ordered pair's weight at its own label."""
+    group_i, group_j = pair_groups(op)
     mask = pair_constraint_mask(coeffs.kind, stats)
     if weight_form == "general":
-        proxy = arr.label.astype(np.float64)
+        proxy = op.label.astype(np.float64)
         s = loop_weight_exponent_general(coeffs, stats, mask, group_i, group_j, proxy)
     else:
         s = np.where(mask, coeffs.values, 0.0)[group_i, group_j]
     w0, w1 = loop_normalized_pair(s)
-    return np.where(arr.label == 1, w1, w0)
+    return np.where(op.label == 1, w1, w0)
 
 
 def loop_point_constraint_at_one(kind, stats, k, groups, labels):
@@ -155,7 +156,9 @@ class TestPairTablesMatchLoops:
         return ds, ps, compute_group_stats(ps)
 
     def test_pair_weights_bit_identical(self, rng, kind, K):
+        # A pair weighs the mean of its two ordered pairs' loop weights.
         ds, ps, stats = self.setup_data(rng, K)
+        op = ordered_pairs(ps)
         undefined = ~pair_constraint_mask(kind, stats)
         for trial in range(5):
             values = random_coefficients(rng, K, scale=0.1)
@@ -165,14 +168,14 @@ class TestPairTablesMatchLoops:
             coeffs = Coefficients(values, kind)
             for form in ("general", "indicator"):
                 got = pair_weights(coeffs, stats, ps, form)
-                assert_same_bits(got, loop_pair_weights(coeffs, stats, ps, form))
+                assert_same_bits(got, fold(loop_pair_weights(coeffs, stats, op, form), op))
 
     def test_expected_bias_matches(self, rng, kind, K):
         ds, ps, stats = self.setup_data(rng, K)
         for _ in range(5):
             model = LinearRankingModel(rng.normal(scale=2.0, size=ds.d), 0.0)
             delta = expected_bias(model, ps, stats, kind)
-            values, mask = loop_expected_bias(model, ps, stats, kind)
+            values, mask = loop_expected_bias(model, ordered_pairs(ps), stats, kind)
             np.testing.assert_array_equal(delta.defined, mask)
             np.testing.assert_allclose(delta.values, values, rtol=0, atol=1e-12)
             assert np.all(delta.values[~mask] == 0.0)
@@ -221,14 +224,16 @@ class TestPointTablesMatchLoops:
 def test_label_weights_of_a_cell_sum_to_one(seed, K, kind):
     # The label-1 and label-0 weights at one exponent s, exp(s) and exp(0)
     # normalized, sum to one: a label-1 pair weighs sigmoid(s) of its own
-    # cell and a label-0 pair 1 - sigmoid(s).
+    # cell and a label-0 pair 1 - sigmoid(s).  A pair weighs the mean of its
+    # label-1 orientation's weight and its label-0 mirror's.
     rng = np.random.default_rng(seed)
     ps = make_pairs(random_dataset(rng, n_queries=3, items_per_query=6, K=K))
     stats = compute_group_stats(ps)
     coeffs = Coefficients(random_coefficients(rng, K, scale=5.0), kind)
     mask = pair_constraint_mask(kind, stats)
     s = _exponents(coeffs.values, mask, pair_constraint_table(kind, stats))
-    cell = ps.arrays.cell
+    op = ordered_pairs(ps)
+    cell = op.cell
     try:
         weights = pair_weights(coeffs, stats, ps)
     except ValidationError:
@@ -236,7 +241,8 @@ def test_label_weights_of_a_cell_sum_to_one(seed, K, kind):
         assert np.abs(s[cell]).max() > 700
         return
     sig = stable_sigmoid(s[cell])
-    assert np.all(np.abs(np.where(cell % 2 == 1, weights, 1.0 - weights) - sig) <= 1e-15)
+    own = np.where(cell % 2 == 1, sig, 1.0 - sig)
+    assert np.all(np.abs(weights - fold(own, op)) <= 1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,12 +251,12 @@ def test_group_stats_equal_group_pair_bincount(seed, K):
     rng = np.random.default_rng(seed)
     ps = make_pairs(random_dataset(rng, n_queries=3, items_per_query=7, K=K))
     stats = compute_group_stats(ps)
-    arr = ps.arrays
-    group_i, group_j = pair_groups(ps)
+    op = ordered_pairs(ps)
+    group_i, group_j = pair_groups(op)
     cell = group_i * K + group_j
-    pair_frac = (np.bincount(cell, minlength=K * K) / len(ps)).reshape(K, K)
+    pair_frac = (np.bincount(cell, minlength=K * K) / len(op)).reshape(K, K)
     pos_pair_frac = (
-        np.bincount(cell, weights=arr.label.astype(float), minlength=K * K) / len(ps)
+        np.bincount(cell, weights=op.label.astype(float), minlength=K * K) / len(op)
     ).reshape(K, K)
     assert_same_bits(stats.pair_frac, pair_frac)
     assert_same_bits(stats.pos_pair_frac, pos_pair_frac)
@@ -269,7 +275,7 @@ class TestWeightUnderflow:
             fair_train(train, valid, ConstraintKind.PAIR_INTER_GROUP, cfg)
         message = str(info.value)
         assert "outer iteration 1 with eta_lambda=10000.0" in message
-        assert "pair weight of cell (k=0, l=1, label=1) is 0.0" in message
+        assert "pair weight of cell (k=0, l=0, label=1) is 0.0" in message
 
     def test_pointwise_large_eta_lambda_names_cell_iteration_and_step(self):
         train, valid, _ = self.splits()
@@ -282,14 +288,28 @@ class TestWeightUnderflow:
 
     def test_only_cells_holding_pairs_are_checked(self):
         # Group 0 items are all positive and group 1 items all negative, so
-        # only cells (0, 1, 1) and (1, 0, 0) hold pairs.
+        # only cells (0, 1, 1) and (1, 0, 0) hold ordered pairs.
         ds = build_dataset([("q", [1, 1, 0, 0], [0, 0, 1, 1], [[0.0]] * 4)], d=1, K=2)
         ps = make_pairs(ds)
         stats = compute_group_stats(ps)
         values = np.asarray([[0.0, 1e4], [0.0, 0.0]])
         coeffs = Coefficients(values, ConstraintKind.PAIR_STATISTICAL)
         np.testing.assert_array_equal(pair_weights(coeffs, stats, ps), np.ones(len(ps)))
-        # The same weights on pairs of every cell: cells such as (0, 1, 0)
-        # and (1, 0, 1) weigh 0, and the first is named.
+        # The same weights on ordered pairs of every cell: cells such as
+        # (0, 1, 0) and (1, 0, 1) weigh 0, and the first is named.
         with pytest.raises(ValidationError, match=r"cell \(k=0, l=0, label=1\) is 0\.0"):
             pair_weights(coeffs, stats, all_cells_pairs())
+
+    def test_underflow_of_a_mirror_cell_is_named(self):
+        # Pairs (0, 1, 1) and (0, 0, 1), so the ordered cells (1, 0, 0) and
+        # (0, 0, 0) hold their mirrors.  Cell (0, 1, 1) weighs sigmoid(-300)
+        # > 0 but its mirror cell (1, 0, 0) weighs sigmoid(-900) == 0.
+        ds = build_dataset(
+            [("a", [1, 0], [0, 1], [[0.0]] * 2), ("b", [1, 0], [0, 0], [[0.0]] * 2)], d=1, K=2
+        )
+        ps = make_pairs(ds)
+        stats = compute_group_stats(ps)
+        values = np.asarray([[0.0, 0.0], [300.0, 0.0]])
+        coeffs = Coefficients(values, ConstraintKind.PAIR_STATISTICAL)
+        with pytest.raises(ValidationError, match=r"cell \(k=1, l=0, label=0\) is 0\.0"):
+            pair_weights(coeffs, stats, ps)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import all_cells_pairs, build_dataset, random_dataset
+from ordered_pairs import fold, ordered_pairs
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
@@ -63,21 +64,23 @@ class TestComputeStats:
         assert stats.pair_frac[1, 1] == 0.0
 
     def test_brute_force_recount(self, rng):
-        # Independent oracle: plain dict counting over the emitted pairs.
+        # Independent oracle: plain dict counting over the ordered pairs,
+        # each emitted pair in both orientations.
         ds = random_dataset(rng, n_queries=3, items_per_query=6, d=2, K=3)
         ps = make_pairs(ds)
         stats = compute_group_stats(ps)
 
-        n = len(ps)
+        n = 2 * len(ps)
         count = {}
         pos_count = {}
         positives = 0
-        for i, j in zip(ps.row_i, ps.row_j):
-            cell = (int(ds.groups[i]), int(ds.groups[j]))
-            count[cell] = count.get(cell, 0) + 1
-            if ds.labels[i] > ds.labels[j]:
-                pos_count[cell] = pos_count.get(cell, 0) + 1
-                positives += 1
+        for a, b in zip(ps.row_i, ps.row_j):
+            for i, j in ((a, b), (b, a)):
+                cell = (int(ds.groups[i]), int(ds.groups[j]))
+                count[cell] = count.get(cell, 0) + 1
+                if ds.labels[i] > ds.labels[j]:
+                    pos_count[cell] = pos_count.get(cell, 0) + 1
+                    positives += 1
         for k in range(3):
             for l in range(3):
                 assert stats.pair_frac[k, l] == pytest.approx(
@@ -150,13 +153,16 @@ class TestPairConstraint:
             ConstraintKind.PAIR_MARGINAL: (0, 1),
         }
         ps = all_cells_pairs()
-        cell = ps.arrays.cell
+        ordered = ordered_pairs(ps)
+        cell = ordered.cell
         for kind, (k, l) in cases.items():
             values = np.zeros((2, 2))
             values[k, l] = 0.7
             weights = pair_weights(Coefficients(values, kind), stats, ps)
             s = 0.7 * pair_constraint_table(kind, stats)[k, l, cell]
-            np.testing.assert_allclose(weights, own_label_weights(s, cell % 2), rtol=1e-15)
+            # A pair weighs the mean of its two ordered pairs' weights.
+            want = fold(own_label_weights(s, cell % 2), ordered)
+            np.testing.assert_allclose(weights, want, rtol=1e-15)
 
     def test_statistical_nonmember(self):
         stats = make_stats(
@@ -220,7 +226,7 @@ class TestPairConstraint:
             stats = compute_group_stats(ps)
             mask = pair_constraint_mask(ConstraintKind.PAIR_STATISTICAL, stats)
             table = pair_constraint_table(ConstraintKind.PAIR_STATISTICAL, stats)
-            means = table[:, :, ps.arrays.cell].mean(axis=-1)
+            means = table[:, :, ordered_pairs(ps).cell].mean(axis=-1)
             assert np.all(np.abs(means[mask]) < 1e-12)
 
     def test_pairwise_kind_required(self):

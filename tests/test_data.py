@@ -308,41 +308,40 @@ class TestSplitQueries:
 
 
 def pair_keys(ps):
-    """(query index, i, j, label) of every pair, in emitted order, with i and j
-    the positions of the pair's two rows within their query."""
-    offsets = ps.source.offsets
+    """(query index, i, j) of every pair, in emitted order, with i and j the
+    positions of the pair's two rows within their query; item i must be the
+    positive one."""
+    offsets, labels = ps.source.offsets, ps.source.labels
     query = np.searchsorted(offsets, ps.row_i, side="right") - 1
     assert np.array_equal(np.searchsorted(offsets, ps.row_j, side="right") - 1, query)
+    assert np.all(labels[ps.row_i] == 1) and np.all(labels[ps.row_j] == 0)
     start = offsets[query]
-    columns = (query, ps.row_i - start, ps.row_j - start, ps.arrays.label)
+    columns = (query, ps.row_i - start, ps.row_j - start)
     return list(zip(*(c.tolist() for c in columns)))
 
 
 def nested_loop_arrays(ds):
     """Reference enumeration: one Python tuple per pair, copied row by row.
 
-    Returns the PAIR_FIELDS and ARRAY_FIELDS columns by name, and the pair
-    labels as "label" (int64)."""
+    Returns the PAIR_FIELDS and ARRAY_FIELDS columns by name."""
     pairs = []
     for qi, q in enumerate(ds.queries):
         labels = q.labels
         n = len(labels)
         for i in range(n):
             for j in range(n):
-                if i != j and labels[i] != labels[j]:
-                    pairs.append((qi, i, j, int(labels[i] > labels[j])))
+                if labels[i] > labels[j]:
+                    pairs.append((qi, i, j))
     n = len(pairs)
     row_i, row_j = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-    label = np.empty(n, dtype=np.int64)
     cell = np.empty(n, dtype=np.min_scalar_type(2 * ds.K**2 - 1))
     diff = np.empty((n, ds.d), dtype=np.float64)
-    for t, (qi, i, j, lab) in enumerate(pairs):
+    for t, (qi, i, j) in enumerate(pairs):
         q = ds.queries[qi]
         row_i[t], row_j[t] = ds.offsets[qi] + i, ds.offsets[qi] + j
-        label[t] = lab
-        cell[t] = (q.groups[i] * ds.K + q.groups[j]) * 2 + lab
+        cell[t] = (q.groups[i] * ds.K + q.groups[j]) * 2 + 1
         diff[t] = q.features[i] - q.features[j]
-    return {"row_i": row_i, "row_j": row_j, "label": label, "cell": cell, "feat_diff": diff}
+    return {"row_i": row_i, "row_j": row_j, "cell": cell, "feat_diff": diff}
 
 
 # The pair set's row columns, then its gathered arrays.
@@ -361,8 +360,8 @@ class TestMakePairs:
         ds = build_dataset(
             [("q1", [1, 0, 0], [0, 0, 0], [[0.0], [1.0], [2.0]])], d=1, K=1
         )
-        got = {(i, j, l) for _, i, j, l in pair_keys(make_pairs(ds))}
-        assert got == {(0, 1, 1), (1, 0, 0), (0, 2, 1), (2, 0, 0)}
+        got = {(i, j) for _, i, j in pair_keys(make_pairs(ds))}
+        assert got == {(0, 1), (0, 2)}
 
     def test_uniform_labels_give_no_pairs(self):
         ds = build_dataset([("q1", [1, 1], [0, 0], [[0.0], [1.0]])], d=1, K=1)
@@ -378,28 +377,29 @@ class TestMakePairs:
             K=1,
         )
         ps = make_pairs(ds)
-        assert len(ps) == 4
+        assert len(ps) == 2
         # Each pair's two rows lie in one query, and both queries give pairs.
-        assert ps.row_i.tolist() == [0, 1, 2, 3] and ps.row_j.tolist() == [1, 0, 3, 2]
+        assert ps.row_i.tolist() == [0, 2] and ps.row_j.tolist() == [1, 3]
         # Each pair's feature difference comes from items of its own query.
-        np.testing.assert_array_equal(pair_feature_diff(ps)[:, 0], [-1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(pair_feature_diff(ps)[:, 0], [-1.0, -1.0])
 
     def test_antisymmetry_and_count(self, rng):
         for _ in range(20):
             ds = random_dataset(rng, n_queries=3, items_per_query=int(rng.integers(2, 9)))
             ps = make_pairs(ds)
+            # Each discordant pair once: positive item first, no mirror.
             emitted = set(pair_keys(ps))
-            for q, i, j, l in emitted:
-                assert (q, j, i, 1 - l) in emitted
+            for q, i, j in emitted:
+                assert (q, j, i) not in emitted
             expected = 0
             for q in ds.queries:
                 pos = int(q.labels.sum())
-                expected += 2 * pos * (len(q) - pos)
-            assert len(ps) == expected
+                expected += pos * (len(q) - pos)
+            assert len(ps) == len(emitted) == expected
 
     def test_deterministic_ordering(self, rng):
         ds = random_dataset(rng, n_queries=3, items_per_query=5)
-        keys = [k[:3] for k in pair_keys(make_pairs(ds))]
+        keys = pair_keys(make_pairs(ds))
         assert keys == sorted(keys)
 
     def test_arrays_match_nested_loop_bytes(self, rng):
@@ -449,8 +449,9 @@ class TestMakePairs:
 
     @pytest.mark.parametrize("K", [1, 2, 11])
     def test_arrays_hold_nine_bytes_a_pair(self, rng, K):
-        # A pair is its two int32 rows and a one-byte cell (K <= 11); the
-        # label is the cell's low bit, not a stored column.
+        # A pair is its two int32 rows and a one-byte cell (K <= 11); its
+        # mirror and the pair label are implied, not stored: 4.5 bytes an
+        # ordered pair.
         ds = random_dataset(rng, n_queries=3, items_per_query=7, d=2, K=K)
         ps = make_pairs(ds)
         arr = ps.arrays
@@ -458,8 +459,9 @@ class TestMakePairs:
         per_pair = {id(v): v for v in held if v.ndim == 1 and v.size == len(ps)}
         assert all(v.ndim == 1 for v in held)
         assert sum(v.nbytes for v in per_pair.values()) == 9 * len(ps) > 0
-        np.testing.assert_array_equal(arr.label, arr.cell & 1)
-        np.testing.assert_array_equal(arr.label, nested_loop_arrays(ds)["label"])
+        n_ordered = sum(2 * int(q.labels.sum()) * int(len(q) - q.labels.sum()) for q in ds.queries)
+        assert 2 * len(ps) == n_ordered
+        np.testing.assert_array_equal(arr.cell & 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -474,10 +476,10 @@ class TestMakePairs:
         ]
         ps = make_pairs(build_dataset(queries, d=1, K=1))
         keys = pair_keys(ps)
-        expected = sum(2 * sum(ls) * (len(ls) - sum(ls)) for ls in label_lists)
+        expected = sum(sum(ls) * (len(ls) - sum(ls)) for ls in label_lists)
         assert len(ps) == len(keys) == expected
         emitted = set(keys)
-        assert all((q, j, i, 1 - l) in emitted for q, i, j, l in keys)
+        assert not any((q, j, i) in emitted for q, i, j in keys)
         assert keys == sorted(keys)
 
 

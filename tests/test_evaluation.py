@@ -258,13 +258,15 @@ class TestEvaluate:
             for l in range(2):
                 if not mask[k, l]:
                     continue
+                # Over the ordered pairs: each pair in both orientations.
                 acc = 0.0
-                for i, j in zip(ps.row_i, ps.row_j):
-                    z = ds.features[i][0] - ds.features[j][0]
-                    l_hat = 1.0 / (1.0 + math.exp(-z))
-                    member = ds.groups[i] == k and ds.groups[j] == l
-                    acc += l_hat * ((1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0)
-                expected_delta[k, l] = acc / len(ps)
+                for a, b in zip(ps.row_i, ps.row_j):
+                    for i, j in ((a, b), (b, a)):
+                        z = ds.features[i][0] - ds.features[j][0]
+                        l_hat = 1.0 / (1.0 + math.exp(-z))
+                        member = ds.groups[i] == k and ds.groups[j] == l
+                        acc += l_hat * ((1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0)
+                expected_delta[k, l] = acc / (2 * len(ps))
         np.testing.assert_allclose(report.delta.values, expected_delta, atol=1e-12)
 
         worst = max(

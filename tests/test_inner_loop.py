@@ -3,9 +3,9 @@ earlier forms.
 
 The earlier trainers fancy-indexed each minibatch twice, stepped the
 pairwise bias through Adam with a zero gradient, used a sigmoid that
-masked its two branches, and took each minibatch's rows from one
-(n_pairs, d) block of pair feature rows.  The current code must give the
-same bits.
+masked its two branches, took each minibatch's rows from one (n_pairs, d)
+block of pair feature rows, read each pair's label, and shuffled with
+``rng.permutation``.  The current code must give the same bits.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 
 from conftest import pair_feature_diff, pair_subset, random_dataset
 from fairpair import training
-from fairpair.data import make_pairs
+from fairpair.data import PairSet, make_pairs
 from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
 from fairpair.training import (
     AdamState,
@@ -54,9 +54,9 @@ def old_train_weighted(ps, weights, cfg, init=None):
     weights = np.asarray(weights, dtype=np.float64)
     if init is None:
         init = LinearRankingModel.zeros(ps.source.d)
-    arr = ps.arrays
     diff = pair_feature_diff(ps)
-    lab = arr.label.astype(np.float64)
+    labels = ps.source.labels
+    lab = (labels[ps.row_i] > labels[ps.row_j]).astype(np.float64)
     params = np.concatenate([init.w, [init.b]])
     state = AdamState.zeros(params.size)
     rng = np.random.default_rng(cfg.seed)
@@ -77,7 +77,7 @@ def block_train_weighted(ps, weights, cfg, init=None):
     n = len(ps)
     if init is None:
         init = LinearRankingModel.zeros(ps.source.d)
-    diff, lab = pair_feature_diff(ps), ps.arrays.label
+    diff = pair_feature_diff(ps)
     w = init.w.copy()
     state = AdamState.zeros(ps.source.d)
     rng = np.random.default_rng(cfg.seed)
@@ -86,7 +86,7 @@ def block_train_weighted(ps, weights, cfg, init=None):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x = np.take(diff, idx, axis=0)
-            grad = batch_gradient(w, x, lab.take(idx), weights.take(idx))
+            grad = batch_gradient(w, x, weights.take(idx))
             state, w = adam_update(state, w, grad, cfg)
     return LinearRankingModel(w, float(init.b))
 
@@ -181,6 +181,28 @@ def test_warm_started_outer_chain_matches(rng, pairs):
         assert_same_model(new, old)
 
 
+@pytest.mark.parametrize("n", [1, 10, 1000, 119_896])
+def test_epoch_order_is_rng_permutation(rng, monkeypatch, n):
+    # Each epoch visits the pairs in the order rng.permutation(n) gives,
+    # read back from the weights (weight t + 1 on pair t) of each step.
+    ds = random_dataset(rng, n_queries=1, items_per_query=2, d=2, K=1)
+    ps = PairSet(np.zeros(n, dtype=np.int32), np.ones(n, dtype=np.int32), ds)
+    seen = []
+    real = training.batch_gradient
+
+    def recording(w, x, weights):
+        seen.append(weights.copy())
+        return real(w, x, weights)
+
+    monkeypatch.setattr(training, "batch_gradient", recording)
+    cfg = TrainConfig(epochs=3, batch_size=4096, seed=7)
+    train_weighted(ps, np.arange(1.0, n + 1), cfg)
+    visited = np.concatenate(seen).astype(np.int64) - 1
+    expected = np.random.default_rng(cfg.seed)
+    for epoch in visited.reshape(cfg.epochs, n):
+        np.testing.assert_array_equal(epoch, expected.permutation(n))
+
+
 def chunk_budget(monkeypatch, d, batch_size, batches):
     """Set the gather budget to ``batches`` whole minibatches of feature rows."""
     monkeypatch.setattr(training, "GATHER_BYTES", 8 * d * batch_size * batches)
@@ -229,7 +251,7 @@ def test_chunk_boundaries_match_block_loop(rng, monkeypatch, extra):
 def test_chunked_gather_cases_match_block_loop(rng, monkeypatch, gather_bytes, cfg_kwargs, init):
     # The module budget holds 177 minibatches of 37 five-wide rows, so that
     # case needs more than 6549 pairs to cross a chunk.
-    ps = make_pairs(random_dataset(rng, n_queries=5, items_per_query=60, d=5, K=2))
+    ps = make_pairs(random_dataset(rng, n_queries=10, items_per_query=60, d=5, K=2))
     if gather_bytes is None:
         assert len(ps) > 37 * (training.GATHER_BYTES // (8 * 5 * 37))
     else:

@@ -50,9 +50,9 @@ class TestScore:
 def label_one_loss(model, x_pos, x_neg):
     """weighted_loss of the one pair (x_pos, x_neg) at label 1: -log P(pos outranks neg)."""
     ds = build_dataset([("q", [1, 0], [0, 0], [x_pos, x_neg])], d=len(x_pos), K=1)
-    # The pair set is the label-1 pair and its mirror; weights 2 and 0
-    # make the mean over both the loss of the first alone.
-    return weighted_loss(model, make_pairs(ds), np.array([2.0, 0.0]))
+    ps = make_pairs(ds)
+    assert len(ps) == 1
+    return weighted_loss(model, ps, np.array([1.0]))
 
 
 class TestPairProb:

@@ -7,6 +7,7 @@ import pytest
 
 import fairpair.reweight as rw
 from conftest import all_cells_pairs, build_dataset, random_dataset
+from enumeration import EnumeratedInstance, bias_correction_identity
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
@@ -20,10 +21,8 @@ from fairpair.model import LinearRankingModel
 from fairpair.reweight import (
     Coefficients,
     DeltaMatrix,
-    EnumeratedInstance,
     FairTrainConfig,
     IterationRecord,
-    bias_correction_identity,
     expected_bias,
     fair_train,
     pair_weights,
@@ -33,6 +32,7 @@ from fairpair.reweight import (
     write_history_csv,
 )
 from fairpair.training import TrainConfig, train_pointwise, train_weighted
+from ordered_pairs import fold, ordered_pairs, ordered_weights
 
 STAT = ConstraintKind.PAIR_STATISTICAL
 
@@ -79,7 +79,7 @@ class TestExpectedBias:
             K=2,
         )
         ps = make_pairs(ds)
-        assert len(ps) == 10  # hand-sized instance
+        assert len(ps) == 5  # hand-sized instance: 10 ordered pairs
         stats = compute_group_stats(ps)
         model = LinearRankingModel(np.asarray([0.8]), 0.3)
         delta = expected_bias(model, ps, stats, STAT)
@@ -90,14 +90,16 @@ class TestExpectedBias:
                 if not mask[k, l]:
                     assert delta.values[k, l] == 0.0
                     continue
+                # Over the ordered pairs: each pair in both orientations.
                 total = 0.0
-                for i, j in zip(ps.row_i, ps.row_j):
-                    z = 0.8 * (ds.features[i][0] - ds.features[j][0])
-                    l_hat = 1.0 / (1.0 + math.exp(-z))
-                    member = ds.groups[i] == k and ds.groups[j] == l
-                    c = (1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0
-                    total += l_hat * c
-                assert delta.values[k, l] == pytest.approx(total / len(ps), abs=1e-12)
+                for a, b in zip(ps.row_i, ps.row_j):
+                    for i, j in ((a, b), (b, a)):
+                        z = 0.8 * (ds.features[i][0] - ds.features[j][0])
+                        l_hat = 1.0 / (1.0 + math.exp(-z))
+                        member = ds.groups[i] == k and ds.groups[j] == l
+                        c = (1.0 if member else 0.0) / stats.pair_frac[k, l] - 1.0
+                        total += l_hat * c
+                assert delta.values[k, l] == pytest.approx(total / (2 * len(ps)), abs=1e-12)
 
     def test_requires_pairwise_kind(self, rng):
         ds = random_dataset(rng)
@@ -127,10 +129,16 @@ def uniform_stats(K=2):
 
 
 def weight_by_cell(coeffs, stats, weight_form="general"):
-    """pair_weights of a pair in each K=2 cell, indexed [group_i, group_j, label]."""
+    """The weight of an ordered pair in each K=2 cell, indexed [group_i,
+    group_j, label]; pair_weights must weigh each pair the mean of its two
+    ordered pairs' weights."""
     ps = all_cells_pairs()
+    ordered = ordered_pairs(ps)
+    cell_weights = ordered_weights(coeffs, stats, ordered, weight_form)
+    got = pair_weights(coeffs, stats, ps, weight_form)
+    np.testing.assert_array_equal(got, fold(cell_weights, ordered))
     weights = np.empty(8)
-    weights[ps.arrays.cell] = pair_weights(coeffs, stats, ps, weight_form)
+    weights[ordered.cell] = cell_weights
     return weights.reshape(2, 2, 2)
 
 
@@ -166,10 +174,14 @@ class TestPairWeight:
             stats = compute_group_stats(ps)
             mask = pair_constraint_mask(STAT, stats)
             values = rng.normal(scale=2.0, size=(K, K)) * mask
-            weights = pair_weights(Coefficients(values, STAT), stats, ps)
+            coeffs = Coefficients(values, STAT)
+            ordered = ordered_pairs(ps)
+            weights = ordered_weights(coeffs, stats, ordered)
+            # A pair weighs the mean of its two ordered pairs' weights.
+            np.testing.assert_array_equal(pair_weights(coeffs, stats, ps), fold(weights, ordered))
 
-            group_i, group_j, label = np.unravel_index(ps.arrays.cell, (K, K, 2))
-            s = np.zeros(len(ps))
+            group_i, group_j, label = np.unravel_index(ordered.cell, (K, K, 2))
+            s = np.zeros(len(ordered))
             for k, l in zip(*np.nonzero(mask)):
                 member = (group_i == k) & (group_j == l)
                 s += values[k, l] * (member / stats.pair_frac[k, l] - 1.0)
@@ -177,7 +189,7 @@ class TestPairWeight:
             assert np.all(np.abs(weights - np.where(label == 1, sig, 1.0 - sig)) < 1e-12)
 
             by_cell = np.full(2 * K * K, np.nan)
-            by_cell[ps.arrays.cell] = weights
+            by_cell[ordered.cell] = weights
             sums = by_cell.reshape(K, K, 2).sum(axis=-1)
             assert np.all(np.abs(sums[~np.isnan(sums)] - 1.0) < 1e-12)
 
@@ -201,17 +213,21 @@ class TestPairWeight:
             previous = w1
 
     def test_inter_group_weights_use_label_proxy(self, rng):
-        # With the observed-label proxy, a label-0 pair has zero constraint
-        # value at label 1, hence weight exactly one half.
+        # With the observed-label proxy, a label-0 ordered pair has zero
+        # constraint value at label 1, hence weight exactly one half, and a
+        # pair weighs the mean of that and its label-1 orientation's weight.
         ds = random_dataset(rng, n_queries=3, items_per_query=6, K=2)
         ps = make_pairs(ds)
         stats = compute_group_stats(ps)
         kind = ConstraintKind.PAIR_INTER_GROUP
         mask = pair_constraint_mask(kind, stats)
         coeffs = Coefficients(rng.normal(size=(2, 2)) * mask, kind)
-        table = pair_weights(coeffs, stats, ps)
-        labels = ps.arrays.label
-        assert np.all(table[labels == 0] == 0.5)
+        ordered = ordered_pairs(ps)
+        table = ordered_weights(coeffs, stats, ordered)
+        assert np.all(table[ordered.label == 0] == 0.5)
+        label_one = np.empty(len(ps))
+        label_one[ordered.pair[ordered.label == 1]] = table[ordered.label == 1]
+        np.testing.assert_array_equal(pair_weights(coeffs, stats, ps), (label_one + 0.5) / 2)
 
 
 class TestUpdateCoefficients:

@@ -6,13 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (
-    build_dataset,
-    numeric_gradient,
-    pair_feature_diff,
-    pair_subset,
-    random_dataset,
-)
+from conftest import build_dataset, numeric_gradient, pair_feature_diff, random_dataset
 from fairpair import training
 from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
@@ -26,31 +20,44 @@ from fairpair.training import (
     train_weighted,
     weighted_loss,
 )
+from ordered_pairs import fold, ordered_pairs, ordered_weighted_loss
 
 
-def two_item_pairs(x_pos, x_neg):
-    """The two pairs of one query: the label-1 pair (pos, neg), then its mirror."""
+def one_pair(x_pos, x_neg):
+    """The pair set of one query with items pos and neg: the one pair (pos, neg)."""
     ds = build_dataset([("q", [1, 0], [0, 0], [x_pos, x_neg])], d=len(x_pos), K=1)
-    return make_pairs(ds)
+    ps = make_pairs(ds)
+    assert len(ps) == 1
+    return ps
 
 
 class TestPairLoss:
-    # weighted_loss is a mean over the pair set, so with two pairs a weight
-    # of 2 on one pair and 0 on the other isolates that pair's loss.
     def test_even_odds_positive(self):
-        ps = two_item_pairs([0.0], [0.0])
-        loss = weighted_loss(LinearRankingModel.zeros(1), ps, np.array([2.0, 0.0]))
+        ps = one_pair([0.0], [0.0])
+        loss = weighted_loss(LinearRankingModel.zeros(1), ps, np.array([1.0]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_even_odds_negative_doubled(self):
-        ps = two_item_pairs([0.0], [0.0])
-        loss = weighted_loss(LinearRankingModel.zeros(1), ps, np.array([0.0, 4.0]))
-        assert loss == pytest.approx(2 * math.log(2), abs=1e-12)
+        # The ordered pairs are (pos, neg) at label 1 and its mirror at
+        # label 0.  Weight 4 on the mirror alone is a mean loss of 2 log 2
+        # over the two, and the pair weighs the mean of the two weights.
+        ps = one_pair([0.0], [0.0])
+        ordered = ordered_pairs(ps)
+        weights = np.where(ordered.label == 0, 4.0, 0.0)
+        model = LinearRankingModel.zeros(1)
+        for loss in (
+            ordered_weighted_loss(model, ordered, weights),
+            weighted_loss(model, ps, fold(weights, ordered)),
+        ):
+            assert loss == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_linear_in_weight(self, rng):
         # Additive over pairs and linear in each pair's weight.
         for _ in range(20):
-            ps = two_item_pairs(rng.normal(size=2), rng.normal(size=2))
+            x = rng.normal(size=(3, 2))
+            ds = build_dataset([("q", [1, 0, 0], [0, 0, 0], x)], d=2, K=1)
+            ps = make_pairs(ds)
+            assert len(ps) == 2
             model = LinearRankingModel(rng.normal(size=2), 0.0)
             a, b = rng.uniform(0.1, 2.0, size=2)
             both = weighted_loss(model, ps, np.array([a, b]))
@@ -78,13 +85,13 @@ class TestPairLoss:
 class TestLossGradient:
     def test_equal_features_zero_gradient(self, rng):
         x = rng.normal(size=3)
-        ps = two_item_pairs(x, x)
-        grad = batch_gradient(rng.normal(size=3), pair_feature_diff(ps), ps.arrays.label, np.ones(2))
+        ps = one_pair(x, x)
+        grad = batch_gradient(rng.normal(size=3), pair_feature_diff(ps), np.ones(1))
         np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_near_perfect_prediction_vanishes(self):
-        ps = two_item_pairs([1.0], [0.0])
-        grad = batch_gradient(np.array([50.0]), pair_feature_diff(ps), ps.arrays.label, np.ones(2))
+        ps = one_pair([1.0], [0.0])
+        grad = batch_gradient(np.array([50.0]), pair_feature_diff(ps), np.ones(1))
         assert np.all(np.abs(grad) < 1e-12)
 
     def test_bias_component_always_zero(self, rng):
@@ -99,18 +106,17 @@ class TestLossGradient:
             }
             assert len(losses) == 1
             x = pair_feature_diff(ps)
-            assert batch_gradient(w, x, ps.arrays.label, weights).shape == (4,)
+            assert batch_gradient(w, x, weights).shape == (4,)
 
     def test_matches_central_differences(self, rng):
         # Independent oracle: numerically differentiate the loss of a
         # single pair, a one-row batch.
         for _ in range(100):
             d = int(rng.integers(1, 6))
-            pairs = two_item_pairs(rng.normal(size=d), rng.normal(size=d))
-            ps = pair_subset(pairs, [rng.integers(0, 2)])
+            ps = one_pair(rng.normal(size=d), rng.normal(size=d))
             weight = rng.uniform(0.1, 3.0, size=1)
             w = rng.normal(size=d)
-            analytic = batch_gradient(w, pair_feature_diff(ps), ps.arrays.label, weight)
+            analytic = batch_gradient(w, pair_feature_diff(ps), weight)
             numeric = numeric_gradient(ps, weight, w)
             denom = max(np.linalg.norm(analytic), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-6
@@ -191,7 +197,7 @@ class TestTrainWeighted:
         ps = make_pairs(ds)
         cfg = TrainConfig(learning_rate=0.1, epochs=500, batch_size=8, seed=0)
         model = train_weighted(ps, np.full(len(ps), 0.5), cfg)
-        # The first pair is the label-1 orientation.
+        assert len(ps) == 1
         assert stable_sigmoid(pair_feature_diff(ps)[0] @ model.w) > 0.99
 
     def test_uniform_weight_scale_first_step(self, rng):
@@ -250,7 +256,7 @@ class TestTrainWeighted:
         trained = train_weighted(ps, weights, cfg)
 
         w0 = np.zeros(ds.d)
-        grad = batch_gradient(w0, pair_feature_diff(ps), ps.arrays.label, weights)
+        grad = batch_gradient(w0, pair_feature_diff(ps), weights)
         np.testing.assert_allclose(grad, numeric_gradient(ps, weights, w0), rtol=1e-6)
         # The shuffled batch order does not change a full-batch mean.
         _, w = adam_update(AdamState.zeros(ds.d), w0, grad, cfg)
@@ -295,9 +301,9 @@ class TestTrainWeighted:
     def test_peak_memory_below_a_quarter_of_pair_feature_rows(self, rng):
         # Training gathers x_i - x_j a chunk of minibatches at a time, so its
         # peak stays far below the (n_pairs, d) float64 block it never builds.
-        # The epoch's int64 permutation alone takes 8 bytes a pair, 2d bytes
-        # a pair is the bound, so d must exceed 4.
-        ds = random_dataset(rng, n_queries=60, items_per_query=90, d=8)
+        # The epoch's int32 order alone takes 4 bytes a pair, 2d bytes a pair
+        # is the bound, so d must exceed 2.
+        ds = random_dataset(rng, n_queries=120, items_per_query=90, d=8)
         ps = make_pairs(ds)
         assert len(ps) >= 200_000
         weights = np.ones(len(ps))
