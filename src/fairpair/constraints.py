@@ -50,7 +50,9 @@ class GroupStats:
 
     pair_frac[k, l]      fraction of ordered pairs whose items fall in (G_k, G_l)
     pos_pair_frac[k, l]  fraction of ordered pairs in (G_k, G_l) with pair label 1
-    pos_frac             fraction of all ordered pairs with pair label 1
+    pos_frac             fraction of all ordered pairs with pair label 1; 0.5
+                         for every non-empty pair set, as each pair is one
+                         label-1 and one label-0 ordered pair
     item_frac[k]         fraction of source items in G_k
     pos_item_frac[k]     fraction of source items in G_k with label 1
     """
@@ -113,11 +115,11 @@ def pair_constraint_mask(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
     if kind is ConstraintKind.PAIR_STATISTICAL:
         return off_diag & (stats.pair_frac > 0)
     if kind is ConstraintKind.PAIR_INTER_GROUP:
-        return off_diag & (stats.pos_pair_frac > 0) & (stats.pos_frac > 0)
+        return off_diag & (stats.pos_pair_frac > 0)
     if kind is ConstraintKind.PAIR_INTRA_GROUP:
-        return np.eye(K, dtype=bool) & (stats.pos_pair_frac > 0) & (stats.pos_frac > 0)
+        return np.eye(K, dtype=bool) & (stats.pos_pair_frac > 0)
     # Marginal: one constraint per first-group k, replicated across l.
-    row_ok = (stats.pos_pair_frac.sum(axis=1) > 0) & (stats.pos_frac > 0)
+    row_ok = stats.pos_pair_frac.sum(axis=1) > 0
     return np.repeat(row_ok[:, None], K, axis=1)
 
 
@@ -130,40 +132,29 @@ def point_constraint_mask(kind: ConstraintKind, stats: GroupStats) -> np.ndarray
     return (stats.pos_item_frac > 0) & (stats.pos_item_total > 0)
 
 
-def _pair_constraint_at_one(
-    kind: ConstraintKind,
-    stats: GroupStats,
-    k: int,
-    l: int,
-    group_i: np.ndarray,
-    group_j: np.ndarray,
-    label: np.ndarray,
-) -> np.ndarray:
-    """(k, l) constraint value at pair label 1 of pairs with the given groups
-    and observed labels; the label proxies the true order probability."""
-    if kind is ConstraintKind.PAIR_STATISTICAL:
-        member = (group_i == k) & (group_j == l)
-        return member / stats.pair_frac[k, l] - 1.0
-    if kind is ConstraintKind.PAIR_INTER_GROUP or kind is ConstraintKind.PAIR_INTRA_GROUP:
-        member = (group_i == k) & (group_j == l)
-        return label * (member / stats.pos_pair_frac[k, l] - 1.0 / stats.pos_frac)
-    # Marginal: membership of the first item only, against the row total.
-    member = group_i == k
-    return label * (member / stats.pos_pair_frac[k].sum() - 1.0 / stats.pos_frac)
-
-
 def pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
     """(K, K, 2K²) constraint values at pair label 1 of every pair cell.
 
     Entry [k, l, c] is the (k, l) constraint of the pairs in ``pair_cell``
     c, with each cell's label as the proxy.  Undefined (k, l) rows are 0.
     """
+    defined = pair_constraint_mask(kind, stats)[..., None]
     K = stats.K
     group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)
+    k, l = np.indices((K, K, 1))[:2]
+    if kind is ConstraintKind.PAIR_MARGINAL:
+        # Membership of the first item only, against the row total.
+        member, denom = group_i == k, stats.pos_pair_frac.sum(axis=1, keepdims=True)
+    else:
+        member = (group_i == k) & (group_j == l)
+        denom = stats.pair_frac if kind is ConstraintKind.PAIR_STATISTICAL else stats.pos_pair_frac
     table = np.zeros((K, K, 2 * K * K))
-    for k, l in zip(*np.nonzero(pair_constraint_mask(kind, stats))):
-        table[k, l] = _pair_constraint_at_one(kind, stats, k, l, group_i, group_j, label)
-    return table
+    # Undefined entries are never computed, so their zero denominators cannot warn.
+    np.divide(member, denom[..., None], out=table, where=defined)
+    if kind is ConstraintKind.PAIR_STATISTICAL:
+        return np.subtract(table, 1.0, out=table, where=defined)
+    np.subtract(table, 1.0 / stats.pos_frac, out=table, where=defined)
+    return np.multiply(label, table, out=table)
 
 
 def point_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:

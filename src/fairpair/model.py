@@ -21,16 +21,19 @@ def stable_sigmoid(z):
     Never evaluates exp on a positive argument, so it cannot overflow for
     any finite input.  exp(min(z, 0)) / (1 + exp(-|z|)) is 1 / (1 + e) for
     z >= 0 and e / (1 + e) otherwise, with e = exp(-|z|), and needs no mask.
-    Accepts scalars or arrays; a 0-d input returns a Python float.
+    Both exponentials come from one exp call over a stacked buffer.  Accepts
+    scalars or arrays; a 0-d input returns a Python float.  An array result
+    is a view of that (2, ...) buffer.
     """
     z = np.asarray(z, dtype=np.float64)
     # Every step writes to an explicit buffer, so a 0-d input stays an array;
     # min(z, -z) is -|z| except that a NaN keeps its sign (as exp(z) did).
-    num = np.minimum(z, 0.0, out=np.empty_like(z))
-    np.exp(num, out=num)
-    denom = np.negative(z, out=np.empty_like(z))
+    buf = np.empty((2,) + z.shape)
+    num, denom = buf[0, ...], buf[1, ...]
+    np.minimum(z, 0.0, out=num)
+    np.negative(z, out=denom)
     np.minimum(z, denom, out=denom)
-    np.exp(denom, out=denom)
+    np.exp(buf, out=buf)
     denom += 1.0
     num /= denom
     if num.ndim == 0:

@@ -14,16 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_cells_pairs, build_dataset, random_dataset
+from constraint_oracle import loop_pair_constraint_table, pair_constraint_at_one
 from fairpair.constraints import (
     ConstraintKind,
-    _pair_constraint_at_one,
     compute_group_stats,
     compute_point_stats,
     pair_constraint_mask,
     pair_constraint_table,
     point_constraint_mask,
 )
-from fairpair.data import generate_synthetic, make_pairs, split_queries
+from fairpair.data import Dataset, generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
 from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
 from fairpair.reweight import (
@@ -60,7 +60,7 @@ def loop_expected_bias(model, op, stats, kind):
     for k in range(stats.K):
         for l in range(stats.K):
             if mask[k, l]:
-                c = _pair_constraint_at_one(kind, stats, k, l, group_i, group_j, proxy)
+                c = pair_constraint_at_one(kind, stats, k, l, group_i, group_j, proxy)
                 values[k, l] = float(np.mean(l_hat * c))
     return values, mask
 
@@ -79,7 +79,7 @@ def loop_weight_exponent_general(coeffs, stats, mask, group_i, group_j, proxy):
     for k in range(stats.K):
         for l in range(stats.K):
             if mask[k, l] and coeffs.values[k, l] != 0.0:
-                s += coeffs.values[k, l] * _pair_constraint_at_one(
+                s += coeffs.values[k, l] * pair_constraint_at_one(
                     coeffs.kind, stats, k, l, group_i, group_j, proxy
                 )
     return s
@@ -154,6 +154,18 @@ class TestPairTablesMatchLoops:
         ds = random_dataset(rng, n_queries=6, items_per_query=20, d=3, K=K)
         ps = make_pairs(ds)
         return ds, ps, compute_group_stats(ps)
+
+    def test_table_bit_identical(self, rng, kind, K):
+        # The broadcast table against one oracle call per defined (k, l).
+        # Giving the last group only negative items empties its label-1
+        # cells, so pos_pair_frac has zero entries at every K.
+        ds, ps, stats = self.setup_data(rng, K)
+        labels = np.where(ds.groups == K - 1, 0, ds.labels)
+        ds_neg = Dataset(ds.query_ids, ds.offsets, ds.features, labels, ds.groups, K)
+        stats_neg = compute_group_stats(make_pairs(ds_neg.validate()))
+        assert np.all(stats_neg.pos_pair_frac[K - 1] == 0.0)
+        for s in (stats, stats_neg):
+            assert_same_bits(pair_constraint_table(kind, s), loop_pair_constraint_table(kind, s))
 
     def test_pair_weights_bit_identical(self, rng, kind, K):
         # A pair weighs the mean of its two ordered pairs' loop weights.

@@ -1,5 +1,6 @@
 """Tests for closed-form pair weights, the violation measure, and the outer loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -428,6 +429,46 @@ def plain_fair_train(train, eval_set, kind, cfg):
             )
         )
     return model, coeffs, history
+
+
+def hex_digest(values):
+    """First 16 hex digits of the SHA-256 of the values' ``float.hex`` strings."""
+    text = " ".join(float(v).hex() for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Recorded from fair_train before the trainer's per-step costs were cut
+# (an int32 shuffle, np.clip, two exp calls per sigmoid, one constraint
+# table row per (k, l) call).  Each history row digests the four metrics,
+# then delta and the coefficients, row-major.
+GOLDEN_W = ["0x1.0668e8f069708p-4", "-0x1.27be8a4602470p-4", "0x1.6cebc04c848bcp-4"]
+GOLDEN_COEFFS = "23fd16a2bb6536ae"
+GOLDEN_HISTORY = [
+    "1185917d2ef7cd68", "d619c46c377c16c1", "a7d37c13bbbeb883", "d45f89c1998d83fd",
+    "7ffb523f635395a3", "b86bd15719c1cad0", "b51e740ae0ced4a6", "c27563c04b779b83",
+    "388058e6663abe7e", "251d572b05a5ab75", "6eb44ca8faa0c62c", "152f45fc6a3053fa",
+    "c2484444d464a572", "db011d1eb470a18a", "9d3cd3f0d64f6d9e", "248a4a4124dae7e7",
+    "e6987c3424364174", "a84d217a82d945ea", "044f625b92869189", "5af1c09a711979ca",
+]
+
+
+def test_small_fair_train_matches_its_recorded_bits():
+    # The tiny reweight-k8 benchmark shape: 48x16 items, d=3, K=8, inter,
+    # T=20, 3 epochs, deltas from the validation set.
+    ds, _ = generate_synthetic(48, 16, d=3, K=8, bias_strength=1.0, seed=0)
+    train, valid, _ = split_queries(ds, 0.2, 0.16, seed=1)
+    cfg = FairTrainConfig(T=20, delta_set="validation", inner=TrainConfig(epochs=3, seed=2))
+    model, coeffs, history = fair_train(train, valid, ConstraintKind.PAIR_INTER_GROUP, cfg)
+    assert [v.hex() for v in model.w.tolist()] == GOLDEN_W and model.b == 0.0
+    assert hex_digest(coeffs.values.ravel()) == GOLDEN_COEFFS
+    rows = [
+        hex_digest(
+            [r.auc_train, r.auc_eval, r.fairness_train, r.fairness_eval]
+            + [*r.delta.ravel(), *r.coeffs.ravel()]
+        )
+        for r in history
+    ]
+    assert rows == GOLDEN_HISTORY
 
 
 class TestPointwiseReweightTrain:
