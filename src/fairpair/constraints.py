@@ -82,14 +82,14 @@ def _item_stats(ds) -> tuple[np.ndarray, np.ndarray]:
 def compute_group_stats(ps: PairSet) -> GroupStats:
     """Count group-pair membership and positive-label proportions over all ordered pairs.
 
-    Each pair is the label-1 pair (i, j) of its cell and the label-0 pair
-    (j, i) of the transposed one, so the label-0 counts are the transpose of
-    the label-1 counts, out of 2 * len(ps) ordered pairs.
+    Each pair is the label-1 pair (i, j) of its group pair and the label-0
+    pair (j, i) of the transposed one, so the label-0 counts are the
+    transpose of the label-1 counts, out of 2 * len(ps) ordered pairs.
     """
     if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
     K, n = ps.source.K, 2 * len(ps)
-    pos = np.bincount(ps.arrays.cell, minlength=2 * K * K)[1::2].reshape(K, K)
+    pos = np.bincount(ps.arrays.cell, minlength=K * K).reshape(K, K)
     return GroupStats((pos + pos.T) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
 
 
@@ -133,10 +133,10 @@ def point_constraint_mask(kind: ConstraintKind, stats: GroupStats) -> np.ndarray
 
 
 def pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
-    """(K, K, 2K²) constraint values at pair label 1 of every pair cell.
+    """(K, K, 2K²) constraint values at pair label 1 of every ordered cell.
 
-    Entry [k, l, c] is the (k, l) constraint of the pairs in ``pair_cell``
-    c, with each cell's label as the proxy.  Undefined (k, l) rows are 0.
+    Entry [k, l, c] is the (k, l) constraint of ordered cell c, a row-major
+    (group_i, group_j, label); its label is the proxy.  Undefined rows are 0.
     """
     defined = pair_constraint_mask(kind, stats)[..., None]
     K = stats.K

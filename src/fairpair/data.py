@@ -110,17 +110,6 @@ def _first_bad_row(features, labels, groups, K: int) -> tuple[int, str] | None:
     return row, "non-finite feature value"
 
 
-def pair_cell(group_i, group_j, label, K: int):
-    """Index of a pair's (group_i, group_j, label) in the row-major (K, K, 2) grid."""
-    return np.ravel_multi_index((group_i, group_j, label), (K, K, 2))
-
-
-def mirror_cells(K: int) -> np.ndarray:
-    """The pair_cell of each cell's mirror: (k, l, label) -> (l, k, 1 - label)."""
-    group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)
-    return pair_cell(group_j, group_i, 1 - label, K)
-
-
 def item_cell(group, label, K: int):
     """Index of an item's (group, label) in the row-major (K, 2) grid."""
     return np.ravel_multi_index((group, label), (K, 2))
@@ -133,7 +122,7 @@ class PairArrays:
     No pair feature rows are kept: the trainer gathers x_i - x_j a chunk at a time.
     """
 
-    cell: np.ndarray  # pair_cell of each pair (i, j, 1): its groups, item i first
+    cell: np.ndarray  # group_i * K + group_j of each pair (i, j)
 
 
 @dataclass(eq=False)
@@ -144,7 +133,7 @@ class PairSet:
     A pair is its two items: their int32 rows in the dataset's columns.  It
     stands for both ordered pairs of the pairwise objective: (i, j) at pair
     label 1 and its mirror (j, i) at label 0, whose loss terms are the same.
-    ``arrays`` adds each pair's group cell: 9 bytes a pair up to K=11, with
+    ``arrays`` adds each pair's group pair: 9 bytes a pair up to K=16, with
     the two row columns.
     """
 
@@ -158,14 +147,10 @@ class PairSet:
     @cached_property
     def arrays(self) -> PairArrays:
         ds = self.source
-        # pair_cell is linear, so it splits into a part of item i (group and
-        # the pair label 1) and a part of item j (group).  Stored in the
-        # narrowest dtype that holds 2K² ids (1 byte up to K=11).
-        cell_dtype = np.min_scalar_type(2 * ds.K**2 - 1)
-        part_i = pair_cell(ds.groups, 0, 1, ds.K).astype(cell_dtype)
-        part_j = pair_cell(0, ds.groups, 0, ds.K).astype(cell_dtype)
-        cell = part_i[self.row_i]
-        cell += part_j[self.row_j]
+        # Stored in the narrowest dtype that holds K² ids (1 byte up to K=16).
+        cell_dtype = np.min_scalar_type(ds.K**2 - 1)
+        cell = (ds.groups * ds.K).astype(cell_dtype)[self.row_i]
+        cell += ds.groups.astype(cell_dtype)[self.row_j]
         return PairArrays(cell)
 
 

@@ -28,7 +28,7 @@ from .constraints import (
     point_constraint_mask,
     point_constraint_table,
 )
-from .data import Dataset, PairSet, item_cell, make_pairs, mirror_cells
+from .data import Dataset, PairSet, item_cell, make_pairs
 from .errors import ValidationError
 from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
 from .training import TrainConfig, require_types, train_pointwise, train_weighted
@@ -109,16 +109,16 @@ def expected_bias(
     s = ps.source.features @ model.w
     z = s[ps.row_i]
     z -= s[ps.row_j]
-    # Constraint values depend only on an ordered pair's cell: sum l_hat per
-    # cell first.  A pair is (i, j) in its cell, predicted sigmoid(z), and
-    # (j, i) in the mirror cell, predicted sigmoid(-z).
-    table = pair_constraint_table(kind, stats)
-    cell, size = ps.arrays.cell, table.shape[-1]
-    cell_sums = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=size)
+    # Constraint values depend only on an ordered pair's (k, l, label) cell.  A
+    # pair is (i, j) at label 1, predicted sigmoid(z), and (j, i) at label 0 of
+    # the transposed group pair, predicted sigmoid(-z).
+    cell, K = ps.arrays.cell, stats.K
+    pos = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=K * K)
     np.negative(z, out=z)
-    mirror_sums = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=size)
-    cell_sums += mirror_sums[mirror_cells(stats.K)]
-    return DeltaMatrix(table @ cell_sums / (2 * len(ps)), pair_constraint_mask(kind, stats))
+    neg = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=K * K)
+    cell_sums = np.stack((neg.reshape(K, K).T, pos.reshape(K, K)), axis=-1)
+    table = pair_constraint_table(kind, stats)
+    return DeltaMatrix(table @ cell_sums.ravel() / (2 * len(ps)), pair_constraint_mask(kind, stats))
 
 
 def _exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -140,7 +140,7 @@ def _own_label_weights(s: np.ndarray) -> np.ndarray:
 
 
 def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str):
-    """Weight of every ``pair_cell`` at its own label."""
+    """Weight of every ordered cell, (k, l, label) raveled over (K, K, 2), at its own label."""
     mask = pair_constraint_mask(coeffs.kind, stats)
     if weight_form == "general":
         s = _exponents(coeffs.values, mask, pair_constraint_table(coeffs.kind, stats))
@@ -175,12 +175,12 @@ def pair_weights(
     holding pairs whose weight under- or overflows to 0 (or NaN) is a
     ValidationError naming the cell.
     """
-    weights = _pair_cell_weights(coeffs, stats, weight_form)
-    mirror, cell = mirror_cells(stats.K), ps.arrays.cell
-    held = np.bincount(cell, minlength=weights.size)
-    coords = {"k": stats.K, "l": stats.K, "label": 2}
-    _check_cell_weights(weights, held + held[mirror], "pair", coords)
-    return ((weights + weights[mirror]) / 2)[cell]
+    K, cell = stats.K, ps.arrays.cell
+    weights = _pair_cell_weights(coeffs, stats, weight_form).reshape(K, K, 2)
+    pos = np.bincount(cell, minlength=K * K).reshape(K, K)
+    held = np.stack((pos.T, pos), axis=-1)
+    _check_cell_weights(weights, held, "pair", {"k": K, "l": K, "label": 2})
+    return ((weights[..., 1] + weights[..., 0].T) / 2).ravel()[cell]
 
 
 def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) -> Coefficients:
@@ -207,6 +207,8 @@ def fair_train(
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
     if train.K < 2:
         raise ValidationError("fair training requires at least two groups")
+    if eval_set.K != train.K:
+        raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
 
     ps_train = make_pairs(train)
     if not len(ps_train):
@@ -295,6 +297,8 @@ def pointwise_reweight_train(
     """
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
+    if eval_set.K != train.K:
+        raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
     stats = compute_point_stats(train)
     coeffs = np.zeros(train.K)
     weights = point_weights(coeffs, stats, train, kind)
@@ -321,14 +325,14 @@ def pointwise_reweight_train(
 
 def write_history_csv(history: list[IterationRecord], K: int, path) -> None:
     """One CSV row per outer iteration, violations and coefficients flattened row-major."""
-    delta_cols = [f"delta_{k}{l}" for k in range(K) for l in range(K)]
-    lambda_cols = [f"lambda_{k}{l}" for k in range(K) for l in range(K)]
+    w = len(str(K - 1))  # padded, or (1, 11) and (11, 1) share a name from K=12
+    cells = [f"{k:0{w}}{l:0{w}}" for k in range(K) for l in range(K)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["iter", "auc_train", "auc_eval", "fairness_train", "fairness_eval"]
-            + delta_cols
-            + lambda_cols
+            + [f"delta_{c}" for c in cells]
+            + [f"lambda_{c}" for c in cells]
         )
         for rec in history:
             writer.writerow(

@@ -12,9 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairpair.constraints import GroupStats, compute_point_stats, pair_constraint_table
-from fairpair.data import Dataset, pair_cell
+from fairpair.data import Dataset
 from fairpair.model import clamp_prob, stable_sigmoid
 from fairpair.reweight import _pair_cell_weights
+
+
+def pair_cell(group_i, group_j, label, K: int):
+    """Index of an ordered pair's (group_i, group_j, label) in the row-major (K, K, 2) grid."""
+    return np.ravel_multi_index((group_i, group_j, label), (K, K, 2))
 
 
 @dataclass(eq=False)

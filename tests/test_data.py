@@ -334,12 +334,12 @@ def nested_loop_arrays(ds):
                     pairs.append((qi, i, j))
     n = len(pairs)
     row_i, row_j = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-    cell = np.empty(n, dtype=np.min_scalar_type(2 * ds.K**2 - 1))
+    cell = np.empty(n, dtype=np.min_scalar_type(ds.K**2 - 1))
     diff = np.empty((n, ds.d), dtype=np.float64)
     for t, (qi, i, j) in enumerate(pairs):
         q = ds.queries[qi]
         row_i[t], row_j[t] = ds.offsets[qi] + i, ds.offsets[qi] + j
-        cell[t] = (q.groups[i] * ds.K + q.groups[j]) * 2 + 1
+        cell[t] = q.groups[i] * ds.K + q.groups[j]
         diff[t] = q.features[i] - q.features[j]
     return {"row_i": row_i, "row_j": row_j, "cell": cell, "feat_diff": diff}
 
@@ -447,21 +447,25 @@ class TestMakePairs:
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("K", [1, 2, 11])
+    @pytest.mark.parametrize("K", [1, 2, 11, 16, 17])
     def test_arrays_hold_nine_bytes_a_pair(self, rng, K):
-        # A pair is its two int32 rows and a one-byte cell (K <= 11); its
-        # mirror and the pair label are implied, not stored: 4.5 bytes an
-        # ordered pair.
-        ds = random_dataset(rng, n_queries=3, items_per_query=7, d=2, K=K)
+        # A pair is its two int32 rows and its group pair, one byte up to
+        # K=16 (two from K=17); its mirror and the pair label are implied, not
+        # stored: 4.5 bytes an ordered pair.
+        nbytes = 9 if K <= 16 else 10
+        queries = [query_spec(rng, f"q{qi}", 7, 2, K, [0, 1, 0, 1, 1, 0, 1]) for qi in range(3)]
+        queries[0][2][:2] = K - 1  # a pair in the largest cell, K² - 1
+        ds = build_dataset(queries, d=2, K=K)
         ps = make_pairs(ds)
         arr = ps.arrays
         held = [v for obj in (ps, arr) for v in vars(obj).values() if isinstance(v, np.ndarray)]
         per_pair = {id(v): v for v in held if v.ndim == 1 and v.size == len(ps)}
         assert all(v.ndim == 1 for v in held)
-        assert sum(v.nbytes for v in per_pair.values()) == 9 * len(ps) > 0
+        assert sum(v.nbytes for v in per_pair.values()) == nbytes * len(ps) > 0
         n_ordered = sum(2 * int(q.labels.sum()) * int(len(q) - q.labels.sum()) for q in ds.queries)
         assert 2 * len(ps) == n_ordered
-        np.testing.assert_array_equal(arr.cell & 1, 1)
+        np.testing.assert_array_equal(arr.cell, ds.groups[ps.row_i] * K + ds.groups[ps.row_j])
+        assert arr.cell.max() == K * K - 1
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -247,6 +247,10 @@ class TestUpdateCoefficients:
         assert np.all(updated.values[defined == False] == 0.0)  # noqa: E712
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("trained before the inputs were checked")
+
+
 class TestFairTrain:
     @staticmethod
     def biased_splits(seed=7):
@@ -397,6 +401,13 @@ class TestFairTrain:
         with pytest.raises(ValidationError):
             fair_train(train, valid, ConstraintKind.POINT_STATISTICAL, small_cfg(T=1))
 
+    @pytest.mark.parametrize("delta_set", ["train", "validation"])
+    def test_eval_set_of_another_k_fails_before_training(self, rng, monkeypatch, delta_set):
+        train, valid = random_dataset(rng, K=3), random_dataset(rng, K=4)
+        monkeypatch.setattr(rw, "train_weighted", no_training)
+        with pytest.raises(ValidationError, match="K=4 .*K=3"):
+            fair_train(train, valid, STAT, small_cfg(T=2, delta_set=delta_set))
+
 
 def plain_fair_train(train, eval_set, kind, cfg):
     """Reference outer loop: every pair set built and every bias measured afresh."""
@@ -497,6 +508,14 @@ class TestPointwiseReweightTrain:
         with pytest.raises(ValidationError):
             pointwise_reweight_train(ds, ds, STAT, small_cfg(T=1))
 
+    @pytest.mark.parametrize("delta_set", ["train", "validation"])
+    def test_eval_set_of_another_k_fails_before_training(self, rng, monkeypatch, delta_set):
+        train, valid = random_dataset(rng, K=3), random_dataset(rng, K=4)
+        monkeypatch.setattr(rw, "train_pointwise", no_training)
+        cfg = small_cfg(T=2, delta_set=delta_set)
+        with pytest.raises(ValidationError, match="K=4 .*K=3"):
+            pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
+
     def test_point_weights_normalized(self, rng):
         from fairpair.constraints import compute_point_stats
 
@@ -577,3 +596,13 @@ class TestHistoryCsv:
         assert row[0] == "1"
         assert float(row[6]) == 0.1
         assert float(row[10]) == -0.1
+
+    @pytest.mark.parametrize("K", [2, 10, 12, 16])
+    def test_column_names_are_unique(self, tmp_path, K):
+        from fairpair.reweight import IterationRecord
+
+        zeros = np.zeros((K, K))
+        path = tmp_path / "history.csv"
+        write_history_csv([IterationRecord(1, 0.5, 0.5, 1.0, 1.0, zeros, zeros)], K, path)
+        header = path.read_text().splitlines()[0].split(",")
+        assert len(header) == len(set(header)) == 5 + 2 * K * K

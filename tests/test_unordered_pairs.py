@@ -41,12 +41,13 @@ def assert_relative(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("K", [2, 3, 8])
+@pytest.mark.parametrize("K", [2, 3, 8, 16])
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
 class TestMatchesOrderedPairs:
     @staticmethod
     def setup_data(rng, K):
-        # K=8 on 6x20 items leaves some group pairs empty, so masks vary.
+        # K >= 8 on 6x20 items leaves some group pairs empty, so masks vary;
+        # K=16 holds the largest one-byte cell ids.
         ps = make_pairs(random_dataset(rng, n_queries=6, items_per_query=20, d=3, K=K))
         return ps, ordered_pairs(ps), compute_group_stats(ps)
 
