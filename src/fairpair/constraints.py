@@ -88,8 +88,8 @@ def compute_group_stats(ps: PairSet) -> GroupStats:
     """
     if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
-    K, n = ps.source.K, 2 * len(ps)
-    pos = np.bincount(ps.arrays.cell, minlength=K * K).reshape(K, K)
+    n = 2 * len(ps)
+    pos = ps.cell_counts()
     return GroupStats((pos + pos.T) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
 
 

@@ -23,6 +23,18 @@ from .model import stable_sigmoid
 # group membership is visible in the features but carries no quality signal.
 GROUP_MEAN_SCALE = 1.0
 
+# Passes over the pairs of a PairSet, and the trainer's gathers of rows
+# x_i - x_j, work in chunks of about this many bytes: PAIR_CHUNK pairs, or
+# whole minibatches of rows.  So no pass allocates a temporary as long as
+# the pair set.
+GATHER_BYTES = 256 * 1024
+PAIR_CHUNK = GATHER_BYTES // 8
+
+
+def pair_chunks(n: int):
+    """Slices of PAIR_CHUNK pairs covering range(n), in order."""
+    return (slice(a, a + PAIR_CHUNK) for a in range(0, n, PAIR_CHUNK))
+
 
 @dataclass(eq=False)
 class QueryGroup:
@@ -134,7 +146,9 @@ class PairSet:
     stands for both ordered pairs of the pairwise objective: (i, j) at pair
     label 1 and its mirror (j, i) at label 0, whose loss terms are the same.
     ``arrays`` adds each pair's group pair: 9 bytes a pair up to K=16, with
-    the two row columns.
+    the two row columns.  Building, counting, weighting and measuring the
+    pairs work a chunk at a time (see pair_chunks), so their temporaries
+    are bounded by one chunk.
     """
 
     row_i: np.ndarray
@@ -149,9 +163,20 @@ class PairSet:
         ds = self.source
         # Stored in the narrowest dtype that holds K² ids (1 byte up to K=16).
         cell_dtype = np.min_scalar_type(ds.K**2 - 1)
-        cell = (ds.groups * ds.K).astype(cell_dtype)[self.row_i]
-        cell += ds.groups.astype(cell_dtype)[self.row_j]
+        first, second = (ds.groups * ds.K).astype(cell_dtype), ds.groups.astype(cell_dtype)
+        cell = np.empty(len(self), cell_dtype)
+        for part in pair_chunks(len(self)):
+            first.take(self.row_i[part], out=cell[part])
+            cell[part] += second.take(self.row_j[part])
         return PairArrays(cell)
+
+    def cell_counts(self) -> np.ndarray:
+        """(K, K) int64 number of pairs of each group pair (group_i, group_j)."""
+        K, cell = self.source.K, self.arrays.cell
+        counts = np.zeros(K * K, dtype=np.int64)
+        for part in pair_chunks(len(self)):
+            counts += np.bincount(cell[part], minlength=K * K)
+        return counts.reshape(K, K)
 
 
 @dataclass(eq=False)
@@ -404,18 +429,31 @@ def make_pairs(ds: Dataset) -> PairSet:
 
     Each discordant pair comes once, positive item first; its mirror (j, i)
     at pair label 0 is implied (see PairSet).  Output order is query order,
-    then i, then j.  The row columns are int32; a dataset with more items
-    than int32 can address is a ValidationError.
+    then i, then j.  The pairs are counted first, pos * (size - pos) a
+    query, and each query's positives × negatives are written into the
+    int32 row columns, so beyond them it holds only counts over the items.
+    A dataset with more items than int32 can address, or with a label
+    outside {0, 1}, is a ValidationError.
     """
     if ds.n_items > np.iinfo(np.int32).max:
         raise ValidationError(f"{ds.n_items} items is more than int32 pair indices can address")
-    parts = [(np.zeros(0, dtype=np.int32),) * 2]
-    for start, q in zip(ds.offsets[:-1].tolist(), ds.queries):
-        lab = q.labels
-        # nonzero walks row-major (i, then j).
-        i, j = np.nonzero(lab[:, None] > lab[None, :])
-        parts.append(((i + start).astype(np.int32), (j + start).astype(np.int32)))
-    row_i, row_j = (np.concatenate(col) for col in zip(*parts))
+    if ((ds.labels != 0) & (ds.labels != 1)).any():
+        raise ValidationError("pairs need every item label in {0, 1}")
+    offsets = ds.offsets
+    n_pos = np.diff(np.concatenate(([0], np.cumsum(ds.labels)))[offsets])
+    ends = np.cumsum(n_pos * (np.diff(offsets) - n_pos)).tolist()
+    row_i = np.empty(ends[-1] if ends else 0, dtype=np.int32)
+    row_j = np.empty_like(row_i)
+    a = 0
+    for start, stop, b in zip(offsets[:-1].tolist(), offsets[1:].tolist(), ends):
+        if a == b:
+            continue
+        lab = ds.labels[start:stop]
+        i, j = np.flatnonzero(lab), np.flatnonzero(lab == 0)
+        # Row-major (i, then j): each positive against every negative.
+        np.add(i[:, None], start, out=row_i[a:b].reshape(i.size, j.size), casting="unsafe")
+        np.add(j, start, out=row_j[a:b].reshape(i.size, j.size), casting="unsafe")
+        a = b
     return PairSet(row_i, row_j, ds)
 
 

@@ -28,7 +28,7 @@ from .constraints import (
     point_constraint_mask,
     point_constraint_table,
 )
-from .data import Dataset, PairSet, item_cell, make_pairs
+from .data import Dataset, PairSet, item_cell, make_pairs, pair_chunks
 from .errors import ValidationError
 from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
 from .training import TrainConfig, require_types, train_pointwise, train_weighted
@@ -98,24 +98,30 @@ def expected_bias(
 
     Scores every item once; an ordered pair's predicted order probability
     is the sigmoid of its two items' score difference, so no pair features
-    are built.  Only the label-1 term contributes because constraints vanish
-    at label 0.  Entries whose constraint is undefined are masked and read 0.
+    are built.  The pairs are read a chunk at a time (see data.pair_chunks)
+    into running per-cell sums.  Only the label-1 term contributes because
+    constraints vanish at label 0.  Entries whose constraint is undefined
+    are masked and read 0.
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
     if not len(ps):
         raise ValidationError("cannot evaluate expected bias on an empty pair set")
     check_dimension(model, ps.source.d)
+    # X @ w is not slice-stable, so the items are scored in one product.
     s = ps.source.features @ model.w
-    z = s[ps.row_i]
-    z -= s[ps.row_j]
     # Constraint values depend only on an ordered pair's (k, l, label) cell.  A
     # pair is (i, j) at label 1, predicted sigmoid(z), and (j, i) at label 0 of
-    # the transposed group pair, predicted sigmoid(-z).
+    # the transposed group pair, predicted sigmoid(-z).  add.at sums each
+    # cell in pair order across chunks, the order of one whole bincount.
     cell, K = ps.arrays.cell, stats.K
-    pos = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=K * K)
-    np.negative(z, out=z)
-    neg = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=K * K)
+    pos, neg = np.zeros(K * K), np.zeros(K * K)
+    for part in pair_chunks(len(ps)):
+        z = s.take(ps.row_i[part])
+        z -= s.take(ps.row_j[part])
+        np.add.at(pos, cell[part], clamp_prob(stable_sigmoid(z)))
+        np.negative(z, out=z)
+        np.add.at(neg, cell[part], clamp_prob(stable_sigmoid(z)))
     cell_sums = np.stack((neg.reshape(K, K).T, pos.reshape(K, K)), axis=-1)
     table = pair_constraint_table(kind, stats)
     return DeltaMatrix(table @ cell_sums.ravel() / (2 * len(ps)), pair_constraint_mask(kind, stats))
@@ -177,10 +183,14 @@ def pair_weights(
     """
     K, cell = stats.K, ps.arrays.cell
     weights = _pair_cell_weights(coeffs, stats, weight_form).reshape(K, K, 2)
-    pos = np.bincount(cell, minlength=K * K).reshape(K, K)
+    pos = ps.cell_counts()
     held = np.stack((pos.T, pos), axis=-1)
     _check_cell_weights(weights, held, "pair", {"k": K, "l": K, "label": 2})
-    return ((weights[..., 1] + weights[..., 0].T) / 2).ravel()[cell]
+    table = ((weights[..., 1] + weights[..., 0].T) / 2).ravel()
+    out = np.empty(len(ps))
+    for part in pair_chunks(len(ps)):
+        table.take(cell[part], out=out[part])
+    return out
 
 
 def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) -> Coefficients:

@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, PairSet
+from .data import GATHER_BYTES, Dataset, PairSet
 from .errors import ValidationError
 from .model import PROB_EPS, LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
-
-# train_weighted gathers the rows x_i - x_j of whole minibatches in chunks of
-# about this many bytes, never an (n_pairs, d) block.
-GATHER_BYTES = 256 * 1024
 
 
 def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
