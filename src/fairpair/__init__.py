@@ -42,7 +42,6 @@ from .training import (
     adam_update,
     train_pointwise,
     train_weighted,
-    weighted_loss,
 )
 
 __version__ = "0.1.0"

@@ -198,7 +198,8 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
 
 
 def _has_pairs(ds: Dataset) -> bool:
-    return any(0 < int(q.labels.sum()) < len(q) for q in ds.queries)
+    pos = ds.query_positives()
+    return bool(((0 < pos) & (pos < np.diff(ds.offsets))).any())
 
 
 def _write_reports(model, splits: dict[str, Dataset], kind, out_dir: Path) -> None:
@@ -216,7 +217,7 @@ def cmd_generate(cfg: RunConfig) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(ds, cfg.out_dir / "dataset.csv")
     save_truth_csv(truth, ds, cfg.out_dir / "truth.csv")
-    print(f"wrote {cfg.out_dir / 'dataset.csv'} ({len(ds.queries)} queries, d={ds.d}, K={ds.K})")
+    print(f"wrote {cfg.out_dir / 'dataset.csv'} ({len(ds.query_ids)} queries, d={ds.d}, K={ds.K})")
 
 
 def _split(cfg: RunConfig, ds: Dataset):

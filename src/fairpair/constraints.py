@@ -11,7 +11,7 @@ unknown in practice and are proxied by the observed pair labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -62,6 +62,8 @@ class GroupStats:
     pos_frac: float
     item_frac: np.ndarray
     pos_item_frac: np.ndarray
+    # pair_constraint_table's tables of these statistics, by kind.
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def K(self) -> int:
@@ -137,7 +139,17 @@ def pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray
 
     Entry [k, l, c] is the (k, l) constraint of ordered cell c, a row-major
     (group_i, group_j, label); its label is the proxy.  Undefined rows are 0.
+    Each kind's table is built once per GroupStats and shared read-only, so
+    the statistics must not change after their first table is built.
     """
+    table = stats._tables.get(kind)
+    if table is None:
+        table = stats._tables[kind] = _build_pair_constraint_table(kind, stats)
+        table.flags.writeable = False
+    return table
+
+
+def _build_pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
     defined = pair_constraint_mask(kind, stats)[..., None]
     K = stats.K
     group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)

@@ -8,9 +8,11 @@ query; row order within a query is preserved.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,10 @@ GROUP_MEAN_SCALE = 1.0
 # the pair set.
 GATHER_BYTES = 256 * 1024
 PAIR_CHUNK = GATHER_BYTES // 8
+
+# The CSV writers turn this many values of a column into Python objects at a
+# time, so writing holds about one block per column, not a copy of the data.
+WRITE_BLOCK = 1024
 
 
 def pair_chunks(n: int):
@@ -71,6 +77,10 @@ class Dataset:
     @property
     def n_items(self) -> int:
         return self.labels.size
+
+    def query_positives(self) -> np.ndarray:
+        """(n_queries,) int64 label sum of each query: its positives, for 0/1 labels."""
+        return np.diff(np.concatenate(([0], np.cumsum(self.labels)))[self.offsets])
 
     @cached_property
     def queries(self) -> list[QueryGroup]:
@@ -359,24 +369,41 @@ def save_csv(ds: Dataset, path) -> None:
     Features are written with repr, which round-trips every finite double
     bit-exactly through load_csv.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "group", "label"] + [f"f{i}" for i in range(ds.d)])
-        for q in ds.queries:
-            for group, label, feats in zip(q.groups.tolist(), q.labels.tolist(), q.features.tolist()):
-                writer.writerow([q.query_id, group, label] + [repr(v) for v in feats])
+    header = ["query_id", "group", "label"] + [f"f{i}" for i in range(ds.d)]
+    columns = [_values(ds.groups), _values(ds.labels), *map(_values, ds.features.T)]
+    _write_rows(path, header, ds.query_ids, np.diff(ds.offsets), columns)
 
 
 def save_truth_csv(truth: SynthTruth, ds: Dataset, path) -> None:
     """Sidecar with the per-item true positive probability, in dataset row order."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "y_true"])
-        for q, probs in zip(ds.queries, truth.item_probs):
-            for p in probs.tolist():
-                writer.writerow([q.query_id, repr(p)])
+    probs = chain.from_iterable(map(_values, truth.item_probs))
+    _write_rows(path, ["query_id", "y_true"], ds.query_ids, map(len, truth.item_probs), [probs])
+
+
+def _values(column: np.ndarray):
+    """The values of a 1-d array as Python scalars, converted WRITE_BLOCK at a time."""
+    n = WRITE_BLOCK
+    return chain.from_iterable(column[a : a + n].tolist() for a in range(0, len(column), n))
+
+
+def _csv_field(value) -> str:
+    """value as csv.writer writes it as one field of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _write_rows(path, header: list[str], query_ids, sizes, columns) -> None:
+    """Write a CSV as csv.writer would: the header row, then rows of a query
+    id and one value from each column.  Query q's id, quoted once, leads its
+    next sizes[q] rows.  The values are Python ints and floats, which need
+    no quotes, and "{}" formats a float as its repr.  map formats the rows,
+    with no Python loop over them."""
+    ids = chain.from_iterable(map(repeat, map(_csv_field, query_ids), sizes))
+    row = ",".join(["{}"] * (1 + len(columns))) + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(map(row.format, ids, *columns))
 
 
 def _round_half_down(x: float) -> int:
@@ -398,7 +425,7 @@ def split_queries(
         raise ValidationError("ratio_test + ratio_valid must be < 1")
     if seed < 0:
         raise ValidationError("split seed must be >= 0")
-    n_queries = len(ds.queries)
+    n_queries = len(ds.query_ids)
     n_test = _round_half_down(ratio_test * n_queries)
     n_valid = _round_half_down(ratio_valid * n_queries)
     n_train = n_queries - n_test - n_valid
@@ -439,8 +466,7 @@ def make_pairs(ds: Dataset) -> PairSet:
         raise ValidationError(f"{ds.n_items} items is more than int32 pair indices can address")
     if ((ds.labels != 0) & (ds.labels != 1)).any():
         raise ValidationError("pairs need every item label in {0, 1}")
-    offsets = ds.offsets
-    n_pos = np.diff(np.concatenate(([0], np.cumsum(ds.labels)))[offsets])
+    offsets, n_pos = ds.offsets, ds.query_positives()
     ends = np.cumsum(n_pos * (np.diff(offsets) - n_pos)).tolist()
     row_i = np.empty(ends[-1] if ends else 0, dtype=np.int32)
     row_j = np.empty_like(row_i)

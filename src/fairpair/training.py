@@ -107,15 +107,6 @@ def adam_update(
     return AdamState(m, v, t), params - step
 
 
-def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -> float:
-    """Mean weighted pair loss over a whole pair set."""
-    check_dimension(model, ps.source.d)
-    diff = ps.source.features.take(ps.row_i, axis=0)
-    diff -= ps.source.features.take(ps.row_j, axis=0)
-    p = clamp_prob(stable_sigmoid(diff @ model.w))
-    return float((weights * -np.log(p)).mean())
-
-
 def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient in w of the mean weighted pair loss over one minibatch.
 

@@ -5,7 +5,7 @@ import pytest
 
 from fairpair.data import Dataset, PairSet, make_pairs
 from fairpair.model import LinearRankingModel
-from fairpair.training import weighted_loss
+from loss_oracle import weighted_loss
 
 
 def build_dataset(queries, d, K):

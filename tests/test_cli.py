@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairpair.cli import main
-from fairpair.data import generate_synthetic, load_csv
+from fairpair.cli import _has_pairs, main
+from fairpair.data import Dataset, generate_synthetic, load_csv
 
 
 MISSING = object()  # a config key left out
@@ -58,6 +60,11 @@ class TestGenerate:
         truth_rows = (out / "truth.csv").read_text().strip().splitlines()
         assert truth_rows[0] == "query_id,y_true"
         assert len(truth_rows) == 1 + direct.n_items
+
+    def test_reports_query_count(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--config", write_config(tmp_path, base_config(out))]) == 0
+        assert f"wrote {out / 'dataset.csv'} (12 queries, d=3, K=2)" in capsys.readouterr().out
 
     def test_seed_changes_bytes(self, tmp_path):
         doc = base_config(tmp_path / "a")
@@ -262,6 +269,18 @@ class TestEvaluateCommand:
         (out / "eval_test.json").unlink()
         assert main(["evaluate", "--config", cfg]) == 0
         assert (out / "eval_test.json").read_bytes() == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=6), max_size=5))
+def test_has_pairs_matches_per_query_sums(labels):
+    # A split gets a report when one of its queries holds both labels; the
+    # per-query positive counts come from the offsets, not from query views.
+    offsets = np.cumsum([0, *map(len, labels)], dtype=np.int64)
+    flat = np.array([lab for query in labels for lab in query], dtype=np.int64)
+    ds = Dataset([f"q{i}" for i in range(len(labels))], offsets, np.zeros((flat.size, 1)),
+                 flat, np.zeros_like(flat), 1)
+    assert _has_pairs(ds) is any(0 < int(q.labels.sum()) < len(q) for q in ds.queries)
 
 
 class TestConfigHandling:

@@ -234,6 +234,18 @@ class TestPairConstraint:
         with pytest.raises(ValidationError):
             pair_constraint_table(ConstraintKind.POINT_STATISTICAL, stats)
 
+    def test_table_built_once_per_kind_and_stats(self, rng):
+        ps = make_pairs(random_dataset(rng, n_queries=4, items_per_query=6, d=2, K=3))
+        stats, same_counts = compute_group_stats(ps), compute_group_stats(ps)
+        for kind in PAIR_KINDS:
+            table = pair_constraint_table(kind, stats)
+            assert pair_constraint_table(kind, stats) is table
+            assert not table.flags.writeable
+            fresh = pair_constraint_table(kind, same_counts)
+            assert fresh is not table and fresh.tobytes() == table.tobytes()
+        tables = [pair_constraint_table(kind, stats) for kind in PAIR_KINDS]
+        assert len({id(t) for t in tables}) == len(PAIR_KINDS)
+
 
 class TestPointConstraint:
     def test_statistical_substitution(self):

@@ -16,7 +16,7 @@ from fairpair.model import (
     score_matrix,
     stable_sigmoid,
 )
-from fairpair.training import weighted_loss
+from loss_oracle import weighted_loss
 
 
 class TestScore:

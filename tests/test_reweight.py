@@ -9,6 +9,7 @@ import pytest
 import fairpair.reweight as rw
 from conftest import all_cells_pairs, build_dataset, random_dataset
 from enumeration import EnumeratedInstance, bias_correction_identity
+from fairpair import constraints
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
@@ -382,6 +383,36 @@ class TestFairTrain:
                 ref.fairness_train,
                 ref.fairness_eval,
             )
+            assert rec.delta.tobytes() == ref.delta.tobytes()
+            assert rec.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    @pytest.mark.parametrize("weight_form", ["general", "indicator"])
+    @pytest.mark.parametrize("delta_set", ["train", "validation"])
+    def test_builds_each_constraint_table_once(self, monkeypatch, weight_form, delta_set):
+        # One table per GroupStats, train and eval, where every expected_bias
+        # and general pair_weights call used to build its own: 3T + 2 here.
+        # The run equals one that builds a fresh table on every call.
+        train, valid, _ = self.biased_splits()
+        cfg = small_cfg(T=3, delta_set=delta_set, weight_form=weight_form)
+        kind = ConstraintKind.PAIR_INTER_GROUP
+        build = constraints._build_pair_constraint_table
+        with monkeypatch.context() as mp:
+            mp.setattr(rw, "pair_constraint_table", build)
+            ref_model, ref_coeffs, ref_history = fair_train(train, valid, kind, cfg)
+
+        built = []
+
+        def counted(kind, stats):
+            built.append(stats)
+            return build(kind, stats)
+
+        monkeypatch.setattr(constraints, "_build_pair_constraint_table", counted)
+        model, coeffs, history = fair_train(train, valid, kind, cfg)
+        assert len(built) == 2 and built[0] is not built[1]
+        assert model.w.tobytes() == ref_model.w.tobytes()
+        assert coeffs.values.tobytes() == ref_coeffs.values.tobytes()
+        for rec, ref in zip(history, ref_history, strict=True):
+            assert (rec.fairness_train, rec.fairness_eval) == (ref.fairness_train, ref.fairness_eval)
             assert rec.delta.tobytes() == ref.delta.tobytes()
             assert rec.coeffs.tobytes() == ref.coeffs.tobytes()
 

@@ -18,8 +18,8 @@ from fairpair.training import (
     batch_gradient,
     train_pointwise,
     train_weighted,
-    weighted_loss,
 )
+from loss_oracle import weighted_loss
 from ordered_pairs import fold, ordered_pairs, ordered_weighted_loss
 
 

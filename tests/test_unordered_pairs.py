@@ -15,7 +15,7 @@ from fairpair.constraints import ConstraintKind, compute_group_stats
 from fairpair.data import make_pairs
 from fairpair.model import LinearRankingModel
 from fairpair.reweight import Coefficients, expected_bias, pair_weights
-from fairpair.training import weighted_loss
+from loss_oracle import weighted_loss
 from ordered_pairs import (
     fold,
     ordered_expected_bias,
