@@ -91,29 +91,6 @@ class Dataset:
             for qid, (a, b) in zip(self.query_ids, bounds)
         ]
 
-    def validate(self) -> "Dataset":
-        """Reject inconsistent columns, duplicate query ids, empty queries and
-        bad rows; returns self."""
-        n, offsets = self.n_items, self.offsets
-        if not (self.labels.shape == self.groups.shape == self.features.shape[:1] == (n,)
-                and self.features.ndim == 2 and offsets.shape == (len(self.query_ids) + 1,)
-                and offsets[0] == 0 and offsets[-1] == n and (np.diff(offsets) >= 0).all()):
-            raise ValidationError("query offsets and columns do not describe the same rows")
-        seen = set()
-        for qid in self.query_ids:
-            if qid in seen:
-                raise ValidationError(f"duplicate query_id {qid!r}")
-            seen.add(qid)
-        empty = np.flatnonzero(np.diff(offsets) == 0)
-        if empty.size:
-            raise ValidationError(f"query {self.query_ids[empty[0]]!r} has no items")
-        bad = _first_bad_row(self.features, self.labels, self.groups, self.K)
-        if bad is not None:
-            row, problem = bad
-            qi = np.searchsorted(offsets, row, side="right") - 1
-            raise ValidationError(f"query {self.query_ids[qi]!r}: {problem}")
-        return self
-
 
 def _first_bad_row(features, labels, groups, K: int) -> tuple[int, str] | None:
     """The first row with a label outside {0,1}, a group outside [0, K) or a

@@ -10,8 +10,11 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Predicted probabilities are clamped away from {0, 1} so that the
-# logistic loss and its gradient stay finite.
+# Predicted probabilities are clamped away from {0, 1}, so a log of them
+# stays finite.  expected_bias, point_expected_bias and the pointwise
+# trainer's residual take the clamped probability.  The pairwise gradient
+# needs no clamp: training.batch_gradient forms its residual as
+# -weight / (1 + e^z).
 PROB_EPS = 1e-12
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import GATHER_BYTES, Dataset, PairSet
 from .errors import ValidationError
-from .model import PROB_EPS, LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
+from .model import PROB_EPS, LinearRankingModel, check_dimension, stable_sigmoid
 
 
 def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
@@ -111,16 +111,23 @@ def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndar
     """Gradient in w of the mean weighted pair loss over one minibatch.
 
     ``x`` holds the batch's feature differences and ``weights`` its pair
-    weights; every pair label is 1.  The bias has no entry: it cancels in
-    every score difference, so its gradient is zero.
+    weights.  Every pair label is 1, so with z = x @ w pair t's residual is
+    -weight_t * sigmoid(-z_t) = -weight_t / (1 + exp(z_t)), formed directly:
+    it stays within a few ulp where 1 - sigmoid(z) would cancel, and needs
+    no clamp.  Capping z at 700 keeps exp finite: above the cap the residual
+    is weight / (1 + e^700) < weight * 1e-304, and the true one is smaller
+    still.  Per minibatch the cost is numpy's fixed cost per call, so every
+    step but the two products works in place.  The bias has no entry: it
+    cancels in every score difference, so its gradient is zero.
     """
-    resid = stable_sigmoid(x @ w)
-    # clamp_prob in place; np.clip's Python wrapper costs as much as the clamp.
-    np.maximum(resid, PROB_EPS, out=resid)
-    np.minimum(resid, 1.0 - PROB_EPS, out=resid)
-    resid -= 1.0
-    resid *= weights
-    return resid @ x / weights.size
+    r = x @ w
+    np.minimum(r, 700.0, out=r)
+    np.exp(r, out=r)
+    r += 1.0
+    np.divide(weights, r, out=r)
+    g = r @ x
+    g /= -weights.size
+    return g
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -209,7 +216,10 @@ def train_pointwise(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x = np.take(X, idx, axis=0)
-            resid = clamp_prob(stable_sigmoid(x @ params[:-1] + params[-1]))
+            resid = stable_sigmoid(x @ params[:-1] + params[-1])
+            # clamp_prob in place; np.clip's Python wrapper costs as much as the clamp.
+            np.maximum(resid, PROB_EPS, out=resid)
+            np.minimum(resid, 1.0 - PROB_EPS, out=resid)
             resid -= y.take(idx)
             resid *= weights.take(idx)
             grad = np.concatenate([resid @ x / idx.size, [resid.mean()]])

@@ -1,24 +1,51 @@
-"""Shared builders for hand-constructed datasets and pair sets, and a numerical gradient."""
+"""Shared builders for hand-constructed datasets and pair sets, a dataset
+checker and a numerical gradient."""
 
 import numpy as np
 import pytest
 
-from fairpair.data import Dataset, PairSet, make_pairs
+from fairpair.data import Dataset, PairSet, _first_bad_row, make_pairs
+from fairpair.errors import ValidationError
 from fairpair.model import LinearRankingModel
 from loss_oracle import weighted_loss
+
+
+def validate_dataset(ds):
+    """Reject inconsistent columns, duplicate query ids, empty queries and
+    bad rows of a dataset built in code; returns ds.  load_csv checks its
+    rows with the same _first_bad_row."""
+    n, offsets = ds.n_items, ds.offsets
+    if not (ds.labels.shape == ds.groups.shape == ds.features.shape[:1] == (n,)
+            and ds.features.ndim == 2 and offsets.shape == (len(ds.query_ids) + 1,)
+            and offsets[0] == 0 and offsets[-1] == n and (np.diff(offsets) >= 0).all()):
+        raise ValidationError("query offsets and columns do not describe the same rows")
+    seen = set()
+    for qid in ds.query_ids:
+        if qid in seen:
+            raise ValidationError(f"duplicate query_id {qid!r}")
+        seen.add(qid)
+    empty = np.flatnonzero(np.diff(offsets) == 0)
+    if empty.size:
+        raise ValidationError(f"query {ds.query_ids[empty[0]]!r} has no items")
+    bad = _first_bad_row(ds.features, ds.labels, ds.groups, ds.K)
+    if bad is not None:
+        row, problem = bad
+        qi = np.searchsorted(offsets, row, side="right") - 1
+        raise ValidationError(f"query {ds.query_ids[qi]!r}: {problem}")
+    return ds
 
 
 def build_dataset(queries, d, K):
     """queries: list of (query_id, labels, groups, features)."""
     sizes = [len(labels) for _, labels, _, _ in queries]
-    return Dataset(
+    return validate_dataset(Dataset(
         [qid for qid, _, _, _ in queries],
         np.cumsum([0] + sizes, dtype=np.int64),
         np.array([f for q in queries for f in q[3]], dtype=np.float64).reshape(sum(sizes), d),
         np.array([l for q in queries for l in q[1]], dtype=np.int64),
         np.array([g for q in queries for g in q[2]], dtype=np.int64),
         K,
-    ).validate()
+    ))
 
 
 def random_dataset(rng, n_queries=4, items_per_query=8, d=3, K=2):

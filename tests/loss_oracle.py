@@ -1,16 +1,27 @@
-"""The whole-pair-set pairwise loss, kept as a small-input test oracle.
+"""The whole-pair-set pairwise loss, kept as a small-input test oracle,
+and the minibatch gradient's earlier form.
 
 The trainer only ever needs the loss's gradient, a minibatch at a time
 (training.batch_gradient).  ``weighted_loss`` evaluates the loss itself in
 one pass over a whole (n_pairs, d) block of feature differences, so its
 temporaries grow with the pair set; the tests call it on small pair sets
 to check the trainer and the gradient against.
+
+``old_batch_gradient`` is the minibatch gradient as it was before the
+trainer formed its residual as -weight / (1 + exp(z)); the tests patch it
+into training to show that the rest of the loop gives the bits it gave.
 """
 
 import numpy as np
 
 from fairpair.data import PairSet
-from fairpair.model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
+from fairpair.model import (
+    PROB_EPS,
+    LinearRankingModel,
+    check_dimension,
+    clamp_prob,
+    stable_sigmoid,
+)
 
 
 def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -> float:
@@ -20,3 +31,14 @@ def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -
     diff -= ps.source.features.take(ps.row_j, axis=0)
     p = clamp_prob(stable_sigmoid(diff @ model.w))
     return float((weights * -np.log(p)).mean())
+
+
+def old_batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """training.batch_gradient as it was: the clamped probability minus the
+    pair label 1, times the weight, as the residual."""
+    resid = stable_sigmoid(x @ w)
+    np.maximum(resid, PROB_EPS, out=resid)
+    np.minimum(resid, 1.0 - PROB_EPS, out=resid)
+    resid -= 1.0
+    resid *= weights
+    return resid @ x / weights.size

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_cells_pairs, build_dataset, random_dataset
+from conftest import all_cells_pairs, build_dataset, random_dataset, validate_dataset
 from constraint_oracle import loop_pair_constraint_table, pair_constraint_at_one
 from fairpair.constraints import (
     ConstraintKind,
@@ -162,7 +162,7 @@ class TestPairTablesMatchLoops:
         ds, ps, stats = self.setup_data(rng, K)
         labels = np.where(ds.groups == K - 1, 0, ds.labels)
         ds_neg = Dataset(ds.query_ids, ds.offsets, ds.features, labels, ds.groups, K)
-        stats_neg = compute_group_stats(make_pairs(ds_neg.validate()))
+        stats_neg = compute_group_stats(make_pairs(validate_dataset(ds_neg)))
         assert np.all(stats_neg.pos_pair_frac[K - 1] == 0.0)
         for s in (stats, stats_neg):
             assert_same_bits(pair_constraint_table(kind, s), loop_pair_constraint_table(kind, s))

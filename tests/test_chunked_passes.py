@@ -124,7 +124,7 @@ def test_make_pairs_matches_whole_form_on_random_queries(labels):
 @pytest.mark.parametrize("labels", [[2, 0, 1], [1, 0, -1], [0, 0, 3]])
 def test_make_pairs_rejects_labels_outside_0_1(labels):
     # Pairs are counted from label sums, so such a dataset, built in code
-    # without Dataset.validate, must not get a silently wrong pair set.
+    # without validate_dataset, must not get a silently wrong pair set.
     ds = Dataset(["q"], np.array([0, 3]), np.zeros((3, 1)), np.array(labels), np.zeros(3, int), 1)
     with pytest.raises(ValidationError, match=r"label in \{0, 1\}"):
         make_pairs(ds)

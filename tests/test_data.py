@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_dataset, pair_feature_diff, random_dataset
+from conftest import build_dataset, pair_feature_diff, random_dataset, validate_dataset
 from fairpair.data import (
     Dataset,
     _round_half_down,
@@ -193,7 +193,7 @@ class TestDatasetValidate:
             K=1,
         )
         with pytest.raises(ValidationError, match="offsets and columns"):
-            ds.validate()
+            validate_dataset(ds)
 
     def test_empty_query(self):
         with pytest.raises(ValidationError, match="query 'b' has no items"):

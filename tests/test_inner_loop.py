@@ -6,6 +6,14 @@ pairwise bias through Adam with a zero gradient, used a sigmoid that
 masked its two branches, took each minibatch's rows from one (n_pairs, d)
 block of pair feature rows, read each pair's label, and shuffled with
 ``rng.permutation``.  The current code must give the same bits.
+
+The residual changed form, and bits with it: from the clamped probability
+minus the label (``old_residual``) to -weight / (1 + exp(z))
+(``new_residual``).  So the old loop takes its residual as an argument,
+and each comparison with it runs twice: the trainer with
+training.batch_gradient patched to its old form against the old loop as
+it was, which shows that the loop, chunking, shuffle and Adam did not
+move, and the trainer as it is against the old loop on the new residual.
 """
 
 import math
@@ -25,6 +33,7 @@ from fairpair.training import (
     train_pointwise,
     train_weighted,
 )
+from loss_oracle import old_batch_gradient
 
 
 def old_stable_sigmoid(z):
@@ -49,7 +58,19 @@ def old_adam_update(state, params, grad, cfg):
     return AdamState(m, v, t), new_params
 
 
-def old_train_weighted(ps, weights, cfg, init=None):
+def old_residual(z, lab, weights):
+    """The residual the old loop took: the clamped probability minus the label."""
+    return weights * (clamp_prob(old_stable_sigmoid(z)) - lab)
+
+
+def new_residual(z, lab, weights):
+    """-weight / (1 + exp(min(z, 700))), the residual at label 1, spelled out
+    without buffers."""
+    assert np.all(lab == 1.0)
+    return -(weights / (1.0 + np.exp(np.minimum(z, 700.0))))
+
+
+def old_train_weighted(ps, weights, cfg, init=None, residual=old_residual):
     n = len(ps)
     weights = np.asarray(weights, dtype=np.float64)
     if init is None:
@@ -64,11 +85,20 @@ def old_train_weighted(ps, weights, cfg, init=None):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            p = clamp_prob(old_stable_sigmoid(diff[idx] @ params[:-1]))
-            resid = weights[idx] * (p - lab[idx])
+            resid = residual(diff[idx] @ params[:-1], lab[idx], weights[idx])
             grad = np.concatenate([resid @ diff[idx] / idx.size, [0.0]])
             state, params = old_adam_update(state, params, grad, cfg)
     return LinearRankingModel(params[:-1].copy(), float(params[-1]))
+
+
+def residual_forms(monkeypatch):
+    """The old loop's residual for each of the two runs: ``old_residual`` while
+    training.batch_gradient is patched to its old form, then ``new_residual``
+    with the trainer as it is."""
+    with monkeypatch.context() as patched:
+        patched.setattr(training, "batch_gradient", old_batch_gradient)
+        yield old_residual
+    yield new_residual
 
 
 def block_train_weighted(ps, weights, cfg, init=None):
@@ -146,17 +176,18 @@ def test_fixture_fits_the_batch_cases(pairs):
         pytest.param({"epochs": 3, "batch_size": 1, "learning_rate": 0.3}, None, id="batch-1"),
     ],
 )
-def test_train_weighted_matches_old_loop(rng, pairs, cfg_kwargs, init):
+def test_train_weighted_matches_old_loop(rng, monkeypatch, pairs, cfg_kwargs, init):
     ps, weights = pairs
     cfg = TrainConfig(**cfg_kwargs)
     model = None
     if init is not None:
         scale, b = init
         model = LinearRankingModel(scale * rng.normal(size=ps.source.d), b)
-    assert_same_model(
-        train_weighted(ps, weights, cfg, init=model),
-        old_train_weighted(ps, weights, cfg, init=model),
-    )
+    for residual in residual_forms(monkeypatch):
+        assert_same_model(
+            train_weighted(ps, weights, cfg, init=model),
+            old_train_weighted(ps, weights, cfg, init=model, residual=residual),
+        )
 
 
 def test_train_weighted_leaves_init_untouched(rng, pairs):
@@ -169,16 +200,17 @@ def test_train_weighted_leaves_init_untouched(rng, pairs):
         np.testing.assert_array_equal(init.w, w0)
 
 
-def test_warm_started_outer_chain_matches(rng, pairs):
+def test_warm_started_outer_chain_matches(rng, monkeypatch, pairs):
     # fair_train's warm start feeds each trained model back in as init.
     ps, weights = pairs
     cfg = TrainConfig(epochs=3, batch_size=40, seed=2)
-    new = old = None
-    for it in range(4):
-        w_it = weights * (1.0 + 0.1 * it)
-        new = train_weighted(ps, w_it, cfg, init=new)
-        old = old_train_weighted(ps, w_it, cfg, init=old)
-        assert_same_model(new, old)
+    for residual in residual_forms(monkeypatch):
+        new = old = None
+        for it in range(4):
+            w_it = weights * (1.0 + 0.1 * it)
+            new = train_weighted(ps, w_it, cfg, init=new)
+            old = old_train_weighted(ps, w_it, cfg, init=old, residual=residual)
+            assert_same_model(new, old)
 
 
 @pytest.mark.parametrize("n", [1, 10, 1000, 119_896])

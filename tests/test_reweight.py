@@ -9,7 +9,7 @@ import pytest
 import fairpair.reweight as rw
 from conftest import all_cells_pairs, build_dataset, random_dataset
 from enumeration import EnumeratedInstance, bias_correction_identity
-from fairpair import constraints
+from fairpair import constraints, training
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
@@ -34,6 +34,7 @@ from fairpair.reweight import (
     write_history_csv,
 )
 from fairpair.training import TrainConfig, train_pointwise, train_weighted
+from loss_oracle import old_batch_gradient
 from ordered_pairs import fold, ordered_pairs, ordered_weights
 
 STAT = ConstraintKind.PAIR_STATISTICAL
@@ -482,7 +483,8 @@ def hex_digest(values):
 # Recorded from fair_train before the trainer's per-step costs were cut
 # (an int32 shuffle, np.clip, two exp calls per sigmoid, one constraint
 # table row per (k, l) call).  Each history row digests the four metrics,
-# then delta and the coefficients, row-major.
+# then delta and the coefficients, row-major.  These bits hold with
+# training.batch_gradient patched to its old residual (loss_oracle).
 GOLDEN_W = ["0x1.0668e8f069708p-4", "-0x1.27be8a4602470p-4", "0x1.6cebc04c848bcp-4"]
 GOLDEN_COEFFS = "23fd16a2bb6536ae"
 GOLDEN_HISTORY = [
@@ -493,16 +495,28 @@ GOLDEN_HISTORY = [
     "e6987c3424364174", "a84d217a82d945ea", "044f625b92869189", "5af1c09a711979ca",
 ]
 
+# Recorded from fair_train once the gradient's residual was formed as
+# -weight / (1 + exp(z)); the same digests as above.
+GOLDEN_RESIDUAL_W = ["0x1.0668e8f069707p-4", "-0x1.27be8a4602470p-4", "0x1.6cebc04c848bcp-4"]
+GOLDEN_RESIDUAL_COEFFS = "ccffabee363ce5b8"
+GOLDEN_RESIDUAL_HISTORY = [
+    "05ba908e556103c0", "0b5cbc1c6bc395d7", "10b522a3f20d4309", "21ca9528d68e0b2c",
+    "9db3857415ae6c6b", "3a4b843aedb7979f", "9e330997f57b990c", "539fadb97394ace1",
+    "64548293fdbfefab", "55d8f96672c5ac9a", "331656cdf2425a8e", "db22b831d085c116",
+    "39956ca2e9b6ce22", "cff4368385ea35b9", "b5737a6c491cb8cd", "b47ca45b8961b0e9",
+    "77b62f628a4e69c9", "815c04809fade21f", "d27bcc0eb94328a2", "570e90bb042e8c5e",
+]
 
-def test_small_fair_train_matches_its_recorded_bits():
+
+def assert_small_fair_train_bits(golden_w, golden_coeffs, golden_history):
     # The tiny reweight-k8 benchmark shape: 48x16 items, d=3, K=8, inter,
     # T=20, 3 epochs, deltas from the validation set.
     ds, _ = generate_synthetic(48, 16, d=3, K=8, bias_strength=1.0, seed=0)
     train, valid, _ = split_queries(ds, 0.2, 0.16, seed=1)
     cfg = FairTrainConfig(T=20, delta_set="validation", inner=TrainConfig(epochs=3, seed=2))
     model, coeffs, history = fair_train(train, valid, ConstraintKind.PAIR_INTER_GROUP, cfg)
-    assert [v.hex() for v in model.w.tolist()] == GOLDEN_W and model.b == 0.0
-    assert hex_digest(coeffs.values.ravel()) == GOLDEN_COEFFS
+    assert [v.hex() for v in model.w.tolist()] == golden_w and model.b == 0.0
+    assert hex_digest(coeffs.values.ravel()) == golden_coeffs
     rows = [
         hex_digest(
             [r.auc_train, r.auc_eval, r.fairness_train, r.fairness_eval]
@@ -510,7 +524,18 @@ def test_small_fair_train_matches_its_recorded_bits():
         )
         for r in history
     ]
-    assert rows == GOLDEN_HISTORY
+    assert rows == golden_history
+
+
+def test_small_fair_train_matches_its_recorded_bits(monkeypatch):
+    monkeypatch.setattr(training, "batch_gradient", old_batch_gradient)
+    assert_small_fair_train_bits(GOLDEN_W, GOLDEN_COEFFS, GOLDEN_HISTORY)
+
+
+def test_small_fair_train_matches_its_recorded_residual_bits():
+    assert_small_fair_train_bits(
+        GOLDEN_RESIDUAL_W, GOLDEN_RESIDUAL_COEFFS, GOLDEN_RESIDUAL_HISTORY
+    )
 
 
 class TestPointwiseReweightTrain:

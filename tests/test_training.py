@@ -1,7 +1,9 @@
 """Tests for the trainers, the pairwise loss and its batch gradient, and Adam."""
 
+import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +122,33 @@ class TestLossGradient:
             numeric = numeric_gradient(ps, weight, w)
             denom = max(np.linalg.norm(analytic), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-6
+
+
+RESIDUAL_EDGES = [0.0, 1e-300, 5e-324, 10.0, 20.0, 36.7, 700.0, 709.8, 745.2, 1e3]
+RESIDUAL_Z = [*RESIDUAL_EDGES, *(-z for z in RESIDUAL_EDGES), *np.linspace(-745, 700, 579)]
+
+
+def residual_oracle(z, weight):
+    """-weight / (1 + e^z) to 50 digits."""
+    ctx = decimal.Context(prec=50)
+    return -ctx.divide(decimal.Decimal(weight), ctx.add(1, ctx.exp(decimal.Decimal(z))))
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.3, 2.75])
+def test_residual_within_4_ulp_where_normal_and_tiny_above(weight):
+    # On one pair with x = [1.0] and w = [z], batch_gradient is the residual.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in RESIDUAL_Z:
+            r = batch_gradient(np.array([z]), np.array([[1.0]]), np.array([weight]))[0]
+            assert math.isfinite(r)
+            exact = residual_oracle(z, weight)
+            if z <= 700:
+                # The true value is a normal double here.
+                ulps = abs(decimal.Decimal(r) - exact) / decimal.Decimal(math.ulp(float(exact)))
+                assert ulps <= 4, (z, r, exact)
+            else:
+                assert -weight * 1e-304 <= r <= 0.0, (z, r)
 
 
 class TestAdamUpdate:
