@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import GATHER_BYTES, Dataset, PairSet
 from .errors import ValidationError
-from .model import PROB_EPS, LinearRankingModel, check_dimension, stable_sigmoid
+from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
 
 
 def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
@@ -216,10 +216,7 @@ def train_pointwise(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x = np.take(X, idx, axis=0)
-            resid = stable_sigmoid(x @ params[:-1] + params[-1])
-            # clamp_prob in place; np.clip's Python wrapper costs as much as the clamp.
-            np.maximum(resid, PROB_EPS, out=resid)
-            np.minimum(resid, 1.0 - PROB_EPS, out=resid)
+            resid = clamp_prob(stable_sigmoid(x @ params[:-1] + params[-1]))
             resid -= y.take(idx)
             resid *= weights.take(idx)
             grad = np.concatenate([resid @ x / idx.size, [resid.mean()]])
