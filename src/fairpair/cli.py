@@ -41,7 +41,7 @@ from .reweight import (
     pointwise_reweight_train,
     write_history_csv,
 )
-from .training import TrainConfig, require_types, train_weighted
+from .training import TrainConfig, require_types, shared_epoch_orders, train_weighted
 
 PAIR_KINDS = {
     "statistical": ConstraintKind.PAIR_STATISTICAL,
@@ -225,8 +225,7 @@ def _split(cfg: RunConfig, ds: Dataset):
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    ds = _load_dataset(cfg)
-    train, valid, test = _split(cfg, ds)
+    train, valid, test = _split(cfg, _load_dataset(cfg))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.method == "pointwise":
@@ -282,18 +281,18 @@ def _read_coefficients(path: Path, K: int, kind: ConstraintKind) -> Coefficients
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    ds = _load_dataset(cfg)
     kind = cfg.constraint
-    coeffs_star = _read_coefficients(cfg.out_dir / "coefficients.json", ds.K, kind)
-    train, _valid, test = _split(cfg, ds)
+    train, _valid, test = _split(cfg, _load_dataset(cfg))
+    coeffs_star = _read_coefficients(cfg.out_dir / "coefficients.json", train.K, kind)
     ps = make_pairs(train)
     stats = compute_group_stats(ps)
+    orders = shared_epoch_orders(len(ps), cfg.fair.inner)
 
     rows = []
     for x in cfg.sweep_scales:
         scaled = Coefficients(x * coeffs_star.values, kind)
         weights = pair_weights(scaled, stats, ps, cfg.fair.weight_form)
-        model = train_weighted(ps, weights, cfg.fair.inner)
+        model = train_weighted(ps, weights, cfg.fair.inner, orders=orders)
         report = evaluate(model, test, kind)
         rows.append((x, report.auc, report.fairness))
         print(f"sweep x={x:g}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
@@ -312,8 +311,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     if not model_path.exists():
         raise ValidationError(f"missing model artifact {model_path}; run `fairpair train` first")
     model = load_model(model_path)
-    ds = _load_dataset(cfg)
-    train, valid, test = _split(cfg, ds)
+    train, valid, test = _split(cfg, _load_dataset(cfg))
     _write_reports(
         model, {"train": train, "valid": valid, "test": test}, cfg.constraint, cfg.out_dir
     )

@@ -19,13 +19,18 @@ def auc(model: LinearRankingModel, ds: Dataset) -> tuple[float, list[float]]:
     """Mean per-query AUC; queries without a discordant pair are excluded.
 
     Each query's AUC counts its discordant pairs with half credit for score
-    ties, via midranks.  One sort by (query, score) ranks every query at
-    once; midranks are half-integers, so their per-query sums are exact.
+    ties, via midranks.  One order by (query, score) ranks every query at
+    once: an unstable sort of the n scores, then a sort of the unique keys
+    query * n + rank, which is cheaper than a stable float sort.  Tied
+    scores share one midrank, so their order within a tie is immaterial;
+    midranks are half-integers, so their per-query sums are exact.
     """
     sizes = np.diff(ds.offsets)
     query = np.repeat(np.arange(sizes.size), sizes)
     scores = score_matrix(model, ds.features)
-    order = np.lexsort((scores, query))
+    rank = np.empty(scores.size, dtype=np.int64)
+    rank[np.argsort(scores)] = np.arange(scores.size)
+    order = np.argsort(query * scores.size + rank)
     scores, query = scores[order], query[order]
     # Runs of tied scores within a query, by their first sorted position.
     new_run = np.ones(scores.size, dtype=bool)

@@ -31,7 +31,13 @@ from .constraints import (
 from .data import Dataset, PairSet, item_cell, make_pairs, pair_chunks
 from .errors import ValidationError
 from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
-from .training import TrainConfig, require_types, train_pointwise, train_weighted
+from .training import (
+    TrainConfig,
+    require_types,
+    shared_epoch_orders,
+    train_pointwise,
+    train_weighted,
+)
 
 
 @dataclass(eq=False)
@@ -128,10 +134,16 @@ def expected_bias(
 
 
 def _exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-cell sum of coeffs[e] * table[e] over defined entries e with nonzero coefficients."""
+    """Per-cell sum of coeffs[e] * table[e] over defined entries e with nonzero coefficients.
+
+    The rows of terms are summed in entry order, the bits of a running sum
+    from zeros (a matrix product sums in another order).  The sum is added
+    to zeros, so a cell whose terms are all -0.0 reads +0.0 as in that
+    running sum, whichever value numpy's reduction starts from.
+    """
+    held = mask & (coeffs != 0.0)
     s = np.zeros(table.shape[-1])
-    for e in zip(*np.nonzero(mask & (coeffs != 0.0))):
-        s += coeffs[e] * table[e]
+    s += (coeffs[held][:, None] * table[held]).sum(axis=0)
     return s
 
 
@@ -227,10 +239,13 @@ def fair_train(
 
     coeffs = Coefficients.zeros(train.K, kind)
     weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
-    model = train_weighted(ps_train, weights, cfg.inner)
-    history: list[IterationRecord] = []
     if cfg.T == 0:
-        return model, coeffs, history
+        return train_weighted(ps_train, weights, cfg.inner), coeffs, []
+    # All T + 1 trainings share one pair set and one cfg.inner, so one draw
+    # of their epoch orders serves every one.
+    orders = shared_epoch_orders(len(ps_train), cfg.inner)
+    model = train_weighted(ps_train, weights, cfg.inner, orders=orders)
+    history: list[IterationRecord] = []
 
     ps_eval = make_pairs(eval_set)
     if not len(ps_eval):
@@ -251,7 +266,7 @@ def fair_train(
             msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
             raise ValidationError(msg) from exc
         init = model if cfg.warm_start else None
-        model = train_weighted(ps_train, weights, cfg.inner, init=init)
+        model = train_weighted(ps_train, weights, cfg.inner, init=init, orders=orders)
         bias_train = expected_bias(model, ps_train, stats_train, kind)
         bias_eval = expected_bias(model, ps_eval, stats_eval, kind)
         history.append(

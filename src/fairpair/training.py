@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import GATHER_BYTES, Dataset, PairSet
 from .errors import ValidationError
-from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
+from .model import LinearRankingModel, check_dimension
 
 
 def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
@@ -139,24 +139,53 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return weights
 
 
+def epoch_orders(n: int, cfg: TrainConfig):
+    """Yield the cfg.epochs orders in which train_weighted visits n pairs:
+    successive permutations of a generator seeded by cfg.seed."""
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        yield rng.permutation(n)
+
+
+def shared_epoch_orders(n: int, cfg: TrainConfig) -> np.ndarray:
+    """epoch_orders(n, cfg) drawn once, for callers that train several times
+    on one pair set with one cfg: a read-only (cfg.epochs, n) array of the
+    narrowest unsigned dtype that holds n - 1, so 2 bytes a pair per epoch
+    up to 65536 pairs and 4 above."""
+    orders = np.empty((cfg.epochs, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for row, order in zip(orders, epoch_orders(n, cfg)):
+        row[...] = order
+    orders.flags.writeable = False
+    return orders
+
+
 def train_weighted(
     ps: PairSet,
     weights,
     cfg: TrainConfig,
     init: LinearRankingModel | None = None,
+    orders: np.ndarray | None = None,
 ) -> LinearRankingModel:
     """Minimize the weighted pairwise loss with minibatch Adam.
 
-    Pairs are reshuffled every epoch from a generator seeded by cfg.seed,
-    so the result is deterministic for fixed inputs; ``cfg.batch_size``
-    counts pairs of ``ps``.  Each minibatch steps on its view of a chunk of
-    gathered rows x_i - x_j (see GATHER_BYTES).  The bias is returned as
-    given in ``init``.  epochs=0 returns the initial model unchanged.
+    Pairs are reshuffled every epoch in the orders of epoch_orders, so the
+    result is deterministic for fixed inputs; ``orders``, when given, must
+    be those orders, as shared_epoch_orders returns them, and is not drawn
+    again.  ``cfg.batch_size`` counts pairs of ``ps``.  Each minibatch steps
+    on its view of a chunk of gathered rows x_i - x_j (see GATHER_BYTES).
+    The bias is returned as given in ``init``.  epochs=0 returns the
+    initial model unchanged.
     """
     if not len(ps):
         raise ValidationError("cannot train on an empty pair set")
     n = len(ps)
     weights = _check_weights(weights, n)
+    if orders is None:
+        orders = epoch_orders(n, cfg)
+    elif orders.shape != (cfg.epochs, n):
+        raise ValidationError(
+            f"orders of shape {orders.shape} for {cfg.epochs} epochs of {n} pairs"
+        )
     d = ps.source.d
     if init is None:
         init = LinearRankingModel.zeros(d)
@@ -169,12 +198,8 @@ def train_weighted(
     # return it bit for bit; only w is stepped.
     w = init.w.copy()
     state = AdamState.zeros(d)
-    rng = np.random.default_rng(cfg.seed)
 
-    for _ in range(cfg.epochs):
-        # An intp order: numpy shuffles 8-byte items fastest, and the
-        # gathers below need no index conversion.
-        order = rng.permutation(n)
+    for order in orders:
         for lo in range(0, n, chunk):
             idx = order[lo : lo + chunk]
             xs = X.take(row_i.take(idx), axis=0)
@@ -197,6 +222,9 @@ def train_pointwise(
     """Weighted logistic regression on items (the pointwise ordering method).
 
     Unlike the pairwise trainer, the bias receives a nonzero gradient here.
+    With f = 2y - 1, an item's residual -y * sigmoid(-z) + (1 - y) * sigmoid(z)
+    is formed directly as -f * weight / (1 + exp(min(f * z, 700))), as in
+    batch_gradient, so it does not cancel where sigmoid(z) nears y.
     """
     X, y = ds.features, ds.labels
     n = y.size
@@ -209,16 +237,19 @@ def train_pointwise(
 
     params = np.concatenate([init.w, [init.b]])
     state = AdamState.zeros(params.size)
-    rng = np.random.default_rng(cfg.seed)
+    flip = 2.0 * y - 1.0
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+    for order in epoch_orders(n, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x = np.take(X, idx, axis=0)
-            resid = clamp_prob(stable_sigmoid(x @ params[:-1] + params[-1]))
-            resid -= y.take(idx)
-            resid *= weights.take(idx)
+            f = flip.take(idx)
+            r = f * (x @ params[:-1] + params[-1])
+            np.minimum(r, 700.0, out=r)
+            np.exp(r, out=r)
+            r += 1.0
+            resid = -f * weights.take(idx)
+            resid /= r
             grad = np.concatenate([resid @ x / idx.size, [resid.mean()]])
             state, params = adam_update(state, params, grad, cfg)
 

@@ -1,8 +1,11 @@
-"""The per-(k, l) pairwise constraint, kept as a test oracle.
+"""The per-(k, l) pairwise constraint and the per-entry exponent sum,
+kept as test oracles.
 
 ``pair_constraint_table`` builds every (k, l) row of the table in one
 broadcast expression.  It used to call ``pair_constraint_at_one`` once per
 defined (k, l) entry; ``loop_pair_constraint_table`` is that loop.
+``reweight._exponents`` sums its entries' weighted table rows in one
+reduction; ``loop_exponents`` is the running sum it replaced.
 """
 
 import numpy as np
@@ -40,3 +43,12 @@ def loop_pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.nd
     for k, l in zip(*np.nonzero(pair_constraint_mask(kind, stats))):
         table[k, l] = pair_constraint_at_one(kind, stats, k, l, group_i, group_j, label)
     return table
+
+
+def loop_exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """reweight._exponents as a running sum, one defined entry with a nonzero
+    coefficient at a time."""
+    s = np.zeros(table.shape[-1])
+    for e in zip(*np.nonzero(mask & (coeffs != 0.0))):
+        s += coeffs[e] * table[e]
+    return s

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_cells_pairs, build_dataset, random_dataset, validate_dataset
-from constraint_oracle import loop_pair_constraint_table, pair_constraint_at_one
+from constraint_oracle import loop_exponents, loop_pair_constraint_table, pair_constraint_at_one
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
@@ -202,6 +202,41 @@ class TestPairTablesMatchLoops:
             by_cell = np.zeros(2 * K * K)
             by_cell[ps.arrays.cell] = weights
             assert_same_bits(by_cell[ps.arrays.cell], weights)
+
+
+def test_exponents_match_running_sum_bits(rng):
+    # Pair-shaped (K, K, 2K^2) and point-shaped (K, 2K) tables with zero
+    # entries, coefficients of mixed scale with exact zeros and -0.0, and
+    # random masks: negative coefficients on zero entries make -0.0 terms.
+    for trial in range(300):
+        K = int(rng.integers(2, 17))
+        shape = (K,) if trial % 4 == 0 else (K, K)
+        table = rng.normal(size=(*shape, 2 * K ** len(shape)))
+        table *= 10.0 ** rng.integers(-3, 4, size=shape)[..., None]
+        table[rng.random(table.shape) < 0.3] = 0.0
+        coeffs = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 7, size=shape)
+        coeffs[rng.random(shape) < 0.2] = 0.0
+        coeffs[rng.random(shape) < 0.05] = -0.0
+        mask = rng.random(shape) < 0.8
+        assert_same_bits(_exponents(coeffs, mask, table), loop_exponents(coeffs, mask, table))
+    # Only -0.0 terms: the running sum from zeros reads +0.0.
+    coeffs, table = np.array([-1.0, -2.0]), np.zeros((2, 4))
+    got = _exponents(coeffs, np.ones(2, dtype=bool), table)
+    assert_same_bits(got, loop_exponents(coeffs, np.ones(2, dtype=bool), table))
+    assert not np.signbit(got).any()
+    # No entry held: zeros.
+    assert_same_bits(_exponents(coeffs, np.zeros(2, dtype=bool), table), np.zeros(4))
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("K", [2, 8, 16])
+def test_exponents_match_running_sum_bits_on_tables(rng, kind, K):
+    ds = random_dataset(rng, n_queries=8, items_per_query=30, d=3, K=K)
+    stats = compute_group_stats(make_pairs(ds))
+    mask, table = pair_constraint_mask(kind, stats), pair_constraint_table(kind, stats)
+    for scale in (0.0, 1e-3, 1.0, 50.0):
+        coeffs = random_coefficients(rng, K, scale=scale)
+        assert_same_bits(_exponents(coeffs, mask, table), loop_exponents(coeffs, mask, table))
 
 
 @pytest.mark.parametrize("kind", POINT_KINDS, ids=lambda k: k.value)

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairpair import cli
 from fairpair.cli import _has_pairs, main
 from fairpair.data import Dataset, generate_synthetic, load_csv
 
@@ -281,6 +283,62 @@ def test_has_pairs_matches_per_query_sums(labels):
     ds = Dataset([f"q{i}" for i in range(len(labels))], offsets, np.zeros((flat.size, 1)),
                  flat, np.zeros_like(flat), 1)
     assert _has_pairs(ds) is any(0 < int(q.labels.sum()) < len(q) for q in ds.queries)
+
+
+class TestDatasetLifetime:
+    """The unsplit dataset is dropped once split: only the splits live on
+    through training and the reports."""
+
+    @staticmethod
+    def watch_loaded(monkeypatch):
+        refs = []
+        real = cli._load_dataset
+
+        def loading(cfg):
+            ds = real(cfg)
+            refs.append(weakref.ref(ds))
+            return ds
+
+        monkeypatch.setattr(cli, "_load_dataset", loading)
+        return refs
+
+    @staticmethod
+    def check_dead_at(monkeypatch, name, refs, seen):
+        real = getattr(cli, name)
+
+        def checked(*args, **kwargs):
+            seen.append(len(refs) == 1 and refs[0]() is None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, checked)
+
+    @pytest.mark.parametrize(
+        "method,entry",
+        [("pairwise", "fair_train"), ("unconstrained", "fair_train"),
+         ("pointwise", "pointwise_reweight_train")],
+    )
+    def test_train_drops_the_dataset_before_training(self, tmp_path, monkeypatch, method, entry):
+        refs, seen = self.watch_loaded(monkeypatch), []
+        self.check_dead_at(monkeypatch, entry, refs, seen)
+        cfg = write_config(tmp_path, base_config(tmp_path / "run", method=method))
+        assert main(["train", "--config", cfg]) == 0
+        assert seen == [True]
+
+    def test_evaluate_drops_the_dataset_before_the_first_report(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["train", "--config", cfg]) == 0
+        refs, seen = self.watch_loaded(monkeypatch), []
+        self.check_dead_at(monkeypatch, "evaluate", refs, seen)
+        assert main(["evaluate", "--config", cfg]) == 0
+        assert seen and seen[0]
+
+    def test_sweep_drops_the_dataset_before_training(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["train", "--config", cfg]) == 0
+        refs, seen = self.watch_loaded(monkeypatch), []
+        self.check_dead_at(monkeypatch, "train_weighted", refs, seen)
+        assert main(["sweep", "--config", cfg]) == 0
+        assert seen and all(seen)
 
 
 class TestConfigHandling:

@@ -116,6 +116,17 @@ class TestAuc:
             ds = build_dataset(queries, d=d, K=1)
             model = LinearRankingModel(rng.integers(-2, 3, size=d).astype(float), 0.5)
             assert auc(model, ds) == old_auc(model, ds)
+        # Long queries of integer features: runs of hundreds of tied scores,
+        # which an unstable sort reorders within each run.
+        for trial in range(20):
+            queries = []
+            for qi in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(200, 2000))
+                feats = rng.integers(-1, 2, size=(n, 2)).astype(float)
+                queries.append((f"q{qi}", rng.integers(0, 2, size=n), [0] * n, feats))
+            ds = build_dataset(queries, d=2, K=1)
+            model = LinearRankingModel(rng.integers(-2, 3, size=2).astype(float), 0.0)
+            assert auc(model, ds) == old_auc(model, ds)
 
     def test_matches_per_query_unique_on_synthetic(self, rng):
         ds, _ = generate_synthetic(60, 30, 5, 3, bias_strength=1.0, seed=3)

@@ -14,6 +14,9 @@ and each comparison with it runs twice: the trainer with
 training.batch_gradient patched to its old form against the old loop as
 it was, which shows that the loop, chunking, shuffle and Adam did not
 move, and the trainer as it is against the old loop on the new residual.
+The pointwise residual changed the same way, from the clamped probability
+minus the item label to -f * weight / (1 + exp(f * z)) with f = 2y - 1;
+its old loop now takes that residual (``new_point_residual``).
 """
 
 import math
@@ -121,6 +124,13 @@ def block_train_weighted(ps, weights, cfg, init=None):
     return LinearRankingModel(w, float(init.b))
 
 
+def new_point_residual(z, y, weights):
+    """-f * weight / (1 + exp(min(f * z, 700))) with f = 2y - 1, spelled out
+    without buffers: -weight * sigmoid(-z) at label 1, weight * sigmoid(z) at 0."""
+    f = 2.0 * y - 1.0
+    return -f * weights / (1.0 + np.exp(np.minimum(f * z, 700.0)))
+
+
 def old_train_pointwise(ds, weights, cfg, init=None):
     X = ds.features
     y = ds.labels.astype(np.float64)
@@ -135,8 +145,7 @@ def old_train_pointwise(ds, weights, cfg, init=None):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            p = clamp_prob(old_stable_sigmoid(X[idx] @ params[:-1] + params[-1]))
-            resid = weights[idx] * (p - y[idx])
+            resid = new_point_residual(X[idx] @ params[:-1] + params[-1], y[idx], weights[idx])
             grad = np.concatenate([resid @ X[idx] / idx.size, [resid.mean()]])
             state, params = old_adam_update(state, params, grad, cfg)
     return LinearRankingModel(params[:-1].copy(), float(params[-1]))

@@ -151,6 +151,37 @@ def test_residual_within_4_ulp_where_normal_and_tiny_above(weight):
                 assert -weight * 1e-304 <= r <= 0.0, (z, r)
 
 
+@pytest.mark.parametrize("weight", [1.0, 0.3, 2.75])
+def test_pointwise_residual_within_4_ulp_where_normal_and_tiny_above(monkeypatch, weight):
+    # One item with x = [1.0], one step from w = [z], b = 0: the step's
+    # gradient is [residual, residual].  At label 0 the residual is
+    # weight * sigmoid(z), the label-1 oracle at -z, negated.
+    grads = []
+    real = training.adam_update
+
+    def recording(state, params, grad, cfg):
+        grads.append(grad.copy())
+        return real(state, params, grad, cfg)
+
+    monkeypatch.setattr(training, "adam_update", recording)
+    cfg = TrainConfig(epochs=1, batch_size=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label in (1, 0):
+            ds = build_dataset([("q", [label], [0], [[1.0]])], d=1, K=1)
+            f = 2 * label - 1
+            for z in RESIDUAL_Z:
+                train_pointwise(ds, [weight], cfg, init=LinearRankingModel(np.array([z]), 0.0))
+                r, r_bias = grads.pop()
+                assert r == r_bias and math.isfinite(r)
+                exact = f * residual_oracle(f * z, weight)
+                if f * z <= 700:
+                    ulps = abs(decimal.Decimal(r) - exact) / decimal.Decimal(math.ulp(float(exact)))
+                    assert ulps <= 4, (label, z, r, exact)
+                else:
+                    assert 0.0 <= -f * r <= weight * 1e-304, (label, z, r)
+
+
 class TestAdamUpdate:
     def test_zero_gradient_is_noop(self):
         cfg = TrainConfig(learning_rate=0.1)
