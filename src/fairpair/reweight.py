@@ -136,14 +136,17 @@ def expected_bias(
 def _exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-cell sum of coeffs[e] * table[e] over defined entries e with nonzero coefficients.
 
-    einsum adds the terms into zeros one entry after another, in row-major
-    order: the bits of a running sum over the entries (a matrix product
-    sums in another order and gives other bits).  Every other entry gets
-    coefficient 0, and its term, a signed zero since the table is finite,
-    leaves the sum as it is; so no (entries, cells) temporary is built.
+    The rows of terms are summed in entry order, the bits of a running sum
+    from zeros (a matrix product sums in another order).  The sum is added
+    to zeros, so a cell whose terms are all -0.0 reads +0.0 as in that
+    running sum, whichever value numpy's reduction starts from.
     """
-    c = np.where(mask, coeffs, 0.0).ravel()
-    return np.einsum("i,ij->j", c, table.reshape(c.size, -1))
+    held = mask & (coeffs != 0.0)
+    terms = table[held]
+    terms *= coeffs[held][:, None]
+    s = np.zeros(table.shape[-1])
+    s += terms.sum(axis=0)
+    return s
 
 
 def _own_label_weights(s: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ kept as test oracles.
 broadcast expression.  It used to call ``pair_constraint_at_one`` once per
 defined (k, l) entry; ``loop_pair_constraint_table`` is that loop.
 ``reweight._exponents`` sums its entries' weighted table rows in one
-``einsum``; ``loop_exponents`` is the running sum it replaced.
+reduction; ``loop_exponents`` is the running sum it replaced.
 """
 
 import numpy as np
