@@ -353,9 +353,10 @@ class TestFairTrain:
     @pytest.mark.parametrize("delta_set", ["train", "validation"])
     @pytest.mark.parametrize("warm_start", [False, True])
     def test_reuses_pairs_and_bias(self, monkeypatch, delta_set, warm_start):
-        # Pair sets are built once per dataset and each delta reuses the bias
-        # measured for the previous record; the history equals a loop that
-        # rebuilds and remeasures everything.
+        # Pair sets are built once per dataset, each delta reuses the bias
+        # measured for the previous record and the trainings share one draw
+        # of their epoch orders; the run is bit for bit a loop that rebuilds,
+        # remeasures and redraws everything.
         train, valid, _ = self.biased_splits()
         cfg = small_cfg(T=4, delta_set=delta_set, warm_start=warm_start)
         calls = {"make_pairs": 0, "expected_bias": 0}
@@ -375,8 +376,8 @@ class TestFairTrain:
         assert calls == {"make_pairs": 2, "expected_bias": 1 + 2 * cfg.T}
 
         ref_model, ref_coeffs, ref_history = plain_fair_train(train, valid, STAT, cfg)
-        np.testing.assert_array_equal(model.w, ref_model.w)
-        np.testing.assert_array_equal(coeffs.values, ref_coeffs.values)
+        assert model.w.tobytes() == ref_model.w.tobytes()
+        assert coeffs.values.tobytes() == ref_coeffs.values.tobytes()
         assert len(history) == len(ref_history) == cfg.T
         for rec, ref in zip(history, ref_history):
             assert (rec.auc_train, rec.auc_eval) == (ref.auc_train, ref.auc_eval)
@@ -442,7 +443,8 @@ class TestFairTrain:
 
 
 def plain_fair_train(train, eval_set, kind, cfg):
-    """Reference outer loop: every pair set built and every bias measured afresh."""
+    """Reference outer loop: every pair set built, every bias measured and
+    every training's epoch orders drawn afresh."""
     ps_train = make_pairs(train)
     stats_train = compute_group_stats(ps_train)
     ps_delta = make_pairs(train if cfg.delta_set == "train" else eval_set)

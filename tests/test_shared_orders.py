@@ -4,9 +4,10 @@ one pair set.
 Every inner training of fair_train, and every training of sweep, runs on
 one pair set with one TrainConfig, so each would draw the same orders.
 shared_epoch_orders draws them once; the runs must give the bits of a loop
-in which every training draws its own (train_weighted without ``orders``).
-The guard at the end runs fair_train under perfbench's tracer and checks
-the counters the benchmark reads.
+in which every training draws its own (train_weighted without ``orders``;
+for fair_train, test_reweight.py's plain_fair_train, with and without
+warm start).  The guard at the end runs fair_train under perfbench's
+tracer and checks the counters the benchmark reads.
 """
 
 import csv
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from fairpair import cli, reweight, training
+from fairpair import cli, training
 from fairpair.cli import main
 from fairpair.constraints import ConstraintKind
 from fairpair.data import generate_synthetic, make_pairs, split_queries
@@ -33,15 +34,11 @@ INTER = ConstraintKind.PAIR_INTER_GROUP
 
 def load_tracing():
     """perfbench/tracing.py as a module, imported from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def splits(seed=0, K=4):
-    ds, _ = generate_synthetic(24, 16, d=3, K=K, bias_strength=1.0, seed=seed)
-    return split_queries(ds, 0.2, 0.16, seed=seed + 1)
 
 
 def drawn_each_time(n, cfg):
@@ -86,7 +83,11 @@ def test_shared_orders_of_zero_epochs_or_pairs():
 
 @pytest.mark.parametrize(
     "cfg_kwargs",
-    [{"epochs": 3, "batch_size": 17}, {"epochs": 2, "batch_size": 10_000, "seed": 4}, {"epochs": 0}],
+    [
+        {"epochs": 3, "batch_size": 17},
+        {"epochs": 2, "batch_size": 10_000, "seed": 4},
+        {"epochs": 0},
+    ],
 )
 def test_train_weighted_on_shared_orders_matches_drawn(rng, cfg_kwargs):
     ps = make_pairs(random_dataset(rng, n_queries=5, items_per_query=9, d=4, K=3))
@@ -104,23 +105,6 @@ def test_train_weighted_rejects_orders_of_another_shape(rng):
         orders = shared_epoch_orders(n, TrainConfig(epochs=epochs))
         with pytest.raises(ValidationError, match="orders of shape"):
             train_weighted(ps, np.ones(len(ps)), cfg, orders=orders)
-
-
-@pytest.mark.parametrize("warm_start", [False, True])
-@pytest.mark.parametrize("delta_set", ["train", "validation"])
-def test_fair_train_on_shared_orders_matches_drawn(monkeypatch, warm_start, delta_set):
-    train, valid, _ = splits()
-    inner = TrainConfig(epochs=3, batch_size=64, seed=2)
-    cfg = FairTrainConfig(T=4, inner=inner, delta_set=delta_set, warm_start=warm_start)
-    model, coeffs, history = fair_train(train, valid, INTER, cfg)
-    monkeypatch.setattr(reweight, "shared_epoch_orders", drawn_each_time)
-    ref_model, ref_coeffs, ref_history = fair_train(train, valid, INTER, cfg)
-    assert model.w.tobytes() == ref_model.w.tobytes()
-    assert coeffs.values.tobytes() == ref_coeffs.values.tobytes()
-    for rec, ref in zip(history, ref_history, strict=True):
-        assert (rec.auc_train, rec.auc_eval) == (ref.auc_train, ref.auc_eval)
-        assert (rec.fairness_train, rec.fairness_eval) == (ref.fairness_train, ref.fairness_eval)
-        assert rec.delta.tobytes() == ref.delta.tobytes()
 
 
 def test_sweep_on_shared_orders_matches_drawn(tmp_path, monkeypatch):
@@ -150,7 +134,8 @@ def test_traced_fair_train_counts(monkeypatch):
     # spans, one Adam step a minibatch of every epoch of every training,
     # and the epoch orders drawn once, not once a training.
     tracing = load_tracing()
-    train, valid, _ = splits(K=8)
+    ds, _ = generate_synthetic(24, 16, d=3, K=8, bias_strength=1.0, seed=0)
+    train, valid, _ = split_queries(ds, 0.2, 0.16, seed=1)
     inner = TrainConfig(epochs=3, batch_size=64, seed=2)
     cfg = FairTrainConfig(T=5, inner=inner, delta_set="validation")
     n = len(make_pairs(train))
