@@ -31,11 +31,12 @@ from .data import (
     split_queries,
 )
 from .errors import ValidationError
-from .evaluation import evaluate
+from .evaluation import auc, evaluate, fairness_score
 from .model import load_model, save_model
 from .reweight import (
     Coefficients,
     FairTrainConfig,
+    expected_bias,
     fair_train,
     pair_weights,
     pointwise_reweight_train,
@@ -287,15 +288,19 @@ def cmd_sweep(cfg: RunConfig) -> None:
     ps = make_pairs(train)
     stats = compute_group_stats(ps)
     orders = shared_epoch_orders(len(ps), cfg.fair.inner)
+    ps_test = make_pairs(test)
+    if not len(ps_test):
+        raise ValidationError("dataset has no discordant pairs to evaluate")
+    stats_test = compute_group_stats(ps_test)
 
     rows = []
     for x in cfg.sweep_scales:
         scaled = Coefficients(x * coeffs_star.values, kind)
         weights = pair_weights(scaled, stats, ps, cfg.fair.weight_form)
         model = train_weighted(ps, weights, cfg.fair.inner, orders=orders)
-        report = evaluate(model, test, kind)
-        rows.append((x, report.auc, report.fairness))
-        print(f"sweep x={x:g}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
+        a, f = auc(model, test)[0], fairness_score(expected_bias(model, ps_test, stats_test, kind))
+        rows.append((x, a, f))
+        print(f"sweep x={x:g}: auc={a:.4f} fairness={f:.4f}")
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     with (cfg.out_dir / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:

@@ -115,16 +115,6 @@ def item_cell(group, label, K: int):
 
 
 @dataclass(eq=False)
-class PairArrays:
-    """Per-pair columns gathered from a PairSet's dataset, in pair order.
-
-    No pair feature rows are kept: the trainer gathers x_i - x_j a chunk at a time.
-    """
-
-    cell: np.ndarray  # group_i * K + group_j of each pair (i, j)
-
-
-@dataclass(eq=False)
 class PairSet:
     """Every discordant within-query pair once, positive item first, in
     deterministic order.
@@ -132,10 +122,10 @@ class PairSet:
     A pair is its two items: their int32 rows in the dataset's columns.  It
     stands for both ordered pairs of the pairwise objective: (i, j) at pair
     label 1 and its mirror (j, i) at label 0, whose loss terms are the same.
-    ``arrays`` adds each pair's group pair: 9 bytes a pair up to K=16, with
-    the two row columns.  Building, counting, weighting and measuring the
-    pairs work a chunk at a time (see pair_chunks), so their temporaries
-    are bounded by one chunk.
+    ``arrays`` is each pair's cell, group_i * K + group_j: 9 bytes a pair
+    up to K=16, with the two row columns.  Building, counting, weighting
+    and measuring the pairs work a chunk at a time (see pair_chunks), so
+    their temporaries are bounded by one chunk.
     """
 
     row_i: np.ndarray
@@ -146,7 +136,7 @@ class PairSet:
         return self.row_i.size
 
     @cached_property
-    def arrays(self) -> PairArrays:
+    def arrays(self) -> np.ndarray:
         ds = self.source
         # Stored in the narrowest dtype that holds K² ids (1 byte up to K=16).
         cell_dtype = np.min_scalar_type(ds.K**2 - 1)
@@ -155,11 +145,11 @@ class PairSet:
         for part in pair_chunks(len(self)):
             first.take(self.row_i[part], out=cell[part])
             cell[part] += second.take(self.row_j[part])
-        return PairArrays(cell)
+        return cell
 
     def cell_counts(self) -> np.ndarray:
         """(K, K) int64 number of pairs of each group pair (group_i, group_j)."""
-        K, cell = self.source.K, self.arrays.cell
+        K, cell = self.source.K, self.arrays
         counts = np.zeros(K * K, dtype=np.int64)
         for part in pair_chunks(len(self)):
             counts += np.bincount(cell[part], minlength=K * K)
@@ -220,21 +210,12 @@ def _records(fh, path):
     UTF-8.  Bytes that do not decode are a ValidationError naming the file;
     a record csv rejects, such as one with a field over
     ``csv.field_size_limit()``, is a ParseError naming its line."""
-    reader = csv.reader(_utf8_lines(fh, path))
+    reader = csv.reader(fh)
     try:
         for row in reader:
             yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
-
-
-def _utf8_lines(fh, path):
-    """The lines of a text file opened as UTF-8; bytes that do not decode
-    are a ValidationError naming the file."""
-    try:
-        # A loop, not ``yield from``: closing this generator must not close fh.
-        for line in fh:
-            yield line
     except UnicodeDecodeError as exc:
         raise ValidationError(f"dataset {path} is not UTF-8 text: {exc}") from None
 

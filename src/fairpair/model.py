@@ -11,10 +11,10 @@ import numpy as np
 from .errors import ValidationError
 
 # Predicted probabilities are clamped away from {0, 1}, so a log of them
-# stays finite.  expected_bias, point_expected_bias and the pointwise
-# trainer's residual take the clamped probability.  The pairwise gradient
-# needs no clamp: training.batch_gradient forms its residual as
-# -weight / (1 + e^z).
+# stays finite.  Only expected_bias and point_expected_bias take the
+# clamped probability.  Neither trainer needs a clamp: batch_gradient and
+# train_pointwise form each residual as -f * weight / (1 + exp(min(f * z,
+# 700))), with f = 1 for a pair and f = 2y - 1 for an item.
 PROB_EPS = 1e-12
 
 

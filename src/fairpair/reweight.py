@@ -120,7 +120,7 @@ def expected_bias(
     # pair is (i, j) at label 1, predicted sigmoid(z), and (j, i) at label 0 of
     # the transposed group pair, predicted sigmoid(-z).  add.at sums each
     # cell in pair order across chunks, the order of one whole bincount.
-    cell, K = ps.arrays.cell, stats.K
+    cell, K = ps.arrays, stats.K
     pos, neg = np.zeros(K * K), np.zeros(K * K)
     for part in pair_chunks(len(ps)):
         z = s.take(ps.row_i[part])
@@ -150,13 +150,9 @@ def _exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.nd
 
 
 def _own_label_weights(s: np.ndarray) -> np.ndarray:
-    """Overflow-safe weight of each cell at its own label; cells alternate labels 0, 1.
-
-    The two labels' weights are proportional to exp(0) and exp(s).
-    """
-    m = np.maximum(s, 0.0)
-    e0, e1 = np.exp(-m), np.exp(s - m)
-    return np.where(np.arange(s.size) % 2 == 1, e1, e0) / (e0 + e1)
+    """Weight of each cell at its own label, cells alternating labels 0, 1: as the
+    labels weigh exp(0) and exp(s), sigmoid(-s) at label 0 and sigmoid(s) at 1."""
+    return stable_sigmoid(np.where(np.arange(s.size) % 2 == 1, s, -s))
 
 
 def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str):
@@ -195,7 +191,7 @@ def pair_weights(
     holding pairs whose weight under- or overflows to 0 (or NaN) is a
     ValidationError naming the cell.
     """
-    K, cell = stats.K, ps.arrays.cell
+    K, cell = stats.K, ps.arrays
     weights = _pair_cell_weights(coeffs, stats, weight_form).reshape(K, K, 2)
     pos = ps.cell_counts()
     held = np.stack((pos.T, pos), axis=-1)

@@ -6,6 +6,8 @@ broadcast expression.  It used to call ``pair_constraint_at_one`` once per
 defined (k, l) entry; ``loop_pair_constraint_table`` is that loop.
 ``reweight._exponents`` sums its entries' weighted table rows in one
 reduction; ``loop_exponents`` is the running sum it replaced.
+``reweight._own_label_weights`` is ``stable_sigmoid`` of the signed
+exponent; ``exp_own_label_weights`` is the normalized exponential it replaced.
 """
 
 import numpy as np
@@ -52,3 +54,14 @@ def loop_exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> n
     for e in zip(*np.nonzero(mask & (coeffs != 0.0))):
         s += coeffs[e] * table[e]
     return s
+
+
+def exp_own_label_weights(s: np.ndarray) -> np.ndarray:
+    """reweight._own_label_weights as the normalized exponential over the two
+    labels; cells alternate labels 0, 1.
+
+    The two labels' weights are proportional to exp(0) and exp(s).
+    """
+    m = np.maximum(s, 0.0)
+    e0, e1 = np.exp(-m), np.exp(s - m)
+    return np.where(np.arange(s.size) % 2 == 1, e1, e0) / (e0 + e1)

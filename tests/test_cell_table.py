@@ -8,13 +8,20 @@ orientations of each pair, see ordered_pairs.py); the table code must
 reproduce their weights bit for bit and their violations to 1e-12.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_cells_pairs, build_dataset, random_dataset, validate_dataset
-from constraint_oracle import loop_exponents, loop_pair_constraint_table, pair_constraint_at_one
+from constraint_oracle import (
+    exp_own_label_weights,
+    loop_exponents,
+    loop_pair_constraint_table,
+    pair_constraint_at_one,
+)
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
@@ -29,6 +36,7 @@ from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
 from fairpair.reweight import (
     Coefficients,
     _exponents,
+    _own_label_weights,
     FairTrainConfig,
     expected_bias,
     fair_train,
@@ -200,8 +208,8 @@ class TestPairTablesMatchLoops:
         for form in ("general", "indicator"):
             weights = pair_weights(coeffs, stats, ps, form)
             by_cell = np.zeros(2 * K * K)
-            by_cell[ps.arrays.cell] = weights
-            assert_same_bits(by_cell[ps.arrays.cell], weights)
+            by_cell[ps.arrays] = weights
+            assert_same_bits(by_cell[ps.arrays], weights)
 
 
 def test_exponents_match_running_sum_bits(rng):
@@ -226,6 +234,31 @@ def test_exponents_match_running_sum_bits(rng):
     assert not np.signbit(got).any()
     # No entry held: zeros.
     assert_same_bits(_exponents(coeffs, np.zeros(2, dtype=bool), table), np.zeros(4))
+
+
+def test_own_label_weights_match_exp_form_bits(rng):
+    # Every value sits at a label-0 and a label-1 cell: signed zeros, the
+    # edges of exp's range (±700, ±745), the largest doubles, and normals
+    # scaled by 1e-10 to 800.
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 745.0, -745.0, 1e308, -1e308])
+    scales = 10.0 ** rng.uniform(-10, np.log10(800), size=10**5)
+    for s in (edges, rng.normal(size=scales.size) * scales):
+        s = np.repeat(s, 2)
+        assert_same_bits(_own_label_weights(s), exp_own_label_weights(s))
+
+
+def test_own_label_weights_at_infinite_exponent():
+    # The one change from the exponential form: at s = +inf it gave NaN
+    # with a RuntimeWarning (inf - inf); the sigmoid gives 0 at label 0 and
+    # 1 at label 1, the limits.  At s = -inf both give 1 and 0.
+    s = np.array([np.inf, np.inf, -np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _own_label_weights(s)
+    assert_same_bits(got, np.array([0.0, 1.0, 1.0, 0.0]))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        old = exp_own_label_weights(s)
+    assert np.isnan(old[:2]).all() and old[2:].tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)

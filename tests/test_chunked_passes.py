@@ -135,8 +135,8 @@ def test_make_pairs_rejects_labels_outside_0_1(labels):
 def test_cells_and_counts_match_whole_form(rng, K):
     ps, subsets = pair_sets(rng, K)
     for sub in [ps, *subsets.values()]:
-        assert sub.arrays.cell.dtype == np.uint8
-        assert sub.arrays.cell.tobytes() == whole_cell(sub).tobytes()
+        assert sub.arrays.dtype == np.uint8
+        assert sub.arrays.tobytes() == whole_cell(sub).tobytes()
         np.testing.assert_array_equal(sub.cell_counts(), whole_cell_counts(sub))
         assert sub.cell_counts().dtype == np.int64
 
@@ -184,7 +184,7 @@ def test_expected_bias_bit_identical(rng, kind, K):
 def test_empty_pair_set(rng):
     ps, _ = pair_sets(rng, 3)
     empty = pair_subset(ps, np.zeros(0, dtype=np.intp))
-    assert empty.arrays.cell.size == 0 and empty.arrays.cell.dtype == np.uint8
+    assert empty.arrays.size == 0 and empty.arrays.dtype == np.uint8
     np.testing.assert_array_equal(empty.cell_counts(), np.zeros((3, 3), dtype=np.int64))
     stats = compute_group_stats(ps)
     coeffs = Coefficients(rng.normal(size=(3, 3)), ConstraintKind.PAIR_STATISTICAL)

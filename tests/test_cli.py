@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpair import cli
+from fairpair import cli, evaluation
 from fairpair.cli import _has_pairs, main
-from fairpair.data import Dataset, generate_synthetic, load_csv
+from fairpair.data import Dataset, generate_synthetic, load_csv, save_csv, split_queries
+from fairpair.errors import ValidationError
 
 
 MISSING = object()  # a config key left out
@@ -169,6 +170,34 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(data) in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("where", ["header", "past_first_chunk", "quoted_id"])
+    def test_non_utf8_byte_anywhere_named(self, tmp_path, capsys, where):
+        # A byte that does not decode is a ValidationError naming the file
+        # wherever the loader meets it: in the header (read by csv.reader),
+        # past the first 64 KB chunk that the np.loadtxt pass reads, and in a
+        # file whose quoted id leaves the whole body to the row parser.
+        rows = [f"q{n // 10},{n % 2},{n % 2 ^ n // 10 % 2},0.{n:08d}\n" for n in range(5000)]
+        if where == "quoted_id":
+            rows[0] = '"q0"' + rows[0][2:]
+        header = "query_id,group,label,f0\n"
+        clean = (header + "".join(rows)).encode()
+        # Inside f0, or inside the id of row 4000, about 80 KB in.
+        at = clean.index(b"f0") + 1 if where == "header" else len(header + "".join(rows[:4000])) + 1
+        assert where == "header" or at > 1 << 16
+        data = tmp_path / "data.csv"
+        data.write_bytes(clean)
+        assert load_csv(data, declared_K=2).n_items == 5000
+        data.write_bytes(clean[:at] + b"\xff" + clean[at:])
+        with pytest.raises(ValidationError, match="is not UTF-8 text") as info:
+            load_csv(data, declared_K=2)
+        assert str(data) in str(info.value)
+        doc = base_config(tmp_path / "run")
+        doc["dataset"] = {"csv": str(data), "K": 2}
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(tmp_path, doc, "csv.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset {data} is not UTF-8 text: ")
+
     def test_field_over_csv_limit_is_validation_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         long_field = "0." + "0" * 200_000
@@ -204,6 +233,48 @@ class TestSweep:
         assert float(rows[0.0]["fairness"]) == unc["fairness"]
         assert float(rows[1.0]["auc"]) == pair["auc"]
         assert float(rows[1.0]["fairness"]) == pair["fairness"]
+
+    def test_builds_test_pairs_once(self, tmp_path, monkeypatch):
+        # Every scale is scored on one test pair set and its statistics: a
+        # 5-scale sweep builds those of the training and test splits, 2 of
+        # each, where one evaluate call per scale built 6.
+        doc = base_config(tmp_path / "run", sweep_scales=[0.0, 0.5, 1.0, 1.5, 2.0])
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg]) == 0
+        calls = {"make_pairs": 0, "compute_group_stats": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for module in (cli, evaluation):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert main(["sweep", "--config", cfg]) == 0
+        assert calls == {"make_pairs": 2, "compute_group_stats": 2}
+
+    def test_test_split_without_pairs_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        # A test split whose queries hold one label each gets evaluate's
+        # error before any scale is trained.
+        ds, _ = generate_synthetic(12, 10, 3, 2, 1.0, seed=5)
+        _, _, test = split_queries(ds, 0.25, 0.15, seed=3)
+        for q in test.query_ids:
+            q_index = ds.query_ids.index(q)
+            ds.labels[ds.offsets[q_index] : ds.offsets[q_index + 1]] = 1
+        save_csv(ds, tmp_path / "data.csv")
+        doc = base_config(tmp_path / "run")
+        doc["dataset"] = {"csv": str(tmp_path / "data.csv"), "K": 2}
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg]) == 0
+        assert not (tmp_path / "run" / "eval_test.json").exists()
+        trainings = []
+        monkeypatch.setattr(cli, "train_weighted", lambda *a, **k: trainings.append(a))
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: dataset has no discordant pairs to evaluate\n"
+        assert trainings == [] and not (tmp_path / "run" / "sweep.csv").exists()
 
     @staticmethod
     def trained_run(tmp_path):

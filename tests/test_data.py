@@ -323,7 +323,7 @@ def pair_keys(ps):
 def nested_loop_arrays(ds):
     """Reference enumeration: one Python tuple per pair, copied row by row.
 
-    Returns the PAIR_FIELDS and ARRAY_FIELDS columns by name."""
+    Returns the PAIR_FIELDS columns, the cell column and feat_diff by name."""
     pairs = []
     for qi, q in enumerate(ds.queries):
         labels = q.labels
@@ -344,9 +344,8 @@ def nested_loop_arrays(ds):
     return {"row_i": row_i, "row_j": row_j, "cell": cell, "feat_diff": diff}
 
 
-# The pair set's row columns, then its gathered arrays.
+# The pair set's row columns; its gathered cell column is PairSet.arrays.
 PAIR_FIELDS = ("row_i", "row_j")
-ARRAY_FIELDS = ("cell",)
 
 
 def query_spec(rng, qid, n_items, d, K, labels=None):
@@ -438,9 +437,8 @@ class TestMakePairs:
     @staticmethod
     def _assert_bytes_equal(ps, expected):
         columns = [getattr(ps, name) for name in PAIR_FIELDS]
-        columns += [getattr(ps.arrays, name) for name in ARRAY_FIELDS]
-        columns.append(pair_feature_diff(ps))
-        names = PAIR_FIELDS + ARRAY_FIELDS + ("feat_diff",)
+        columns += [ps.arrays, pair_feature_diff(ps)]
+        names = PAIR_FIELDS + ("cell", "feat_diff")
         for name, got in zip(names, columns):
             want = expected[name]
             assert got.dtype == want.dtype, name
@@ -457,15 +455,15 @@ class TestMakePairs:
         queries[0][2][:2] = K - 1  # a pair in the largest cell, K² - 1
         ds = build_dataset(queries, d=2, K=K)
         ps = make_pairs(ds)
-        arr = ps.arrays
-        held = [v for obj in (ps, arr) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        cell = ps.arrays
+        held = [v for v in vars(ps).values() if isinstance(v, np.ndarray)]
         per_pair = {id(v): v for v in held if v.ndim == 1 and v.size == len(ps)}
         assert all(v.ndim == 1 for v in held)
         assert sum(v.nbytes for v in per_pair.values()) == nbytes * len(ps) > 0
         n_ordered = sum(2 * int(q.labels.sum()) * int(len(q) - q.labels.sum()) for q in ds.queries)
         assert 2 * len(ps) == n_ordered
-        np.testing.assert_array_equal(arr.cell, ds.groups[ps.row_i] * K + ds.groups[ps.row_j])
-        assert arr.cell.max() == K * K - 1
+        np.testing.assert_array_equal(cell, ds.groups[ps.row_i] * K + ds.groups[ps.row_j])
+        assert cell.max() == K * K - 1
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -346,8 +346,7 @@ class TestFairTrain:
         assert len(made) == 3
         for ps in made:
             assert "arrays" in vars(ps)
-            held = [v for obj in (ps, ps.arrays) for v in vars(obj).values()
-                    if isinstance(v, np.ndarray)]
+            held = [v for v in vars(ps).values() if isinstance(v, np.ndarray)]
             assert held and all(v.shape == (len(ps),) for v in held)
 
     @pytest.mark.parametrize("delta_set", ["train", "validation"])

@@ -129,26 +129,49 @@ def test_sweep_draws_its_orders_once(tmp_path, monkeypatch):
     assert len(draws) == doc["train"]["epochs"]
 
 
-def test_traced_fair_train_counts(monkeypatch):
-    # What the benchmark reads of one fair_train: T + 1 train_weighted
-    # spans, one Adam step a minibatch of every epoch of every training,
-    # and the epoch orders drawn once, not once a training.
-    tracing = load_tracing()
+def guard_run():
+    """The traced guards' fair_train: K=8, inter, T=5 on a 24×16 dataset."""
     ds, _ = generate_synthetic(24, 16, d=3, K=8, bias_strength=1.0, seed=0)
     train, valid, _ = split_queries(ds, 0.2, 0.16, seed=1)
     inner = TrainConfig(epochs=3, batch_size=64, seed=2)
-    cfg = FairTrainConfig(T=5, inner=inner, delta_set="validation")
-    n = len(make_pairs(train))
-    draws = counting_draws(monkeypatch)
+    return train, valid, FairTrainConfig(T=5, inner=inner, delta_set="validation")
+
+
+def traced_fair_train(tracing, train, valid, cfg):
+    """The tracer of one fair_train run under perfbench's tracing."""
     tracer = tracing.Tracer("guard")
     tracing.install(tracer)
     try:
         fair_train(train, valid, INTER, cfg)
     finally:
         tracer.restore()
+    return tracer
+
+
+def test_traced_fair_train_counts(monkeypatch):
+    # What the benchmark reads of one fair_train: T + 1 train_weighted
+    # spans, one Adam step a minibatch of every epoch of every training,
+    # and the epoch orders drawn once, not once a training.
+    tracing = load_tracing()
+    train, valid, cfg = guard_run()
+    inner = cfg.inner
+    n = len(make_pairs(train))
+    draws = counting_draws(monkeypatch)
+    tracer = traced_fair_train(tracing, train, valid, cfg)
     metrics = tracing.layer_metrics(tracer)
     spans = [s for s in tracer.spans if s["name"] == "training.train_weighted"]
     assert len(spans) == metrics["training.train_weighted_calls"] == cfg.T + 1
     steps = (cfg.T + 1) * inner.epochs * math.ceil(n / inner.batch_size)
     assert tracer.counters["training.adam_update"] == metrics["training.adam_steps"] == steps
     assert draws == [n] * inner.epochs
+
+
+def test_traced_fair_train_reads_each_pair_set_arrays():
+    # perfbench's data.arrays_s times the first read of PairSet.arrays, the
+    # cell column: fair_train builds its 2 pair sets, and reads the cells
+    # of each (cached, so once), so the metric is never left at zero.
+    tracing = load_tracing()
+    tracer = traced_fair_train(tracing, *guard_run())
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("data.make_pairs") == names.count("data.arrays") == 2
+    assert tracing.layer_metrics(tracer)["data.arrays_s"] > 0
