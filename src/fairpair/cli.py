@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import ConstraintKind, compute_group_stats
+from .constraints import ConstraintKind, compute_group_stats, pairs_and_stats
 from .data import (
     Dataset,
     generate_synthetic,
@@ -31,12 +31,11 @@ from .data import (
     split_queries,
 )
 from .errors import ValidationError
-from .evaluation import auc, evaluate, fairness_score
+from .evaluation import evaluate
 from .model import load_model, save_model
 from .reweight import (
     Coefficients,
     FairTrainConfig,
-    expected_bias,
     fair_train,
     pair_weights,
     pointwise_reweight_train,
@@ -198,17 +197,15 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return generate_synthetic(**cfg.synth)[0]
 
 
-def _has_pairs(ds: Dataset) -> bool:
-    pos = ds.query_positives()
-    return bool(((0 < pos) & (pos < np.diff(ds.offsets))).any())
-
-
 def _write_reports(model, splits: dict[str, Dataset], kind, out_dir: Path) -> None:
+    """One report a split that has pairs; each pair set is dropped before the next is built."""
     for name, ds in splits.items():
-        if _has_pairs(ds):
-            report = evaluate(model, ds, kind)
+        ps = make_pairs(ds)
+        if len(ps):
+            report = evaluate(model, ps, compute_group_stats(ps), kind)
             report.write_json(out_dir / f"eval_{name}.json")
             print(f"eval_{name}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
+        del ps
 
 
 def cmd_generate(cfg: RunConfig) -> None:
@@ -285,22 +282,18 @@ def cmd_sweep(cfg: RunConfig) -> None:
     kind = cfg.constraint
     train, _valid, test = _split(cfg, _load_dataset(cfg))
     coeffs_star = _read_coefficients(cfg.out_dir / "coefficients.json", train.K, kind)
-    ps = make_pairs(train)
-    stats = compute_group_stats(ps)
+    ps, stats = pairs_and_stats(train, "training set")
     orders = shared_epoch_orders(len(ps), cfg.fair.inner)
-    ps_test = make_pairs(test)
-    if not len(ps_test):
-        raise ValidationError("dataset has no discordant pairs to evaluate")
-    stats_test = compute_group_stats(ps_test)
+    ps_test, stats_test = pairs_and_stats(test, "test set")
 
     rows = []
     for x in cfg.sweep_scales:
         scaled = Coefficients(x * coeffs_star.values, kind)
         weights = pair_weights(scaled, stats, ps, cfg.fair.weight_form)
         model = train_weighted(ps, weights, cfg.fair.inner, orders=orders)
-        a, f = auc(model, test)[0], fairness_score(expected_bias(model, ps_test, stats_test, kind))
-        rows.append((x, a, f))
-        print(f"sweep x={x:g}: auc={a:.4f} fairness={f:.4f}")
+        report = evaluate(model, ps_test, stats_test, kind)
+        rows.append((x, report.auc, report.fairness))
+        print(f"sweep x={x:g}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     with (cfg.out_dir / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import PairSet
+from .data import Dataset, PairSet, make_pairs
 from .errors import ValidationError
 
 
@@ -93,6 +93,15 @@ def compute_group_stats(ps: PairSet) -> GroupStats:
     n = 2 * len(ps)
     pos = ps.cell_counts()
     return GroupStats((pos + pos.T) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
+
+
+def pairs_and_stats(ds: Dataset, name: str) -> tuple[PairSet, GroupStats]:
+    """The pair set of a split and its statistics; a split with no discordant
+    pair is a ValidationError naming it as ``name``."""
+    ps = make_pairs(ds)
+    if not len(ps):
+        raise ValidationError(f"{name} has no discordant pairs")
+    return ps, compute_group_stats(ps)
 
 
 def compute_point_stats(ds) -> GroupStats:

@@ -78,10 +78,6 @@ class Dataset:
     def n_items(self) -> int:
         return self.labels.size
 
-    def query_positives(self) -> np.ndarray:
-        """(n_queries,) int64 label sum of each query: its positives, for 0/1 labels."""
-        return np.diff(np.concatenate(([0], np.cumsum(self.labels)))[self.offsets])
-
     @cached_property
     def queries(self) -> list[QueryGroup]:
         """One view per query, in query order."""
@@ -424,7 +420,8 @@ def make_pairs(ds: Dataset) -> PairSet:
         raise ValidationError(f"{ds.n_items} items is more than int32 pair indices can address")
     if ((ds.labels != 0) & (ds.labels != 1)).any():
         raise ValidationError("pairs need every item label in {0, 1}")
-    offsets, n_pos = ds.offsets, ds.query_positives()
+    offsets = ds.offsets
+    n_pos = np.diff(np.concatenate(([0], np.cumsum(ds.labels)))[offsets])
     ends = np.cumsum(n_pos * (np.diff(offsets) - n_pos)).tolist()
     row_i = np.empty(ends[-1] if ends else 0, dtype=np.int32)
     row_j = np.empty_like(row_i)

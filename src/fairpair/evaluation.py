@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from . import reweight
-from .constraints import ConstraintKind, compute_group_stats
-from .data import Dataset, make_pairs
+from .constraints import ConstraintKind, GroupStats
+from .data import Dataset, PairSet
 from .errors import ValidationError
-from .model import LinearRankingModel, check_dimension, score_matrix
+from .model import LinearRankingModel, score_matrix
 
 
 def auc(model: LinearRankingModel, ds: Dataset) -> tuple[float, list[float]]:
@@ -86,17 +86,12 @@ class EvalReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
-def evaluate(model: LinearRankingModel, ds: Dataset, kind: ConstraintKind) -> EvalReport:
-    """Score a model on a dataset using only that dataset's own statistics."""
-    if not kind.is_pairwise:
-        raise ValidationError(f"{kind} is not a pairwise constraint kind")
-    check_dimension(model, ds.d)
-    ps = make_pairs(ds)
-    if not len(ps):
-        raise ValidationError("dataset has no discordant pairs to evaluate")
-    stats = compute_group_stats(ps)
+def evaluate(
+    model: LinearRankingModel, ps: PairSet, stats: GroupStats, kind: ConstraintKind
+) -> EvalReport:
+    """Score a model on a pair set's source, under the pair set's own statistics."""
     delta = reweight.expected_bias(model, ps, stats, kind)
-    mean_auc, per_query = auc(model, ds)
+    mean_auc, per_query = auc(model, ps.source)
     return EvalReport(
         auc=mean_auc,
         fairness=fairness_score(delta),

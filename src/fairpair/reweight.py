@@ -21,14 +21,14 @@ from . import evaluation
 from .constraints import (
     ConstraintKind,
     GroupStats,
-    compute_group_stats,
     compute_point_stats,
     pair_constraint_mask,
     pair_constraint_table,
+    pairs_and_stats,
     point_constraint_mask,
     point_constraint_table,
 )
-from .data import Dataset, PairSet, item_cell, make_pairs, pair_chunks
+from .data import Dataset, PairSet, item_cell, pair_chunks
 from .errors import ValidationError
 from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
 from .training import (
@@ -230,10 +230,7 @@ def fair_train(
     if eval_set.K != train.K:
         raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
 
-    ps_train = make_pairs(train)
-    if not len(ps_train):
-        raise ValidationError("training set has no discordant pairs")
-    stats_train = compute_group_stats(ps_train)
+    ps_train, stats_train = pairs_and_stats(train, "training set")
 
     coeffs = Coefficients.zeros(train.K, kind)
     weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
@@ -245,10 +242,7 @@ def fair_train(
     model = train_weighted(ps_train, weights, cfg.inner, orders=orders)
     history: list[IterationRecord] = []
 
-    ps_eval = make_pairs(eval_set)
-    if not len(ps_eval):
-        raise ValidationError("evaluation set has no discordant pairs")
-    stats_eval = compute_group_stats(ps_eval)
+    ps_eval, stats_eval = pairs_and_stats(eval_set, "evaluation set")
 
     # Each iteration's delta is the previous model's bias on the delta set,
     # which the previous iteration already measured for its history record.
@@ -265,20 +259,20 @@ def fair_train(
             raise ValidationError(msg) from exc
         init = model if cfg.warm_start else None
         model = train_weighted(ps_train, weights, cfg.inner, init=init, orders=orders)
-        bias_train = expected_bias(model, ps_train, stats_train, kind)
-        bias_eval = expected_bias(model, ps_eval, stats_eval, kind)
+        on_train = evaluation.evaluate(model, ps_train, stats_train, kind)
+        on_eval = evaluation.evaluate(model, ps_eval, stats_eval, kind)
         history.append(
             IterationRecord(
                 iteration=t,
-                auc_train=evaluation.auc(model, train)[0],
-                auc_eval=evaluation.auc(model, eval_set)[0],
-                fairness_train=evaluation.fairness_score(bias_train),
-                fairness_eval=evaluation.fairness_score(bias_eval),
+                auc_train=on_train.auc,
+                auc_eval=on_eval.auc,
+                fairness_train=on_train.fairness,
+                fairness_eval=on_eval.fairness,
                 delta=delta.values.copy(),
                 coeffs=coeffs.values.copy(),
             )
         )
-        delta = bias_eval if cfg.delta_set == "validation" else bias_train
+        delta = (on_eval if cfg.delta_set == "validation" else on_train).delta
     return model, coeffs, history
 
 

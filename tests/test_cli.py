@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpair import cli, evaluation
-from fairpair.cli import _has_pairs, main
-from fairpair.data import Dataset, generate_synthetic, load_csv, save_csv, split_queries
+from fairpair import cli, constraints
+from fairpair.cli import main
+from fairpair.data import (
+    Dataset,
+    generate_synthetic,
+    load_csv,
+    make_pairs,
+    save_csv,
+    split_queries,
+)
 from fairpair.errors import ValidationError
 
 
@@ -121,6 +128,19 @@ class TestTrain:
         assert main(["train", "--config", cfg_b, "--method", "pairwise", "--T", "0"]) == 0
         for name in ("model.json", "history.csv", "eval_test.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_history_agrees_with_reports(self, tmp_path):
+        # The last outer iteration's model is the one saved and reported, and
+        # its history row is measured by the same evaluate as the reports.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["train", "--config", cfg]) == 0
+        with (out / "history.csv").open(newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        for split, column in (("train", "train"), ("valid", "eval")):
+            report = json.loads((out / f"eval_{split}.json").read_text())
+            assert float(last[f"auc_{column}"]) == report["auc"]
+            assert float(last[f"fairness_{column}"]) == report["fairness"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -249,15 +269,15 @@ class TestSweep:
                 return real(*args)
             return wrapper
 
-        for module in (cli, evaluation):
+        for module in (cli, constraints):
             for name in calls:
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         assert main(["sweep", "--config", cfg]) == 0
         assert calls == {"make_pairs": 2, "compute_group_stats": 2}
 
     def test_test_split_without_pairs_fails_before_training(self, tmp_path, monkeypatch, capsys):
-        # A test split whose queries hold one label each gets evaluate's
-        # error before any scale is trained.
+        # A test split whose queries hold one label each is named in the
+        # error, before any scale is trained.
         ds, _ = generate_synthetic(12, 10, 3, 2, 1.0, seed=5)
         _, _, test = split_queries(ds, 0.25, 0.15, seed=3)
         for q in test.query_ids:
@@ -273,8 +293,27 @@ class TestSweep:
         monkeypatch.setattr(cli, "train_weighted", lambda *a, **k: trainings.append(a))
         capsys.readouterr()
         assert main(["sweep", "--config", cfg]) == 1
-        assert capsys.readouterr().err == "error: dataset has no discordant pairs to evaluate\n"
+        assert capsys.readouterr().err == "error: test set has no discordant pairs\n"
         assert trainings == [] and not (tmp_path / "run" / "sweep.csv").exists()
+
+    def test_training_split_without_pairs_named(self, tmp_path, capsys):
+        # train cannot run on such a split, so the coefficients are written
+        # by hand; the sweep names the split rather than its empty statistics.
+        ds, _ = generate_synthetic(12, 10, 3, 2, 1.0, seed=5)
+        train, _, _ = split_queries(ds, 0.25, 0.15, seed=3)
+        for i, q in enumerate(train.query_ids):
+            q_index = ds.query_ids.index(q)
+            ds.labels[ds.offsets[q_index] : ds.offsets[q_index + 1]] = i % 2
+        save_csv(ds, tmp_path / "data.csv")
+        doc = base_config(tmp_path / "run")
+        doc["dataset"] = {"csv": str(tmp_path / "data.csv"), "K": 2}
+        cfg = write_config(tmp_path, doc)
+        (tmp_path / "run").mkdir()
+        coeffs = {"kind": "statistical", "K": 2, "values": [0.0, 0.5, -0.5, 0.0]}
+        (tmp_path / "run" / "coefficients.json").write_text(json.dumps(coeffs))
+        assert main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: training set has no discordant pairs\n"
+        assert not (tmp_path / "run" / "sweep.csv").exists()
 
     @staticmethod
     def trained_run(tmp_path):
@@ -347,13 +386,13 @@ class TestEvaluateCommand:
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=6), max_size=5))
 def test_has_pairs_matches_per_query_sums(labels):
-    # A split gets a report when one of its queries holds both labels; the
-    # per-query positive counts come from the offsets, not from query views.
+    # A split gets a report when its pair set is not empty: when one of its
+    # queries holds both labels, counted from the offsets, not from query views.
     offsets = np.cumsum([0, *map(len, labels)], dtype=np.int64)
     flat = np.array([lab for query in labels for lab in query], dtype=np.int64)
     ds = Dataset([f"q{i}" for i in range(len(labels))], offsets, np.zeros((flat.size, 1)),
                  flat, np.zeros_like(flat), 1)
-    assert _has_pairs(ds) is any(0 < int(q.labels.sum()) < len(q) for q in ds.queries)
+    assert (len(make_pairs(ds)) > 0) is any(0 < int(q.labels.sum()) < len(q) for q in ds.queries)
 
 
 class TestDatasetLifetime:

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_dataset, random_dataset
-from fairpair.constraints import ConstraintKind, compute_group_stats, pair_constraint_mask
+from fairpair.constraints import (
+    ConstraintKind,
+    compute_group_stats,
+    pair_constraint_mask,
+    pairs_and_stats,
+)
 from fairpair.data import generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
@@ -227,15 +232,15 @@ class TestFairnessScore:
 class TestEvaluate:
     def test_zero_model_is_fair_for_statistical(self):
         ds, _ = generate_synthetic(10, 12, 3, 2, bias_strength=1.0, seed=4)
-        report = evaluate(LinearRankingModel.zeros(3), ds, STAT)
+        report = evaluate(LinearRankingModel.zeros(3), *pairs_and_stats(ds, "dataset"), STAT)
         assert report.fairness == pytest.approx(1.0, abs=1e-9)
         assert report.auc == 0.5
 
     def test_deterministic(self, rng):
         ds = random_dataset(rng, n_queries=4, items_per_query=6)
         model = LinearRankingModel(rng.normal(size=ds.d), 0.1)
-        r1 = evaluate(model, ds, STAT)
-        r2 = evaluate(model, ds, STAT)
+        r1 = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
+        r2 = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
         assert r1.auc == r2.auc and r1.fairness == r2.fairness
         np.testing.assert_array_equal(r1.delta.values, r2.delta.values)
 
@@ -251,7 +256,7 @@ class TestEvaluate:
             K=2,
         )
         model = LinearRankingModel(np.asarray([1.0]), 0.0)
-        report = evaluate(model, ds, STAT)
+        report = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
 
         per_query = []
         for q in ds.queries:
@@ -289,18 +294,20 @@ class TestEvaluate:
 
     def test_model_dimension_must_match(self, rng):
         ds = random_dataset(rng, d=4)
+        ps, stats = pairs_and_stats(ds, "dataset")
         with pytest.raises(ValidationError, match="model dimension 3 .* dimension 4"):
-            evaluate(LinearRankingModel.zeros(3), ds, STAT)
+            evaluate(LinearRankingModel.zeros(3), ps, stats, STAT)
 
     def test_requires_pairwise_kind(self, rng):
         ds = random_dataset(rng)
+        ps, stats = pairs_and_stats(ds, "dataset")
         with pytest.raises(ValidationError):
-            evaluate(LinearRankingModel.zeros(ds.d), ds, ConstraintKind.POINT_STATISTICAL)
+            evaluate(LinearRankingModel.zeros(ds.d), ps, stats, ConstraintKind.POINT_STATISTICAL)
 
     def test_report_json_round_trip(self, tmp_path, rng):
         ds = random_dataset(rng, n_queries=3, items_per_query=6)
         model = LinearRankingModel(rng.normal(size=ds.d), 0.0)
-        report = evaluate(model, ds, STAT)
+        report = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
         path = tmp_path / "report.json"
         report.write_json(path)
         doc = json.loads(path.read_text())

@@ -306,7 +306,8 @@ class TestFairTrain:
         train, valid, test = self.biased_splits()
         base, _, _ = fair_train(train, valid, STAT, small_cfg(T=0, seed=2))
         fair, _, _ = fair_train(train, valid, STAT, small_cfg(T=10, seed=2))
-        assert evaluate(fair, test, STAT).fairness > evaluate(base, test, STAT).fairness
+        on_test = constraints.pairs_and_stats(test, "test set")
+        assert evaluate(fair, *on_test, STAT).fairness > evaluate(base, *on_test, STAT).fairness
 
     def test_history_records_shape(self):
         train, valid, _ = self.biased_splits()
@@ -328,8 +329,6 @@ class TestFairTrain:
         # Scoring reads item scores and the trainer gathers x_i - x_j a chunk
         # at a time, so after evaluate and T + 1 trainings every array a pair
         # set holds is one column: none is an (n_pairs, d) block.
-        import fairpair.evaluation as ev
-
         made = []
 
         def recorded(ds):
@@ -337,11 +336,11 @@ class TestFairTrain:
             made.append(ps)
             return ps
 
-        monkeypatch.setattr(rw, "make_pairs", recorded)
-        monkeypatch.setattr(ev, "make_pairs", recorded)
+        monkeypatch.setattr(constraints, "make_pairs", recorded)
 
         train, valid, test = self.biased_splits()
-        evaluate(LinearRankingModel(np.ones(test.d)), test, STAT)
+        on_test = constraints.pairs_and_stats(test, "test set")
+        evaluate(LinearRankingModel(np.ones(test.d)), *on_test, STAT)
         fair_train(train, valid, STAT, small_cfg(T=3))
         assert len(made) == 3
         for ps in made:
@@ -359,9 +358,10 @@ class TestFairTrain:
         train, valid, _ = self.biased_splits()
         cfg = small_cfg(T=4, delta_set=delta_set, warm_start=warm_start)
         calls = {"make_pairs": 0, "expected_bias": 0}
+        owners = {"make_pairs": constraints, "expected_bias": rw}
 
         def counted(name):
-            real = getattr(rw, name)
+            real = getattr(owners[name], name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -370,7 +370,7 @@ class TestFairTrain:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(rw, name, counted(name))
+            monkeypatch.setattr(owners[name], name, counted(name))
         model, coeffs, history = fair_train(train, valid, STAT, cfg)
         assert calls == {"make_pairs": 2, "expected_bias": 1 + 2 * cfg.T}
 

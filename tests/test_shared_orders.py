@@ -175,3 +175,22 @@ def test_traced_fair_train_reads_each_pair_set_arrays():
     names = [s["name"] for s in tracer.spans]
     assert names.count("data.make_pairs") == names.count("data.arrays") == 2
     assert tracing.layer_metrics(tracer)["data.arrays_s"] > 0
+
+
+def test_traced_fair_train_measures_through_evaluate():
+    # Every history record is measured by evaluate on the train and eval
+    # pairs, so perfbench's evaluation.evaluate_calls counts them: 2T spans,
+    # each over one bias and one AUC.  The first delta is measured before
+    # the loop, outside evaluate, and the 2 pair sets and their statistics
+    # are built once each.
+    tracing = load_tracing()
+    train, valid, cfg = guard_run()
+    tracer = traced_fair_train(tracing, train, valid, cfg)
+    names = [s["name"] for s in tracer.spans]
+    evaluates = [s["id"] for s in tracer.spans if s["name"] == "evaluation.evaluate"]
+    assert len(evaluates) == 2 * cfg.T
+    for parent in evaluates:
+        children = [s["name"] for s in tracer.spans if s["parent"] == parent]
+        assert children.count("reweight.expected_bias") == children.count("evaluation.auc") == 1
+    assert names.count("reweight.expected_bias") == 1 + 2 * cfg.T
+    assert names.count("data.make_pairs") == names.count("constraints.compute_group_stats") == 2
