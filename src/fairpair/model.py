@@ -12,9 +12,8 @@ from .errors import ValidationError
 
 # Predicted probabilities are clamped away from {0, 1}, so a log of them
 # stays finite.  Only expected_bias and point_expected_bias take the
-# clamped probability.  Neither trainer needs a clamp: batch_gradient and
-# train_pointwise form each residual as -f * weight / (1 + exp(min(f * z,
-# 700))), with f = 1 for a pair and f = 2y - 1 for an item.
+# clamped probability.  The trainers need no clamp: both form every
+# residual in batch_gradient, as -weight / (1 + exp(min(z, 700))).
 PROB_EPS = 1e-12
 
 

@@ -316,6 +316,8 @@ def pointwise_reweight_train(
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
     if eval_set.K != train.K:
         raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
+    if any(((ds.labels != 0) & (ds.labels != 1)).any() for ds in (train, eval_set)):
+        raise ValidationError("pointwise training needs every item label in {0, 1}")
     stats = compute_point_stats(train)
     coeffs = np.zeros(train.K)
     weights = point_weights(coeffs, stats, train, kind)

@@ -1,13 +1,12 @@
-"""Weighted pairwise (and pointwise) training with a from-scratch Adam.
+"""Weighted pairwise training with a from-scratch Adam, and the pointwise
+baseline on the same minibatch loop.
 
 The pairwise objective is the mean over pairs of
 ``weight * -log(predicted order probability)``: every pair of a PairSet
 has its positive item first, so its pair label is 1, and its weight
-stands for its mirror too (see reweight.pair_weights).  The pointwise
-variant applies the cross-entropy to item labels and steps [w..., b].
-The bias has zero gradient in the pairwise case because it cancels in
-every score difference, so the pairwise trainer steps w alone and
-returns the initial bias.
+stands for its mirror too (see reweight.pair_weights).  train_pointwise
+fits the item cross-entropy as that loss on item-against-zero rows, so
+both trainers share one loop and one residual form (batch_gradient).
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndar
     no clamp.  Capping z at 700 keeps exp finite: above the cap the residual
     is weight / (1 + e^700) < weight * 1e-304, and the true one is smaller
     still.  Per minibatch the cost is numpy's fixed cost per call, so every
-    step but the two products works in place.  The bias has no entry: it
-    cancels in every score difference, so its gradient is zero.
+    step but the two products works in place.  A pairwise bias has no entry,
+    as it cancels in every score difference; train_pointwise's rows carry it.
     """
     r = x @ w
     np.minimum(r, 700.0, out=r)
@@ -130,17 +129,17 @@ def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndar
     return g
 
 
-def _check_weights(weights, n: int) -> np.ndarray:
+def _check_weights(weights, n: int, unit: str) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
-        raise ValidationError(f"weight table length {weights.shape} != number of pairs {n}")
+        raise ValidationError(f"weight table length {weights.shape} != number of {unit} {n}")
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ValidationError("weights must be finite and positive")
     return weights
 
 
 def epoch_orders(n: int, cfg: TrainConfig):
-    """Yield the cfg.epochs orders in which train_weighted visits n pairs:
+    """Yield the cfg.epochs orders in which a trainer visits n pairs or items:
     successive permutations of a generator seeded by cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
@@ -159,6 +158,27 @@ def shared_epoch_orders(n: int, cfg: TrainConfig) -> np.ndarray:
     return orders
 
 
+def _train_rows(X, row_i, row_j, weights, cfg: TrainConfig, w, orders) -> np.ndarray:
+    """Minibatch Adam from ``w`` on the weighted loss of pairs (X[row_i], X[row_j])
+    at label 1; each epoch walks its order a chunk of whole minibatches of
+    gathered rows at a time (see GATHER_BYTES).  Returns a stepped copy of w."""
+    n, bs = row_i.size, cfg.batch_size
+    chunk = bs * max(1, GATHER_BYTES // (8 * X.shape[1] * bs))
+    w = w.copy()
+    state = AdamState.zeros(w.size)
+    for order in orders:
+        for lo in range(0, n, chunk):
+            idx = order[lo : lo + chunk]
+            xs = X.take(row_i.take(idx), axis=0)
+            xs -= X.take(row_j.take(idx), axis=0)
+            ws = weights.take(idx)
+            for start in range(0, idx.size, bs):
+                batch = slice(start, start + bs)
+                grad = batch_gradient(w, xs[batch], ws[batch])
+                state, w = adam_update(state, w, grad, cfg)
+    return w
+
+
 def train_weighted(
     ps: PairSet,
     weights,
@@ -171,15 +191,15 @@ def train_weighted(
     Pairs are reshuffled every epoch in the orders of epoch_orders, so the
     result is deterministic for fixed inputs; ``orders``, when given, must
     be those orders, as shared_epoch_orders returns them, and is not drawn
-    again.  ``cfg.batch_size`` counts pairs of ``ps``.  Each minibatch steps
-    on its view of a chunk of gathered rows x_i - x_j (see GATHER_BYTES).
-    The bias is returned as given in ``init``.  epochs=0 returns the
-    initial model unchanged.
+    again.  ``cfg.batch_size`` counts pairs of ``ps``.  The bias is returned
+    as given in ``init``: a zero gradient leaves Adam's step 0, so stepping
+    it would return it bit for bit, and only w is stepped.  epochs=0
+    returns the initial model unchanged.
     """
     if not len(ps):
         raise ValidationError("cannot train on an empty pair set")
     n = len(ps)
-    weights = _check_weights(weights, n)
+    weights = _check_weights(weights, n, "pairs")
     if orders is None:
         orders = epoch_orders(n, cfg)
     elif orders.shape != (cfg.epochs, n):
@@ -190,26 +210,7 @@ def train_weighted(
     if init is None:
         init = LinearRankingModel.zeros(d)
     check_dimension(init, d)
-
-    X, row_i, row_j = ps.source.features, ps.row_i, ps.row_j
-    bs = cfg.batch_size
-    chunk = bs * max(1, GATHER_BYTES // (8 * d * bs))
-    # A zero gradient leaves Adam's step 0, so stepping the bias would
-    # return it bit for bit; only w is stepped.
-    w = init.w.copy()
-    state = AdamState.zeros(d)
-
-    for order in orders:
-        for lo in range(0, n, chunk):
-            idx = order[lo : lo + chunk]
-            xs = X.take(row_i.take(idx), axis=0)
-            xs -= X.take(row_j.take(idx), axis=0)
-            ws = weights.take(idx)
-            for start in range(0, idx.size, bs):
-                batch = slice(start, start + bs)
-                grad = batch_gradient(w, xs[batch], ws[batch])
-                state, w = adam_update(state, w, grad, cfg)
-
+    w = _train_rows(ps.source.features, ps.row_i, ps.row_j, weights, cfg, init.w, orders)
     return LinearRankingModel(w, float(init.b))
 
 
@@ -219,38 +220,23 @@ def train_pointwise(
     cfg: TrainConfig,
     init: LinearRankingModel | None = None,
 ) -> LinearRankingModel:
-    """Weighted logistic regression on items (the pointwise ordering method).
-
-    Unlike the pairwise trainer, the bias receives a nonzero gradient here.
-    With f = 2y - 1, an item's residual -y * sigmoid(-z) + (1 - y) * sigmoid(z)
-    is formed directly as -f * weight / (1 + exp(min(f * z, 700))), as in
-    batch_gradient, so it does not cancel where sigmoid(z) nears y.
-    """
-    X, y = ds.features, ds.labels
-    n = y.size
+    """Weighted logistic regression on items (the pointwise ordering method),
+    fitted as the pair loss of rows [x, 1] against a zero row: (item, zero) at
+    label 1 and (zero, item) at label 0, so the bias, the last weight, gets
+    its gradient."""
+    n = ds.n_items
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
-    weights = _check_weights(weights, n)
+    if ((ds.labels != 0) & (ds.labels != 1)).any():
+        raise ValidationError("pointwise training needs every item label in {0, 1}")
+    weights = _check_weights(weights, n, "items")
     if init is None:
         init = LinearRankingModel.zeros(ds.d)
     check_dimension(init, ds.d)
-
-    params = np.concatenate([init.w, [init.b]])
-    state = AdamState.zeros(params.size)
-    flip = 2.0 * y - 1.0
-
-    for order in epoch_orders(n, cfg):
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x = np.take(X, idx, axis=0)
-            f = flip.take(idx)
-            r = f * (x @ params[:-1] + params[-1])
-            np.minimum(r, 700.0, out=r)
-            np.exp(r, out=r)
-            r += 1.0
-            resid = -f * weights.take(idx)
-            resid /= r
-            grad = np.concatenate([resid @ x / idx.size, [resid.mean()]])
-            state, params = adam_update(state, params, grad, cfg)
-
-    return LinearRankingModel(params[:-1].copy(), float(params[-1]))
+    X = np.zeros((n + 1, ds.d + 1))
+    X[:n, :-1], X[:n, -1] = ds.features, 1.0
+    items, pos = np.arange(n), ds.labels == 1
+    row_i, row_j = np.where(pos, items, n), np.where(pos, n, items)
+    params = np.append(init.w, init.b)
+    params = _train_rows(X, row_i, row_j, weights, cfg, params, epoch_orders(n, cfg))
+    return LinearRankingModel(params[:-1], float(params[-1]))

@@ -16,7 +16,10 @@ it was, which shows that the loop, chunking, shuffle and Adam did not
 move, and the trainer as it is against the old loop on the new residual.
 The pointwise residual changed the same way, from the clamped probability
 minus the item label to -f * weight / (1 + exp(f * z)) with f = 2y - 1;
-its old loop now takes that residual (``new_point_residual``).
+its old loop now takes that residual (``new_point_residual``).  The
+pointwise trainer now runs the pairwise loop on item-against-zero rows: it
+keeps the old loop's bits on small minibatches and stays within 1e-12 of
+them, relative, at the benchmark's shapes.
 """
 
 import math
@@ -26,7 +29,7 @@ import pytest
 
 from conftest import pair_feature_diff, pair_subset, random_dataset
 from fairpair import training
-from fairpair.data import PairSet, make_pairs
+from fairpair.data import PairSet, generate_synthetic, make_pairs
 from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
 from fairpair.training import (
     AdamState,
@@ -330,6 +333,25 @@ def test_train_pointwise_matches_old_loop(rng, cfg_kwargs, init):
         train_pointwise(ds, weights, cfg, init=model),
         old_train_pointwise(ds, weights, cfg, init=model),
     )
+
+
+@pytest.mark.parametrize(
+    "n_queries,items_per_query,d,K",
+    [(40, 30, 5, 2), (200, 60, 5, 2), (120, 60, 5, 8), (50, 20, 11, 3)],
+)
+def test_train_pointwise_near_old_loop_at_benchmark_shapes(rng, n_queries, items_per_query, d, K):
+    # train_pointwise runs the pairwise loop on rows [x, 1] against a zero
+    # row, so the bias sits inside the x @ w product and its gradient is a
+    # dot product, not resid.mean().  Neither keeps the old loop's bits (the
+    # same row's score can round differently in another slice of a matrix
+    # product), so at full-size minibatches the models agree to a few ulp,
+    # not bit for bit.
+    ds, _ = generate_synthetic(n_queries, items_per_query, d=d, K=K, bias_strength=1.0, seed=0)
+    weights = rng.uniform(0.2, 0.8, size=ds.n_items)
+    cfg = TrainConfig(epochs=30, batch_size=512)
+    new, old = train_pointwise(ds, weights, cfg), old_train_pointwise(ds, weights, cfg)
+    new_params, old_params = np.append(new.w, new.b), np.append(old.w, old.b)
+    assert np.max(np.abs(new_params - old_params) / np.abs(old_params)) <= 1e-12
 
 
 def test_adam_update_matches_old(rng):

@@ -573,6 +573,19 @@ class TestPointwiseReweightTrain:
         with pytest.raises(ValidationError, match="K=4 .*K=3"):
             pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
 
+    @pytest.mark.parametrize("label", [2, -1])
+    @pytest.mark.parametrize("bad", ["train", "eval_set"])
+    def test_label_outside_0_1_fails_before_statistics(self, rng, monkeypatch, label, bad):
+        # Unchecked, item_cell fails on such a label with numpy's ValueError.
+        train, valid = random_dataset(rng), random_dataset(rng)
+        (train if bad == "train" else valid).labels[2] = label
+        monkeypatch.setattr(rw, "compute_point_stats", no_training)
+        monkeypatch.setattr(rw, "train_pointwise", no_training)
+        cfg = small_cfg(T=2, delta_set="validation")
+        msg = r"^pointwise training needs every item label in \{0, 1\}$"
+        with pytest.raises(ValidationError, match=msg):
+            pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
+
     def test_point_weights_normalized(self, rng):
         from fairpair.constraints import compute_point_stats
 

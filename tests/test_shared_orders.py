@@ -6,8 +6,9 @@ one pair set with one TrainConfig, so each would draw the same orders.
 shared_epoch_orders draws them once; the runs must give the bits of a loop
 in which every training draws its own (train_weighted without ``orders``;
 for fair_train, test_reweight.py's plain_fair_train, with and without
-warm start).  The guard at the end runs fair_train under perfbench's
-tracer and checks the counters the benchmark reads.
+warm start).  The guards at the end run fair_train, and the pointwise
+baseline, under perfbench's tracer and check the counters the benchmark
+reads.
 """
 
 import csv
@@ -24,7 +25,7 @@ from fairpair.cli import main
 from fairpair.constraints import ConstraintKind
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
-from fairpair.reweight import FairTrainConfig, fair_train
+from fairpair.reweight import FairTrainConfig, fair_train, pointwise_reweight_train
 from fairpair.training import TrainConfig, epoch_orders, shared_epoch_orders, train_weighted
 from test_cli import base_config, write_config
 
@@ -194,3 +195,24 @@ def test_traced_fair_train_measures_through_evaluate():
         assert children.count("reweight.expected_bias") == children.count("evaluation.auc") == 1
     assert names.count("reweight.expected_bias") == 1 + 2 * cfg.T
     assert names.count("data.make_pairs") == names.count("constraints.compute_group_stats") == 2
+
+
+def test_traced_pointwise_run_counts_no_pairwise_training():
+    # The pointwise trainer runs the pairwise Adam loop but not
+    # train_weighted, so the benchmark's train_weighted_calls and
+    # pair_epochs_per_s count pairwise trainings only; its steps count in
+    # adam_steps, one a minibatch of items of every epoch of every training.
+    tracing = load_tracing()
+    train, valid, cfg = guard_run()
+    inner = cfg.inner
+    tracer = tracing.Tracer("guard")
+    tracing.install(tracer)
+    try:
+        pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer)
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("training.train_weighted") == metrics["training.train_weighted_calls"] == 0
+    steps = (cfg.T + 1) * inner.epochs * math.ceil(train.n_items / inner.batch_size)
+    assert tracer.counters["training.adam_update"] == metrics["training.adam_steps"] == steps

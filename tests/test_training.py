@@ -240,6 +240,23 @@ class TestTrainConfig:
             TrainConfig(seed=-1)
 
 
+STEP_CASES = [(3, 16), (2, 10_000), (0, 8), (1, 1)]
+
+
+def count_adam_steps(monkeypatch, trainer, *args):
+    """The training.adam_update calls of one trainer(*args) call."""
+    calls = []
+    real = training.adam_update
+
+    def counting(*step_args):
+        calls.append(step_args)
+        return real(*step_args)
+
+    monkeypatch.setattr(training, "adam_update", counting)
+    trainer(*args)
+    return len(calls)
+
+
 class TestTrainWeighted:
     def test_zero_epochs_returns_init(self, rng):
         ds = random_dataset(rng)
@@ -342,21 +359,13 @@ class TestTrainWeighted:
         assert steps and len(grads) == len(steps)
         assert all(g is s for g, s in zip(grads, steps))
 
-    @pytest.mark.parametrize("epochs,batch_size", [(3, 16), (2, 10_000), (0, 8), (1, 1)])
+    @pytest.mark.parametrize("epochs,batch_size", STEP_CASES)
     def test_one_adam_step_per_minibatch(self, rng, monkeypatch, epochs, batch_size):
         # The benchmark counts inner steps by wrapping training.adam_update.
         ps = make_pairs(random_dataset(rng))
-        calls = []
-        real = training.adam_update
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(training, "adam_update", counting)
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size)
-        train_weighted(ps, np.full(len(ps), 0.5), cfg)
-        assert len(calls) == epochs * math.ceil(len(ps) / batch_size)
+        steps = count_adam_steps(monkeypatch, train_weighted, ps, np.full(len(ps), 0.5), cfg)
+        assert steps == epochs * math.ceil(len(ps) / batch_size)
 
     def test_peak_memory_below_a_quarter_of_pair_feature_rows(self, rng):
         # Training gathers x_i - x_j a chunk of minibatches at a time, so its
@@ -388,8 +397,43 @@ class TestTrainWeighted:
         with pytest.raises(ValidationError):
             train_weighted(ps, np.full(len(ps), -1.0), TrainConfig())
 
+    def test_weight_length_error_names_pairs(self, rng):
+        ps = make_pairs(random_dataset(rng))
+        with pytest.raises(ValidationError) as exc:
+            train_weighted(ps, np.full(3, 0.5), TrainConfig())
+        assert str(exc.value) == f"weight table length (3,) != number of pairs {len(ps)}"
+
 
 class TestTrainPointwise:
+    @pytest.mark.parametrize("epochs,batch_size", STEP_CASES)
+    def test_one_adam_step_per_minibatch(self, rng, monkeypatch, epochs, batch_size):
+        # The pointwise trainer runs the pairwise loop, so its steps count
+        # in the benchmark's adam_steps too: one a minibatch of items.
+        ds = random_dataset(rng)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size)
+        steps = count_adam_steps(monkeypatch, train_pointwise, ds, np.full(ds.n_items, 0.5), cfg)
+        assert steps == epochs * math.ceil(ds.n_items / batch_size)
+
+    def test_weight_length_error_names_items(self, rng):
+        ds = random_dataset(rng, n_queries=1, items_per_query=6)
+        with pytest.raises(ValidationError) as exc:
+            train_pointwise(ds, np.full(3, 0.5), TrainConfig())
+        assert str(exc.value) == "weight table length (3,) != number of items 6"
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_outside_0_1_rejected_before_training(self, rng, monkeypatch, label):
+        # Unchecked, a label-2 item trains as a positive of weight 3 (f = 2y - 1).
+        ds = random_dataset(rng)
+        ds.labels[3] = label
+
+        def stepped(*args):
+            raise AssertionError("trained before the labels were checked")
+
+        monkeypatch.setattr(training, "adam_update", stepped)
+        msg = r"^pointwise training needs every item label in \{0, 1\}$"
+        with pytest.raises(ValidationError, match=msg):
+            train_pointwise(ds, np.full(ds.n_items, 0.5), TrainConfig())
+
     def test_model_dimension_checked(self, rng):
         ds = random_dataset(rng, d=3)
         init = LinearRankingModel.zeros(2)
