@@ -70,7 +70,6 @@ class RunConfig:
     ratio_test: float
     ratio_valid: float
     split_seed: int
-    train: TrainConfig
     fair: FairTrainConfig
     sweep_scales: list[float]
     out_dir: Path
@@ -171,7 +170,6 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
         ratio_test=float(split["ratio_test"]),
         ratio_valid=float(split["ratio_valid"]),
         split_seed=split["seed"],
-        train=train_cfg,
         fair=fair_cfg,
         sweep_scales=[float(x) for x in scales],
         out_dir=Path(out_dir),

@@ -2,8 +2,8 @@
 
 A constraint assigns each labeled pair (or item) a signed value whose
 average under the model's predicted label distribution measures group
-bias; a fair model has zero average.  Every constraint is identically
-zero at label 0, so only the label-1 branch ever contributes.
+bias; a fair model has zero average.  Every constraint is zero at predicted
+label 0; at observed label 0 only the two statistical families are not.
 
 True order probabilities inside the inter/intra/marginal formulas are
 unknown in practice and are proxied by the observed pair labels.
@@ -108,6 +108,8 @@ def compute_point_stats(ds) -> GroupStats:
     """Item-only statistics for pointwise constraints; pair fields are zeroed."""
     if ds.n_items == 0:
         raise ValidationError("cannot compute item statistics of an empty dataset")
+    if ((ds.labels != 0) & (ds.labels != 1)).any():
+        raise ValidationError("item statistics need every item label in {0, 1}")
     item_frac, pos_item_frac = _item_stats(ds)
     K = ds.K
     return GroupStats(np.zeros((K, K)), np.zeros((K, K)), 0.0, item_frac, pos_item_frac)

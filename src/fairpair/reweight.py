@@ -2,11 +2,11 @@
 
 Each group pair (k, l) carries a coefficient; a pair's weight is the
 normalized exponential of the coefficient-weighted constraint values over
-the two possible pair labels.  Because every constraint vanishes at label
-0, the label-1 weight reduces to a sigmoid of the constraint sum.  The
-outer loop alternates between measuring the model's constraint violation,
-nudging the coefficients against it, reweighting the pairs, and retraining
-from scratch.
+the two possible predicted labels.  Every constraint vanishes at predicted
+label 0 (at observed label 0 only the statistical tables do not), so the
+weight reduces to a sigmoid of the constraint sum.  One outer loop serves
+both methods: measure the model's violation, nudge the coefficients
+against it, reweight the pairs or items, and retrain.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def expected_bias(
     Scores every item once; an ordered pair's predicted order probability
     is the sigmoid of its two items' score difference, so no pair features
     are built.  The pairs are read a chunk at a time (see data.pair_chunks)
-    into running per-cell sums.  Only the label-1 term contributes because
-    constraints vanish at label 0.  Entries whose constraint is undefined
-    are masked and read 0.
+    into running per-cell sums.  Only the predicted-label-1 term counts, as
+    constraints vanish at predicted label 0.  Entries whose constraint is
+    undefined are masked and read 0.
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
@@ -209,6 +209,28 @@ def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) ->
     return Coefficients(coeffs.values - eta * step, coeffs.kind)
 
 
+def _reweight_loop(cfg: FairTrainConfig, coeffs: Coefficients, weigh, fit, measure):
+    """Fit on ``weigh(coeffs)``, then T times step the coefficients against the
+    last violation, reweigh, refit and measure.  ``measure(model, t)`` returns
+    what outer iteration t records and the violation driving t + 1 (t = 0 is
+    the first fit, measured only when T > 0).  Returns the last model and
+    coefficients and, per iteration, its record, driving delta and coefficients."""
+    model, steps = fit(weigh(coeffs), None), []
+    delta = measure(model, 0)[1] if cfg.T else None
+    for t in range(1, cfg.T + 1):
+        coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
+        try:
+            weights = weigh(coeffs)
+        except ValidationError as exc:
+            msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
+            raise ValidationError(msg) from exc
+        model = fit(weights, model if cfg.warm_start else None)
+        recorded, next_delta = measure(model, t)
+        steps.append((recorded, delta, coeffs))
+        delta = next_delta
+    return model, coeffs, steps
+
+
 def fair_train(
     train: Dataset,
     eval_set: Dataset,
@@ -231,48 +253,32 @@ def fair_train(
         raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
 
     ps_train, stats_train = pairs_and_stats(train, "training set")
-
-    coeffs = Coefficients.zeros(train.K, kind)
-    weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
-    if cfg.T == 0:
-        return train_weighted(ps_train, weights, cfg.inner), coeffs, []
     # All T + 1 trainings share one pair set and one cfg.inner, so one draw
     # of their epoch orders serves every one.
-    orders = shared_epoch_orders(len(ps_train), cfg.inner)
-    model = train_weighted(ps_train, weights, cfg.inner, orders=orders)
-    history: list[IterationRecord] = []
+    orders = shared_epoch_orders(len(ps_train), cfg.inner) if cfg.T else None
+    splits = [(ps_train, stats_train)]
+    at_delta = 1 if cfg.delta_set == "validation" else 0
 
-    ps_eval, stats_eval = pairs_and_stats(eval_set, "evaluation set")
+    def measure(model, t):
+        # The evaluation pairs are built after the first fit, and only if T > 0;
+        # that fit's violation is measured on the delta set alone.
+        if not t:
+            splits.append(pairs_and_stats(eval_set, "evaluation set"))
+            return None, expected_bias(model, *splits[at_delta], kind)
+        reports = [evaluation.evaluate(model, ps, stats, kind) for ps, stats in splits]
+        return [r.auc for r in reports] + [r.fairness for r in reports], reports[at_delta].delta
 
-    # Each iteration's delta is the previous model's bias on the delta set,
-    # which the previous iteration already measured for its history record.
-    if cfg.delta_set == "validation":
-        delta = expected_bias(model, ps_eval, stats_eval, kind)
-    else:
-        delta = expected_bias(model, ps_train, stats_train, kind)
-    for t in range(1, cfg.T + 1):
-        coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
-        try:
-            weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
-        except ValidationError as exc:
-            msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
-            raise ValidationError(msg) from exc
-        init = model if cfg.warm_start else None
-        model = train_weighted(ps_train, weights, cfg.inner, init=init, orders=orders)
-        on_train = evaluation.evaluate(model, ps_train, stats_train, kind)
-        on_eval = evaluation.evaluate(model, ps_eval, stats_eval, kind)
-        history.append(
-            IterationRecord(
-                iteration=t,
-                auc_train=on_train.auc,
-                auc_eval=on_eval.auc,
-                fairness_train=on_train.fairness,
-                fairness_eval=on_eval.fairness,
-                delta=delta.values.copy(),
-                coeffs=coeffs.values.copy(),
-            )
-        )
-        delta = (on_eval if cfg.delta_set == "validation" else on_train).delta
+    model, coeffs, steps = _reweight_loop(
+        cfg,
+        Coefficients.zeros(train.K, kind),
+        lambda c: pair_weights(c, stats_train, ps_train, cfg.weight_form),
+        lambda weights, init: train_weighted(ps_train, weights, cfg.inner, init, orders),
+        measure,
+    )
+    history = [
+        IterationRecord(t, *metrics, delta.values.copy(), coeffs_t.values.copy())
+        for t, (metrics, delta, coeffs_t) in enumerate(steps, 1)
+    ]
     return model, coeffs, history
 
 
@@ -282,6 +288,7 @@ def point_expected_bias(
     """Per-group item-level violation and its defined mask."""
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
+    check_dimension(model, ds.d)
     p = clamp_prob(stable_sigmoid(ds.features @ model.w + model.b))
     table = point_constraint_table(kind, stats)
     cells = item_cell(ds.groups, ds.labels, ds.K)
@@ -319,26 +326,15 @@ def pointwise_reweight_train(
     if any(((ds.labels != 0) & (ds.labels != 1)).any() for ds in (train, eval_set)):
         raise ValidationError("pointwise training needs every item label in {0, 1}")
     stats = compute_point_stats(train)
-    coeffs = np.zeros(train.K)
-    weights = point_weights(coeffs, stats, train, kind)
-    model = train_pointwise(train, weights, cfg.inner)
-
-    if cfg.delta_set == "validation":
-        ds_delta = eval_set
-        stats_delta = compute_point_stats(eval_set)
-    else:
-        ds_delta, stats_delta = train, stats
-
-    for t in range(1, cfg.T + 1):
-        values, mask = point_expected_bias(model, ds_delta, stats_delta, kind)
-        coeffs = coeffs - cfg.eta_lambda * np.where(mask, values, 0.0)
-        try:
-            weights = point_weights(coeffs, stats, train, kind)
-        except ValidationError as exc:
-            msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
-            raise ValidationError(msg) from exc
-        init = model if cfg.warm_start else None
-        model = train_pointwise(train, weights, cfg.inner, init=init)
+    ds_delta = eval_set if cfg.delta_set == "validation" else train
+    stats_delta = compute_point_stats(ds_delta)
+    model, _, _ = _reweight_loop(
+        cfg,
+        Coefficients(np.zeros(train.K), kind),
+        lambda c: point_weights(c.values, stats, train, kind),
+        lambda weights, init: train_pointwise(train, weights, cfg.inner, init),
+        lambda m, t: (None, DeltaMatrix(*point_expected_bias(m, ds_delta, stats_delta, kind))),
+    )
     return model
 
 

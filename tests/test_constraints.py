@@ -15,7 +15,7 @@ from fairpair.constraints import (
     point_constraint_mask,
     point_constraint_table,
 )
-from fairpair.data import item_cell, make_pairs
+from fairpair.data import Dataset, item_cell, make_pairs
 from fairpair.errors import ValidationError
 from fairpair.reweight import Coefficients, pair_weights, point_weights
 
@@ -288,6 +288,16 @@ class TestPointConstraint:
             for k, frac in ((0, pos_frac_g0), (1, pos_frac_g1)):
                 expected = item_label * ((1.0 if group == k else 0.0) / frac - 1 / pos_total)
                 assert table[k, group, item_label] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_point_stats_reject_label_outside_0_1(self, label):
+        # Weighed by its raw label, every item at label 2 and K=1 read
+        # pos_item_frac [2.0] against item_frac [1.0].
+        ds = Dataset(["q"], np.array([0, 3]), np.zeros((3, 1)), np.full(3, label),
+                     np.zeros(3, dtype=np.int64), 1)
+        msg = r"^item statistics need every item label in \{0, 1\}$"
+        with pytest.raises(ValidationError, match=msg):
+            compute_point_stats(ds)
 
     def test_undefined_group_is_masked(self):
         # A group without items (or without positives) has no pointwise

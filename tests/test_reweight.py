@@ -1,5 +1,6 @@
 """Tests for closed-form pair weights, the violation measure, and the outer loop."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -14,6 +15,7 @@ from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
     compute_group_stats,
+    compute_point_stats,
     pair_constraint_mask,
 )
 from fairpair.data import generate_synthetic, make_pairs, split_queries
@@ -28,6 +30,7 @@ from fairpair.reweight import (
     expected_bias,
     fair_train,
     pair_weights,
+    point_expected_bias,
     point_weights,
     pointwise_reweight_train,
     update_coefficients,
@@ -434,6 +437,22 @@ class TestFairTrain:
             fair_train(train, valid, ConstraintKind.POINT_STATISTICAL, small_cfg(T=1))
 
     @pytest.mark.parametrize("delta_set", ["train", "validation"])
+    def test_eval_set_without_discordant_pairs(self, delta_set):
+        # T = 0 never builds the evaluation pair set, so it trains as on any
+        # other evaluation set; from T = 1 on the loop needs its pairs.
+        train, valid, _ = self.biased_splits()
+        flat = dataclasses.replace(valid, labels=np.zeros_like(valid.labels))
+        cfg = small_cfg(T=0, delta_set=delta_set)
+        model, coeffs, history = fair_train(train, flat, STAT, cfg)
+        ps = make_pairs(train)
+        baseline = train_weighted(ps, np.full(len(ps), 0.5), cfg.inner)
+        assert model.w.tobytes() == baseline.w.tobytes() and model.b == baseline.b
+        assert np.all(coeffs.values == 0.0) and history == []
+        for T in (1, 3):
+            with pytest.raises(ValidationError, match="^evaluation set has no discordant pairs$"):
+                fair_train(train, flat, STAT, small_cfg(T=T, delta_set=delta_set))
+
+    @pytest.mark.parametrize("delta_set", ["train", "validation"])
     def test_eval_set_of_another_k_fails_before_training(self, rng, monkeypatch, delta_set):
         train, valid = random_dataset(rng, K=3), random_dataset(rng, K=4)
         monkeypatch.setattr(rw, "train_weighted", no_training)
@@ -586,6 +605,14 @@ class TestPointwiseReweightTrain:
         with pytest.raises(ValidationError, match=msg):
             pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
 
+    def test_point_expected_bias_checks_model_dimension(self, rng):
+        ds = random_dataset(rng, d=3)
+        stats = compute_point_stats(ds)
+        with pytest.raises(ValidationError, match="model dimension 2 .* dimension 3"):
+            point_expected_bias(
+                LinearRankingModel.zeros(2), ds, stats, ConstraintKind.POINT_STATISTICAL
+            )
+
     def test_point_weights_normalized(self, rng):
         from fairpair.constraints import compute_point_stats
 
@@ -594,6 +621,50 @@ class TestPointwiseReweightTrain:
         coeffs = rng.normal(size=3)
         w = point_weights(coeffs, stats, ds, ConstraintKind.POINT_EQUAL_OPPORTUNITY)
         assert np.all((w > 0) & (w < 1))
+
+
+def plain_pointwise_reweight_train(train, eval_set, kind, cfg):
+    """Reference pointwise outer loop: its own coefficient step, error
+    wrapper and retraining, as it stood before it shared fair_train's."""
+    stats = compute_point_stats(train)
+    coeffs = np.zeros(train.K)
+    weights = point_weights(coeffs, stats, train, kind)
+    model = train_pointwise(train, weights, cfg.inner)
+
+    if cfg.delta_set == "validation":
+        ds_delta = eval_set
+        stats_delta = compute_point_stats(eval_set)
+    else:
+        ds_delta, stats_delta = train, stats
+
+    for t in range(1, cfg.T + 1):
+        values, mask = point_expected_bias(model, ds_delta, stats_delta, kind)
+        coeffs = coeffs - cfg.eta_lambda * np.where(mask, values, 0.0)
+        try:
+            weights = point_weights(coeffs, stats, train, kind)
+        except ValidationError as exc:
+            msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
+            raise ValidationError(msg) from exc
+        init = model if cfg.warm_start else None
+        model = train_pointwise(train, weights, cfg.inner, init=init)
+    return model
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("T", [0, 1, 4])
+@pytest.mark.parametrize("warm_start", [False, True])
+@pytest.mark.parametrize("delta_set", ["train", "validation"])
+@pytest.mark.parametrize(
+    "kind", [ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY]
+)
+def test_pointwise_matches_its_own_loop(kind, delta_set, warm_start, T, K):
+    ds, _ = generate_synthetic(16, 12, d=3, K=K, bias_strength=1.2, seed=K)
+    train, valid, _ = split_queries(ds, 0.2, 0.25, seed=1)
+    cfg = small_cfg(T=T, delta_set=delta_set, warm_start=warm_start, eta_lambda=4.0)
+    model = pointwise_reweight_train(train, valid, kind, cfg)
+    ref = plain_pointwise_reweight_train(train, valid, kind, cfg)
+    assert model.w.tobytes() == ref.w.tobytes()
+    assert model.b.hex() == ref.b.hex()
 
 
 def random_instance(rng, n_pairs, K, with_negative=False):
