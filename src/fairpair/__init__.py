@@ -26,7 +26,7 @@ from .data import (
 )
 from .errors import FairpairError, ParseError, ValidationError
 from .evaluation import EvalReport, auc, evaluate, fairness_score
-from .model import LinearRankingModel, load_model, save_model
+from .model import LinearRankingModel, load_model, save_model, score_matrix
 from .reweight import (
     Coefficients,
     DeltaMatrix,

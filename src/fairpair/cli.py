@@ -32,7 +32,7 @@ from .data import (
 )
 from .errors import ValidationError
 from .evaluation import evaluate
-from .model import load_model, save_model
+from .model import load_model, save_model, score_matrix
 from .reweight import (
     Coefficients,
     FairTrainConfig,
@@ -200,7 +200,7 @@ def _write_reports(model, splits: dict[str, Dataset], kind, out_dir: Path) -> No
     for name, ds in splits.items():
         ps = make_pairs(ds)
         if len(ps):
-            report = evaluate(model, ps, compute_group_stats(ps), kind)
+            report = evaluate(score_matrix(model, ds.features), ps, compute_group_stats(ps), kind)
             report.write_json(out_dir / f"eval_{name}.json")
             print(f"eval_{name}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
         del ps
@@ -289,7 +289,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
         scaled = Coefficients(x * coeffs_star.values, kind)
         weights = pair_weights(scaled, stats, ps, cfg.fair.weight_form)
         model = train_weighted(ps, weights, cfg.fair.inner, orders=orders)
-        report = evaluate(model, ps_test, stats_test, kind)
+        report = evaluate(score_matrix(model, test.features), ps_test, stats_test, kind)
         rows.append((x, report.auc, report.fairness))
         print(f"sweep x={x:g}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
 

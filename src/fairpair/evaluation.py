@@ -12,11 +12,11 @@ from . import reweight
 from .constraints import ConstraintKind, GroupStats
 from .data import Dataset, PairSet
 from .errors import ValidationError
-from .model import LinearRankingModel, score_matrix
+from .model import check_scores
 
 
-def auc(model: LinearRankingModel, ds: Dataset) -> tuple[float, list[float]]:
-    """Mean per-query AUC; queries without a discordant pair are excluded.
+def auc(scores: np.ndarray, ds: Dataset) -> tuple[float, list[float]]:
+    """Mean per-query AUC of per-item scores; queries without a discordant pair are excluded.
 
     Each query's AUC counts its discordant pairs with half credit for score
     ties, via midranks.  One order by (query, score) ranks every query at
@@ -25,9 +25,9 @@ def auc(model: LinearRankingModel, ds: Dataset) -> tuple[float, list[float]]:
     scores share one midrank, so their order within a tie is immaterial;
     midranks are half-integers, so their per-query sums are exact.
     """
+    scores = check_scores(scores, ds.n_items)
     sizes = np.diff(ds.offsets)
     query = np.repeat(np.arange(sizes.size), sizes)
-    scores = score_matrix(model, ds.features)
     rank = np.empty(scores.size, dtype=np.int64)
     rank[np.argsort(scores)] = np.arange(scores.size)
     order = np.argsort(query * scores.size + rank)
@@ -87,11 +87,11 @@ class EvalReport:
 
 
 def evaluate(
-    model: LinearRankingModel, ps: PairSet, stats: GroupStats, kind: ConstraintKind
+    scores: np.ndarray, ps: PairSet, stats: GroupStats, kind: ConstraintKind
 ) -> EvalReport:
-    """Score a model on a pair set's source, under the pair set's own statistics."""
-    delta = reweight.expected_bias(model, ps, stats, kind)
-    mean_auc, per_query = auc(model, ps.source)
+    """Measure per-item scores of a pair set's source, under the pair set's own statistics."""
+    delta = reweight.expected_bias(scores, ps, stats, kind)
+    mean_auc, per_query = auc(scores, ps.source)
     return EvalReport(
         auc=mean_auc,
         fairness=fairness_score(delta),

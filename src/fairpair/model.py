@@ -78,9 +78,19 @@ def check_dimension(model: LinearRankingModel, d: int) -> None:
 
 
 def score_matrix(model: LinearRankingModel, X: np.ndarray) -> np.ndarray:
-    """Score a (n, d) feature matrix."""
+    """Score a (n, d) feature matrix in one product: X @ w is not slice-stable."""
     check_dimension(model, X.shape[1])
     return X @ model.w + model.b
+
+
+def check_scores(scores, n_items: int) -> np.ndarray:
+    """Scores as a float64 array; a ValidationError unless one finite score per item."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (n_items,):
+        raise ValidationError(f"need one score per item: got {scores.shape} for {n_items} items")
+    if not np.isfinite(scores).all():
+        raise ValidationError("item scores must be finite")
+    return scores
 
 
 def save_model(model: LinearRankingModel, path) -> None:

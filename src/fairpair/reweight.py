@@ -30,7 +30,7 @@ from .constraints import (
 )
 from .data import Dataset, PairSet, item_cell, pair_chunks
 from .errors import ValidationError
-from .model import LinearRankingModel, check_dimension, clamp_prob, stable_sigmoid
+from .model import LinearRankingModel, check_scores, clamp_prob, score_matrix, stable_sigmoid
 from .training import (
     TrainConfig,
     require_types,
@@ -56,8 +56,8 @@ class Coefficients:
 class DeltaMatrix:
     """Constraint violations per group pair; undefined entries read 0."""
 
-    values: np.ndarray  # (K, K)
-    defined: np.ndarray  # (K, K) bool
+    values: np.ndarray  # (K, K); (K,) for a pointwise kind
+    defined: np.ndarray  # bool, the shape of values
 
 
 @dataclass(frozen=True)
@@ -97,25 +97,22 @@ class IterationRecord:
 
 
 def expected_bias(
-    model: LinearRankingModel, ps: PairSet, stats: GroupStats, kind: ConstraintKind
+    scores: np.ndarray, ps: PairSet, stats: GroupStats, kind: ConstraintKind
 ) -> DeltaMatrix:
     """Mean predicted-order-probability-weighted constraint per group pair,
-    over the ordered pairs.
+    over the ordered pairs, of per-item scores (one a row of ps.source).
 
-    Scores every item once; an ordered pair's predicted order probability
-    is the sigmoid of its two items' score difference, so no pair features
-    are built.  The pairs are read a chunk at a time (see data.pair_chunks)
-    into running per-cell sums.  Only the predicted-label-1 term counts, as
-    constraints vanish at predicted label 0.  Entries whose constraint is
-    undefined are masked and read 0.
+    An ordered pair's predicted order probability is the sigmoid of its two
+    items' score difference, so no pair features are built.  The pairs are
+    read a chunk at a time (see data.pair_chunks) into running per-cell
+    sums.  Only the predicted-label-1 term counts, as constraints vanish at
+    predicted label 0.  Undefined entries are masked and read 0.
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
     if not len(ps):
         raise ValidationError("cannot evaluate expected bias on an empty pair set")
-    check_dimension(model, ps.source.d)
-    # X @ w is not slice-stable, so the items are scored in one product.
-    s = ps.source.features @ model.w
+    s = check_scores(scores, ps.source.n_items)
     # Constraint values depend only on an ordered pair's (k, l, label) cell.  A
     # pair is (i, j) at label 1, predicted sigmoid(z), and (j, i) at label 0 of
     # the transposed group pair, predicted sigmoid(-z).  add.at sums each
@@ -264,8 +261,12 @@ def fair_train(
         # that fit's violation is measured on the delta set alone.
         if not t:
             splits.append(pairs_and_stats(eval_set, "evaluation set"))
-            return None, expected_bias(model, *splits[at_delta], kind)
-        reports = [evaluation.evaluate(model, ps, stats, kind) for ps, stats in splits]
+            ps, stats = splits[at_delta]
+            return None, expected_bias(score_matrix(model, ps.source.features), ps, stats, kind)
+        reports = [
+            evaluation.evaluate(score_matrix(model, ps.source.features), ps, stats, kind)
+            for ps, stats in splits
+        ]
         return [r.auc for r in reports] + [r.fairness for r in reports], reports[at_delta].delta
 
     model, coeffs, steps = _reweight_loop(
@@ -283,17 +284,16 @@ def fair_train(
 
 
 def point_expected_bias(
-    model: LinearRankingModel, ds: Dataset, stats: GroupStats, kind: ConstraintKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group item-level violation and its defined mask."""
+    scores: np.ndarray, ds: Dataset, stats: GroupStats, kind: ConstraintKind
+) -> DeltaMatrix:
+    """Per-group item-level violation of per-item scores (one a row of ds)."""
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
-    check_dimension(model, ds.d)
-    p = clamp_prob(stable_sigmoid(ds.features @ model.w + model.b))
+    p = clamp_prob(stable_sigmoid(check_scores(scores, ds.n_items)))
     table = point_constraint_table(kind, stats)
     cells = item_cell(ds.groups, ds.labels, ds.K)
     cell_sums = np.bincount(cells, weights=p, minlength=table.shape[-1])
-    return table @ cell_sums / p.size, point_constraint_mask(kind, stats)
+    return DeltaMatrix(table @ cell_sums / p.size, point_constraint_mask(kind, stats))
 
 
 def point_weights(
@@ -327,13 +327,13 @@ def pointwise_reweight_train(
         raise ValidationError("pointwise training needs every item label in {0, 1}")
     stats = compute_point_stats(train)
     ds_delta = eval_set if cfg.delta_set == "validation" else train
-    stats_delta = compute_point_stats(ds_delta)
+    on_delta = ds_delta, compute_point_stats(ds_delta), kind
     model, _, _ = _reweight_loop(
         cfg,
         Coefficients(np.zeros(train.K), kind),
         lambda c: point_weights(c.values, stats, train, kind),
         lambda weights, init: train_pointwise(train, weights, cfg.inner, init),
-        lambda m, t: (None, DeltaMatrix(*point_expected_bias(m, ds_delta, stats_delta, kind))),
+        lambda m, t: (None, point_expected_bias(score_matrix(m, ds_delta.features), *on_delta)),
     )
     return model
 

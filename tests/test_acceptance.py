@@ -33,7 +33,7 @@ from fairpair.constraints import (
 )
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.evaluation import auc
-from fairpair.model import LinearRankingModel
+from fairpair.model import LinearRankingModel, score_matrix
 from fairpair.reweight import (
     Coefficients,
     DeltaMatrix,
@@ -229,16 +229,16 @@ def test_criterion_4_auc_oracle(rng):
                         total += 1.0
                     elif scores[i] == scores[j]:
                         total += 0.5
-        worst = max(worst, abs(auc(model, ds)[0] - total / count))
+        worst = max(worst, abs(auc(score_matrix(model, ds.features), ds)[0] - total / count))
 
     ident = LinearRankingModel(np.asarray([1.0]), 0.0)
     perfect = build_dataset([("q", [1, 0], [0, 0], [[1.0], [0.0]])], d=1, K=1)
     reversed_ds = build_dataset([("q", [1, 0], [0, 0], [[0.0], [1.0]])], d=1, K=1)
     constant = build_dataset([("q", [1, 0], [0, 0], [[0.5], [0.5]])], d=1, K=1)
     exact = (
-        auc(ident, perfect)[0] == 1.0
-        and auc(ident, reversed_ds)[0] == 0.0
-        and auc(ident, constant)[0] == 0.5
+        auc(score_matrix(ident, perfect.features), perfect)[0] == 1.0
+        and auc(score_matrix(ident, reversed_ds.features), reversed_ds)[0] == 0.0
+        and auc(score_matrix(ident, constant.features), constant)[0] == 0.5
     )
     _report(
         "criterion 4: AUC equals brute-force pair counting",

@@ -32,7 +32,7 @@ from fairpair.constraints import (
 )
 from fairpair.data import Dataset, generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
-from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
+from fairpair.model import LinearRankingModel, clamp_prob, score_matrix, stable_sigmoid
 from fairpair.reweight import (
     Coefficients,
     _exponents,
@@ -194,7 +194,7 @@ class TestPairTablesMatchLoops:
         ds, ps, stats = self.setup_data(rng, K)
         for _ in range(5):
             model = LinearRankingModel(rng.normal(scale=2.0, size=ds.d), 0.0)
-            delta = expected_bias(model, ps, stats, kind)
+            delta = expected_bias(score_matrix(model, ds.features), ps, stats, kind)
             values, mask = loop_expected_bias(model, ordered_pairs(ps), stats, kind)
             np.testing.assert_array_equal(delta.defined, mask)
             np.testing.assert_allclose(delta.values, values, rtol=0, atol=1e-12)
@@ -289,10 +289,10 @@ class TestPointTablesMatchLoops:
         stats = compute_point_stats(ds)
         for _ in range(5):
             model = LinearRankingModel(rng.normal(size=ds.d), float(rng.normal()))
-            values, mask = point_expected_bias(model, ds, stats, kind)
+            delta = point_expected_bias(score_matrix(model, ds.features), ds, stats, kind)
             want, want_mask = loop_point_expected_bias(model, ds, stats, kind)
-            np.testing.assert_array_equal(mask, want_mask)
-            np.testing.assert_allclose(values, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(delta.defined, want_mask)
+            np.testing.assert_allclose(delta.values, want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

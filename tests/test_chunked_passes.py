@@ -20,7 +20,7 @@ from fairpair import data
 from fairpair.constraints import ConstraintKind, compute_group_stats, pair_constraint_table
 from fairpair.data import Dataset, generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
-from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
+from fairpair.model import LinearRankingModel, clamp_prob, score_matrix, stable_sigmoid
 from fairpair.reweight import Coefficients, _pair_cell_weights, expected_bias, pair_weights
 
 PAIR_KINDS = [k for k in ConstraintKind if k.is_pairwise]
@@ -176,7 +176,7 @@ def test_expected_bias_bit_identical(rng, kind, K):
     model = LinearRankingModel(rng.normal(scale=2.0, size=ps.source.d))
     for sub in [ps, *subsets.values()]:
         stats = compute_group_stats(sub)
-        delta = expected_bias(model, sub, stats, kind)
+        delta = expected_bias(score_matrix(model, sub.source.features), sub, stats, kind)
         assert_same_bits(delta.values, whole_expected_bias(model, sub, stats, kind))
 
 
@@ -193,7 +193,7 @@ def test_empty_pair_set(rng):
     with pytest.raises(ValidationError, match="empty pair set"):
         compute_group_stats(empty)
     with pytest.raises(ValidationError, match="empty pair set"):
-        expected_bias(LinearRankingModel(np.ones(3)), empty, stats, ConstraintKind.PAIR_STATISTICAL)
+        expected_bias(np.ones(ps.source.n_items), empty, stats, ConstraintKind.PAIR_STATISTICAL)
     no_pairs = build_dataset([("q", [1, 1], [0, 1], [[0.0]] * 2)], d=1, K=2)
     assert len(make_pairs(no_pairs)) == 0
 
@@ -244,7 +244,8 @@ class TestPeakMemory:
         ps, _ = pairs
         stats = compute_group_stats(ps)
         model = LinearRankingModel(np.linspace(-1.0, 1.0, ps.source.d))
+        scores = score_matrix(model, ps.source.features)
         _, peak = traced_peak(
-            lambda: expected_bias(model, ps, stats, ConstraintKind.PAIR_INTER_GROUP)
+            lambda: expected_bias(scores, ps, stats, ConstraintKind.PAIR_INTER_GROUP)
         )
         assert peak < CHUNK_BOUND

@@ -373,6 +373,20 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "model dimension 3" in err and "dimension 4" in err
 
+    def test_non_finite_scores_rejected(self, tmp_path, capsys):
+        # Finite weights can overflow the scores; measured, they give NaN
+        # fairness and deltas, which a report cannot hold (NaN is not JSON).
+        out = tmp_path / "run"
+        doc = base_config(out)
+        doc["dataset"]["synth"].update(n_queries=20, items_per_query=10)
+        out.mkdir()
+        (out / "model.json").write_text(json.dumps({"d": 3, "w": [1e308] * 3, "b": 0.0}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["evaluate", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert not list(out.glob("eval_*.json"))
+
     def test_rewrites_reports(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, base_config(out))

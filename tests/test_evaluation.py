@@ -62,19 +62,20 @@ class TestAuc:
         ds = build_dataset(
             [("q", [1, 1, 0, 0], [0] * 4, [[3.0], [2.0], [1.0], [0.0]])], d=1, K=1
         )
-        mean, per_query = auc(LinearRankingModel(np.asarray([1.0]), 0.0), ds)
+        model = LinearRankingModel(np.asarray([1.0]), 0.0)
+        mean, per_query = auc(score_matrix(model, ds.features), ds)
         assert mean == 1.0 and per_query == [1.0]
 
     def test_reversed_ranking(self):
         ds = build_dataset(
             [("q", [1, 1, 0, 0], [0] * 4, [[0.0], [1.0], [2.0], [3.0]])], d=1, K=1
         )
-        mean, _ = auc(LinearRankingModel(np.asarray([1.0]), 0.0), ds)
+        mean, _ = auc(score_matrix(LinearRankingModel(np.asarray([1.0]), 0.0), ds.features), ds)
         assert mean == 0.0
 
     def test_constant_scores(self, rng):
         ds = random_dataset(rng, n_queries=3, items_per_query=6)
-        mean, per_query = auc(LinearRankingModel.zeros(ds.d), ds)
+        mean, per_query = auc(score_matrix(LinearRankingModel.zeros(ds.d), ds.features), ds)
         assert mean == 0.5
         assert per_query == [0.5, 0.5, 0.5]
 
@@ -88,7 +89,7 @@ class TestAuc:
             feats = rng.integers(-2, 3, size=(n, 2)).astype(float)
             ds = build_dataset([("q", labels, [0] * n, feats)], d=2, K=1)
             model = LinearRankingModel(rng.integers(-2, 3, size=2).astype(float), 0.0)
-            mean, _ = auc(model, ds)
+            mean, _ = auc(score_matrix(model, ds.features), ds)
             scores = ds.queries[0].features @ model.w
             assert mean == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
 
@@ -102,7 +103,7 @@ class TestAuc:
         scores = [float(s) for s, _ in rows]
         labels = [label for _, label in rows]
         ds = build_dataset([("q", labels, [0] * len(rows), [[s] for s in scores])], d=1, K=1)
-        mean, _ = auc(LinearRankingModel(np.asarray([1.0]), 0.0), ds)
+        mean, _ = auc(score_matrix(LinearRankingModel(np.asarray([1.0]), 0.0), ds.features), ds)
         assert mean == pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
 
     def test_matches_per_query_unique_bits(self, rng):
@@ -120,7 +121,7 @@ class TestAuc:
             queries.append(("mixed", [1, 0], [0, 0], np.zeros((2, d))))
             ds = build_dataset(queries, d=d, K=1)
             model = LinearRankingModel(rng.integers(-2, 3, size=d).astype(float), 0.5)
-            assert auc(model, ds) == old_auc(model, ds)
+            assert auc(score_matrix(model, ds.features), ds) == old_auc(model, ds)
         # Long queries of integer features: runs of hundreds of tied scores,
         # which an unstable sort reorders within each run.
         for trial in range(20):
@@ -131,13 +132,13 @@ class TestAuc:
                 queries.append((f"q{qi}", rng.integers(0, 2, size=n), [0] * n, feats))
             ds = build_dataset(queries, d=2, K=1)
             model = LinearRankingModel(rng.integers(-2, 3, size=2).astype(float), 0.0)
-            assert auc(model, ds) == old_auc(model, ds)
+            assert auc(score_matrix(model, ds.features), ds) == old_auc(model, ds)
 
     def test_matches_per_query_unique_on_synthetic(self, rng):
         ds, _ = generate_synthetic(60, 30, 5, 3, bias_strength=1.0, seed=3)
         for _ in range(5):
             model = LinearRankingModel(rng.normal(size=5), float(rng.normal()))
-            assert auc(model, ds) == old_auc(model, ds)
+            assert auc(score_matrix(model, ds.features), ds) == old_auc(model, ds)
 
     def test_pair_free_queries_excluded(self):
         ds = build_dataset(
@@ -148,29 +149,30 @@ class TestAuc:
             d=1,
             K=1,
         )
-        mean, per_query = auc(LinearRankingModel(np.asarray([1.0]), 0.0), ds)
+        model = LinearRankingModel(np.asarray([1.0]), 0.0)
+        mean, per_query = auc(score_matrix(model, ds.features), ds)
         assert len(per_query) == 1
         assert mean == 1.0
 
     def test_undefined_when_no_discordant_pairs(self):
         ds = build_dataset([("q", [1, 1], [0, 0], [[1.0], [0.0]])], d=1, K=1)
         with pytest.raises(ValidationError, match="AUC undefined"):
-            auc(LinearRankingModel.zeros(1), ds)
+            auc(score_matrix(LinearRankingModel.zeros(1), ds.features), ds)
 
     def test_negated_scores_complement(self, rng):
         # Tie-free data: AUC(m) + AUC(-m) = 1.
         for _ in range(10):
             ds = random_dataset(rng, n_queries=4, items_per_query=7)
             w = rng.normal(size=ds.d)
-            a1, _ = auc(LinearRankingModel(w, 0.0), ds)
-            a2, _ = auc(LinearRankingModel(-w, 0.0), ds)
+            a1, _ = auc(score_matrix(LinearRankingModel(w, 0.0), ds.features), ds)
+            a2, _ = auc(score_matrix(LinearRankingModel(-w, 0.0), ds.features), ds)
             assert a1 + a2 == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_positive_affine_scores(self, rng):
         ds = random_dataset(rng, n_queries=3, items_per_query=8)
         w = rng.normal(size=ds.d)
-        a1, _ = auc(LinearRankingModel(w, 0.0), ds)
-        a2, _ = auc(LinearRankingModel(2.5 * w, 7.0), ds)
+        a1, _ = auc(score_matrix(LinearRankingModel(w, 0.0), ds.features), ds)
+        a2, _ = auc(score_matrix(LinearRankingModel(2.5 * w, 7.0), ds.features), ds)
         assert a1 == a2
 
 
@@ -232,15 +234,15 @@ class TestFairnessScore:
 class TestEvaluate:
     def test_zero_model_is_fair_for_statistical(self):
         ds, _ = generate_synthetic(10, 12, 3, 2, bias_strength=1.0, seed=4)
-        report = evaluate(LinearRankingModel.zeros(3), *pairs_and_stats(ds, "dataset"), STAT)
+        report = evaluate(np.zeros(ds.n_items), *pairs_and_stats(ds, "dataset"), STAT)
         assert report.fairness == pytest.approx(1.0, abs=1e-9)
         assert report.auc == 0.5
 
     def test_deterministic(self, rng):
         ds = random_dataset(rng, n_queries=4, items_per_query=6)
         model = LinearRankingModel(rng.normal(size=ds.d), 0.1)
-        r1 = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
-        r2 = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
+        r1 = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
+        r2 = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
         assert r1.auc == r2.auc and r1.fairness == r2.fairness
         np.testing.assert_array_equal(r1.delta.values, r2.delta.values)
 
@@ -256,7 +258,7 @@ class TestEvaluate:
             K=2,
         )
         model = LinearRankingModel(np.asarray([1.0]), 0.0)
-        report = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
+        report = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
 
         per_query = []
         for q in ds.queries:
@@ -292,22 +294,22 @@ class TestEvaluate:
         )
         assert report.fairness == pytest.approx(1.0 - worst, abs=1e-12)
 
-    def test_model_dimension_must_match(self, rng):
+    def test_scores_length_must_match(self, rng):
         ds = random_dataset(rng, d=4)
         ps, stats = pairs_and_stats(ds, "dataset")
-        with pytest.raises(ValidationError, match="model dimension 3 .* dimension 4"):
-            evaluate(LinearRankingModel.zeros(3), ps, stats, STAT)
+        with pytest.raises(ValidationError, match="need one score per item"):
+            evaluate(np.zeros(ds.n_items - 1), ps, stats, STAT)
 
     def test_requires_pairwise_kind(self, rng):
         ds = random_dataset(rng)
         ps, stats = pairs_and_stats(ds, "dataset")
         with pytest.raises(ValidationError):
-            evaluate(LinearRankingModel.zeros(ds.d), ps, stats, ConstraintKind.POINT_STATISTICAL)
+            evaluate(np.zeros(ds.n_items), ps, stats, ConstraintKind.POINT_STATISTICAL)
 
     def test_report_json_round_trip(self, tmp_path, rng):
         ds = random_dataset(rng, n_queries=3, items_per_query=6)
         model = LinearRankingModel(rng.normal(size=ds.d), 0.0)
-        report = evaluate(model, *pairs_and_stats(ds, "dataset"), STAT)
+        report = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
         path = tmp_path / "report.json"
         report.write_json(path)
         doc = json.loads(path.read_text())

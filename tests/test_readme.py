@@ -1,0 +1,50 @@
+"""README.md stays well formed and its Python examples run against the
+library as it is."""
+
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def fenced_blocks(text):
+    """The (info string, first line number, body) of each closed fenced code
+    block, and a list of fence problems: an opening fence with no info
+    string, a closing fence carrying text, a fence never closed."""
+    blocks, problems, opened = [], [], None
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.startswith("```"):
+            if opened:
+                opened[2].append(line)
+        elif opened is None:
+            opened = (line[3:].strip(), number + 1, [])
+            if not opened[0]:
+                problems.append(f"README.md:{number}: a code fence opens with no language")
+        else:
+            if line != "```":
+                problems.append(f"README.md:{number}: a closing fence carries text")
+            blocks.append((opened[0], opened[1], "\n".join(opened[2]) + "\n"))
+            opened = None
+    if opened is not None:
+        problems.append(f"README.md:{opened[1] - 1}: a code fence is never closed")
+    return blocks, problems
+
+
+BLOCKS, PROBLEMS = fenced_blocks(README.read_text(encoding="utf-8"))
+PYTHON_BLOCKS = [(line, body) for info, line, body in BLOCKS if info == "python"]
+
+
+def test_code_fences_pair_up():
+    assert PROBLEMS == []
+
+
+def test_has_python_examples():
+    assert len(PYTHON_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("line,body", PYTHON_BLOCKS, ids=[f"line{n}" for n, _ in PYTHON_BLOCKS])
+def test_python_example_runs(tmp_path, monkeypatch, line, body):
+    # Each block runs on its own, in an empty working directory.
+    monkeypatch.chdir(tmp_path)
+    exec(compile(body, f"README.md:{line}", "exec"), {"__name__": "readme_example"})

@@ -21,7 +21,7 @@ from fairpair.constraints import (
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
-from fairpair.model import LinearRankingModel
+from fairpair.model import LinearRankingModel, score_matrix
 from fairpair.reweight import (
     Coefficients,
     DeltaMatrix,
@@ -57,7 +57,7 @@ class TestExpectedBias:
             ds = random_dataset(rng, n_queries=4, items_per_query=6, K=3)
             ps = make_pairs(ds)
             stats = compute_group_stats(ps)
-            delta = expected_bias(LinearRankingModel.zeros(ds.d), ps, stats, STAT)
+            delta = expected_bias(np.zeros(ds.n_items), ps, stats, STAT)
             assert np.all(np.abs(delta.values) < 1e-12)
 
     def test_group_symmetric_dataset(self, rng):
@@ -70,7 +70,7 @@ class TestExpectedBias:
         ps = make_pairs(ds)
         stats = compute_group_stats(ps)
         model = LinearRankingModel(np.asarray([0.3, -0.7]), 0.0)
-        delta = expected_bias(model, ps, stats, STAT)
+        delta = expected_bias(score_matrix(model, ds.features), ps, stats, STAT)
         assert delta.values[0, 1] == pytest.approx(delta.values[1, 0], abs=1e-15)
 
     def test_brute_force_oracle(self, rng):
@@ -88,7 +88,7 @@ class TestExpectedBias:
         assert len(ps) == 5  # hand-sized instance: 10 ordered pairs
         stats = compute_group_stats(ps)
         model = LinearRankingModel(np.asarray([0.8]), 0.3)
-        delta = expected_bias(model, ps, stats, STAT)
+        delta = expected_bias(score_matrix(model, ds.features), ps, stats, STAT)
 
         mask = pair_constraint_mask(STAT, stats)
         for k in range(2):
@@ -112,16 +112,14 @@ class TestExpectedBias:
         ps = make_pairs(ds)
         stats = compute_group_stats(ps)
         with pytest.raises(ValidationError):
-            expected_bias(
-                LinearRankingModel.zeros(ds.d), ps, stats, ConstraintKind.POINT_STATISTICAL
-            )
+            expected_bias(np.zeros(ds.n_items), ps, stats, ConstraintKind.POINT_STATISTICAL)
 
-    def test_model_dimension_checked(self, rng):
+    def test_scores_length_checked(self, rng):
         ds = random_dataset(rng, d=3)
         ps = make_pairs(ds)
         stats = compute_group_stats(ps)
-        with pytest.raises(ValidationError, match="model dimension 4 .* dimension 3"):
-            expected_bias(LinearRankingModel.zeros(4), ps, stats, STAT)
+        with pytest.raises(ValidationError, match="need one score per item"):
+            expected_bias(np.zeros(ds.n_items + 1), ps, stats, STAT)
 
 
 def uniform_stats(K=2):
@@ -295,8 +293,8 @@ class TestFairTrain:
 
         real = rw.expected_bias
 
-        def zero_bias(model, ps, stats, kind):
-            delta = real(model, ps, stats, kind)
+        def zero_bias(scores, ps, stats, kind):
+            delta = real(scores, ps, stats, kind)
             return rw.DeltaMatrix(np.zeros_like(delta.values), delta.defined)
 
         monkeypatch.setattr(rw, "expected_bias", zero_bias)
@@ -310,7 +308,8 @@ class TestFairTrain:
         base, _, _ = fair_train(train, valid, STAT, small_cfg(T=0, seed=2))
         fair, _, _ = fair_train(train, valid, STAT, small_cfg(T=10, seed=2))
         on_test = constraints.pairs_and_stats(test, "test set")
-        assert evaluate(fair, *on_test, STAT).fairness > evaluate(base, *on_test, STAT).fairness
+        fair_score = evaluate(score_matrix(fair, test.features), *on_test, STAT).fairness
+        assert fair_score > evaluate(score_matrix(base, test.features), *on_test, STAT).fairness
 
     def test_history_records_shape(self):
         train, valid, _ = self.biased_splits()
@@ -343,7 +342,7 @@ class TestFairTrain:
 
         train, valid, test = self.biased_splits()
         on_test = constraints.pairs_and_stats(test, "test set")
-        evaluate(LinearRankingModel(np.ones(test.d)), *on_test, STAT)
+        evaluate(score_matrix(LinearRankingModel(np.ones(test.d)), test.features), *on_test, STAT)
         fair_train(train, valid, STAT, small_cfg(T=3))
         assert len(made) == 3
         for ps in made:
@@ -475,7 +474,8 @@ def plain_fair_train(train, eval_set, kind, cfg):
     model = train_weighted(ps_train, weights, cfg.inner)
     history = []
     for t in range(1, cfg.T + 1):
-        delta = expected_bias(model, ps_delta, stats_delta, kind)
+        scores = score_matrix(model, ps_delta.source.features)
+        delta = expected_bias(scores, ps_delta, stats_delta, kind)
         coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
         weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
         init = model if cfg.warm_start else None
@@ -483,10 +483,14 @@ def plain_fair_train(train, eval_set, kind, cfg):
         history.append(
             IterationRecord(
                 iteration=t,
-                auc_train=auc(model, train)[0],
-                auc_eval=auc(model, eval_set)[0],
-                fairness_train=fairness_score(expected_bias(model, ps_train, stats_train, kind)),
-                fairness_eval=fairness_score(expected_bias(model, ps_eval, stats_eval, kind)),
+                auc_train=auc(score_matrix(model, train.features), train)[0],
+                auc_eval=auc(score_matrix(model, eval_set.features), eval_set)[0],
+                fairness_train=fairness_score(
+                    expected_bias(score_matrix(model, train.features), ps_train, stats_train, kind)
+                ),
+                fairness_eval=fairness_score(
+                    expected_bias(score_matrix(model, eval_set.features), ps_eval, stats_eval, kind)
+                ),
                 delta=delta.values.copy(),
                 coeffs=coeffs.values.copy(),
             )
@@ -605,12 +609,12 @@ class TestPointwiseReweightTrain:
         with pytest.raises(ValidationError, match=msg):
             pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
 
-    def test_point_expected_bias_checks_model_dimension(self, rng):
+    def test_point_expected_bias_checks_scores_length(self, rng):
         ds = random_dataset(rng, d=3)
         stats = compute_point_stats(ds)
-        with pytest.raises(ValidationError, match="model dimension 2 .* dimension 3"):
+        with pytest.raises(ValidationError, match="need one score per item"):
             point_expected_bias(
-                LinearRankingModel.zeros(2), ds, stats, ConstraintKind.POINT_STATISTICAL
+                np.zeros(ds.n_items - 1), ds, stats, ConstraintKind.POINT_STATISTICAL
             )
 
     def test_point_weights_normalized(self, rng):
@@ -638,8 +642,9 @@ def plain_pointwise_reweight_train(train, eval_set, kind, cfg):
         ds_delta, stats_delta = train, stats
 
     for t in range(1, cfg.T + 1):
-        values, mask = point_expected_bias(model, ds_delta, stats_delta, kind)
-        coeffs = coeffs - cfg.eta_lambda * np.where(mask, values, 0.0)
+        scores = score_matrix(model, ds_delta.features)
+        delta = point_expected_bias(scores, ds_delta, stats_delta, kind)
+        coeffs = coeffs - cfg.eta_lambda * np.where(delta.defined, delta.values, 0.0)
         try:
             weights = point_weights(coeffs, stats, train, kind)
         except ValidationError as exc:

@@ -13,7 +13,7 @@ import pytest
 from conftest import random_dataset
 from fairpair.constraints import ConstraintKind, compute_group_stats
 from fairpair.data import make_pairs
-from fairpair.model import LinearRankingModel
+from fairpair.model import LinearRankingModel, score_matrix
 from fairpair.reweight import Coefficients, expected_bias, pair_weights
 from loss_oracle import weighted_loss
 from ordered_pairs import (
@@ -61,7 +61,7 @@ class TestMatchesOrderedPairs:
         ps, op, stats = self.setup_data(rng, K)
         for scale in (0.1, 2.0, 30.0):
             model = LinearRankingModel(rng.normal(scale=scale, size=ps.source.d), 0.0)
-            got = expected_bias(model, ps, stats, kind).values
+            got = expected_bias(score_matrix(model, ps.source.features), ps, stats, kind).values
             assert_relative(got, ordered_expected_bias(model, op, stats, kind))
 
     def test_weighted_loss_within_1e12(self, rng, kind, K):
