@@ -75,20 +75,21 @@ class RunConfig:
     out_dir: Path
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, names) -> dict:
+    """A copy of one config object whose keys are all among ``names``."""
     if not isinstance(value, dict):
         raise ValidationError(f"{where} must be a JSON object, got {value!r}")
-    return value
+    for key in value:
+        if key not in names:
+            raise ValidationError(f"unknown config key {where}.{key}")
+    return dict(value)
 
 
 def _checked_block(value, where: str, ints=(), floats=(), defaults=None) -> dict:
     """Check one config object: known keys only, required keys present, and
     integer or finite-number values.  Returns the values with defaults filled in."""
-    block = {**(defaults or {}), **_object(value, where)}
     names = (*ints, *floats)
-    for key in block:
-        if key not in names:
-            raise ValidationError(f"unknown config key {where}.{key}")
+    block = {**(defaults or {}), **_object(value, where, names)}
     for key in names:
         if key not in block:
             raise ValidationError(f"config key {where}.{key} is required")
@@ -100,7 +101,13 @@ def _checked_block(value, where: str, ints=(), floats=(), defaults=None) -> dict
     return block
 
 
-def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
+def load_config(path, args: argparse.Namespace) -> RunConfig:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config {path} must hold a JSON object")
     source = doc.get("dataset")
     if not isinstance(source, dict) or ("csv" in source) == ("synth" in source):
         raise ValidationError("config must set dataset.csv or dataset.synth (exactly one)")
@@ -122,10 +129,10 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
             raise ValidationError("dataset.K must be >= 1")
 
     constraint_name = args.constraint or doc.get("constraint", "statistical")
-    if constraint_name not in PAIR_KINDS:
+    if not isinstance(constraint_name, str) or constraint_name not in PAIR_KINDS:
         raise ValidationError(f"unknown constraint {constraint_name!r}")
     point_name = doc.get("point_constraint", "equal_opportunity")
-    if point_name not in POINT_KINDS:
+    if not isinstance(point_name, str) or point_name not in POINT_KINDS:
         raise ValidationError(f"unknown point_constraint {point_name!r}")
     method = args.method or doc.get("method", "pairwise")
     if method not in METHODS:
@@ -146,12 +153,12 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
         floats=[f"sweep_scales[{i}]" for i in range(len(scales))],
     )
 
-    train_doc = dict(_object(doc.get("train", {}), "train"))
+    train_doc = _object(doc.get("train", {}), "train", vars(TrainConfig()))
     if args.seed is not None:
         train_doc["seed"] = args.seed
     train_cfg = TrainConfig(**train_doc)
 
-    fair_doc = dict(_object(doc.get("fair", {}), "fair"))
+    fair_doc = _object(doc.get("fair", {}), "fair", vars(FairTrainConfig()).keys() - {"inner"})
     if args.T is not None:
         fair_doc["T"] = args.T
     fair_cfg = FairTrainConfig(inner=train_cfg, **fair_doc)
@@ -159,6 +166,8 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
     out_dir = args.out or os.environ.get("FAIRPAIR_OUT") or doc.get("out_dir")
     if not out_dir:
         raise ValidationError("no output directory: set out_dir, FAIRPAIR_OUT, or --out")
+    if not isinstance(out_dir, str):
+        raise ValidationError(f"out_dir must be a path string, got {out_dir!r}")
 
     return RunConfig(
         csv_path=Path(source["csv"]) if synth is None else None,
@@ -176,28 +185,15 @@ def _build_config(doc: dict, args: argparse.Namespace) -> RunConfig:
     )
 
 
-def load_config(path, args: argparse.Namespace) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
-    try:
-        return _build_config(doc, args)
-    except TypeError as exc:
-        raise ValidationError(f"config {path}: {exc}") from None
-
-
 def _load_dataset(cfg: RunConfig) -> Dataset:
     if cfg.csv_path is not None:
         return load_csv(cfg.csv_path, cfg.csv_K)
     return generate_synthetic(**cfg.synth)[0]
 
 
-def _write_reports(model, splits: dict[str, Dataset], kind, out_dir: Path) -> None:
+def _write_reports(model, splits, kind, out_dir: Path) -> None:
     """One report a split that has pairs; each pair set is dropped before the next is built."""
-    for name, ds in splits.items():
+    for name, ds in zip(("train", "valid", "test"), splits):
         ps = make_pairs(ds)
         if len(ps):
             report = evaluate(score_matrix(model, ds.features), ps, compute_group_stats(ps), kind)
@@ -236,9 +232,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
     save_model(model, cfg.out_dir / "model.json")
     print(f"wrote {cfg.out_dir / 'model.json'} (method={cfg.method})")
-    _write_reports(
-        model, {"train": train, "valid": valid, "test": test}, cfg.constraint, cfg.out_dir
-    )
+    _write_reports(model, (train, valid, test), cfg.constraint, cfg.out_dir)
 
 
 def _write_coefficients(coeffs: Coefficients, path: Path) -> None:
@@ -307,10 +301,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     if not model_path.exists():
         raise ValidationError(f"missing model artifact {model_path}; run `fairpair train` first")
     model = load_model(model_path)
-    train, valid, test = _split(cfg, _load_dataset(cfg))
-    _write_reports(
-        model, {"train": train, "valid": valid, "test": test}, cfg.constraint, cfg.out_dir
-    )
+    _write_reports(model, _split(cfg, _load_dataset(cfg)), cfg.constraint, cfg.out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,12 +10,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Predicted probabilities are clamped away from {0, 1}, so a log of them
-# stays finite.  Only expected_bias and point_expected_bias take the
-# clamped probability.  The trainers need no clamp: both form every
-# residual in batch_gradient, as -weight / (1 + exp(min(z, 700))).
-PROB_EPS = 1e-12
-
 
 def stable_sigmoid(z):
     """Numerically stable logistic function, elementwise.
@@ -23,29 +17,22 @@ def stable_sigmoid(z):
     Never evaluates exp on a positive argument, so it cannot overflow for
     any finite input.  exp(min(z, 0)) / (1 + exp(-|z|)) is 1 / (1 + e) for
     z >= 0 and e / (1 + e) otherwise, with e = exp(-|z|), and needs no mask.
-    Both exponentials come from one exp call over a stacked buffer.  Accepts
-    scalars or arrays; a 0-d input returns a Python float.  An array result
-    is a view of that (2, ...) buffer.
+    Accepts scalars or arrays; a 0-d input returns a Python float.
     """
     z = np.asarray(z, dtype=np.float64)
-    # Every step writes to an explicit buffer, so a 0-d input stays an array;
-    # min(z, -z) is -|z| except that a NaN keeps its sign (as exp(z) did).
-    buf = np.empty((2,) + z.shape)
-    num, denom = buf[0, ...], buf[1, ...]
+    # Every step writes to one of two buffers shaped like z, so a 0-d input stays
+    # an array; min(z, -z) is -|z| except that a NaN keeps its sign (as exp(z) did).
+    num, denom = np.empty(z.shape), np.empty(z.shape)
     np.minimum(z, 0.0, out=num)
+    np.exp(num, out=num)
     np.negative(z, out=denom)
     np.minimum(z, denom, out=denom)
-    np.exp(buf, out=buf)
+    np.exp(denom, out=denom)
     denom += 1.0
     num /= denom
     if num.ndim == 0:
         return float(num)
     return num
-
-
-def clamp_prob(p):
-    """Clamp probabilities into [PROB_EPS, 1 - PROB_EPS]."""
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
 @dataclass(eq=False)

@@ -30,7 +30,7 @@ from .constraints import (
 )
 from .data import Dataset, PairSet, item_cell, pair_chunks
 from .errors import ValidationError
-from .model import LinearRankingModel, check_scores, clamp_prob, score_matrix, stable_sigmoid
+from .model import LinearRankingModel, check_scores, score_matrix, stable_sigmoid
 from .training import (
     TrainConfig,
     require_types,
@@ -44,7 +44,7 @@ from .training import (
 class Coefficients:
     """Per-group-pair multipliers driving the closed-form pair weights."""
 
-    values: np.ndarray  # (K, K)
+    values: np.ndarray  # (K, K); (K,) for a pointwise kind
     kind: ConstraintKind
 
     @classmethod
@@ -122,9 +122,9 @@ def expected_bias(
     for part in pair_chunks(len(ps)):
         z = s.take(ps.row_i[part])
         z -= s.take(ps.row_j[part])
-        np.add.at(pos, cell[part], clamp_prob(stable_sigmoid(z)))
+        np.add.at(pos, cell[part], stable_sigmoid(z))
         np.negative(z, out=z)
-        np.add.at(neg, cell[part], clamp_prob(stable_sigmoid(z)))
+        np.add.at(neg, cell[part], stable_sigmoid(z))
     cell_sums = np.stack((neg.reshape(K, K).T, pos.reshape(K, K)), axis=-1)
     table = pair_constraint_table(kind, stats)
     return DeltaMatrix(table @ cell_sums.ravel() / (2 * len(ps)), pair_constraint_mask(kind, stats))
@@ -251,16 +251,17 @@ def fair_train(
 
     ps_train, stats_train = pairs_and_stats(train, "training set")
     # All T + 1 trainings share one pair set and one cfg.inner, so one draw
-    # of their epoch orders serves every one.
-    orders = shared_epoch_orders(len(ps_train), cfg.inner) if cfg.T else None
-    splits = [(ps_train, stats_train)]
+    # of their epoch orders serves every one.  The evaluation pairs are built
+    # only if T > 0, and before the first fit.
+    orders, splits = None, [(ps_train, stats_train)]
+    if cfg.T:
+        orders = shared_epoch_orders(len(ps_train), cfg.inner)
+        splits.append(pairs_and_stats(eval_set, "evaluation set"))
     at_delta = 1 if cfg.delta_set == "validation" else 0
 
     def measure(model, t):
-        # The evaluation pairs are built after the first fit, and only if T > 0;
-        # that fit's violation is measured on the delta set alone.
+        # The first fit's violation is measured on the delta set alone.
         if not t:
-            splits.append(pairs_and_stats(eval_set, "evaluation set"))
             ps, stats = splits[at_delta]
             return None, expected_bias(score_matrix(model, ps.source.features), ps, stats, kind)
         reports = [
@@ -289,7 +290,7 @@ def point_expected_bias(
     """Per-group item-level violation of per-item scores (one a row of ds)."""
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
-    p = clamp_prob(stable_sigmoid(check_scores(scores, ds.n_items)))
+    p = stable_sigmoid(check_scores(scores, ds.n_items))
     table = point_constraint_table(kind, stats)
     cells = item_cell(ds.groups, ds.labels, ds.K)
     cell_sums = np.bincount(cells, weights=p, minlength=table.shape[-1])

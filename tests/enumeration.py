@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairpair.errors import ValidationError
-from fairpair.model import clamp_prob
 from fairpair.reweight import Coefficients
+from loss_oracle import clamp_prob
 
 
 @dataclass(eq=False)

@@ -15,13 +15,18 @@ into training to show that the rest of the loop gives the bits it gave.
 import numpy as np
 
 from fairpair.data import PairSet
-from fairpair.model import (
-    PROB_EPS,
-    LinearRankingModel,
-    check_dimension,
-    clamp_prob,
-    stable_sigmoid,
-)
+from fairpair.model import LinearRankingModel, check_dimension, stable_sigmoid
+
+# Predicted probabilities are clamped away from {0, 1}, so a log of them
+# stays finite.  The library takes no log of a probability: its trainers
+# form every residual as -weight / (1 + exp(min(z, 700))), and its
+# violations sum the probabilities as they are.
+PROB_EPS = 1e-12
+
+
+def clamp_prob(p):
+    """Clamp probabilities into [PROB_EPS, 1 - PROB_EPS]."""
+    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
 def weighted_loss(model: LinearRankingModel, ps: PairSet, weights: np.ndarray) -> float:

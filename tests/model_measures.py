@@ -1,6 +1,7 @@
 """The model-taking measurements that per-item scores replaced, kept as a
 differential oracle: ``expected_bias`` scored each item as ``features @ w``
-(no bias) and ``auc`` as ``features @ w + b``.  Bodies copied unchanged."""
+(no bias) and ``auc`` as ``features @ w + b``.  Bodies copied unchanged,
+but for the probability clamp, which the library has since dropped."""
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from fairpair.errors import ValidationError
 from fairpair.model import (
     LinearRankingModel,
     check_dimension,
-    clamp_prob,
     score_matrix,
     stable_sigmoid,
 )
@@ -51,9 +51,9 @@ def expected_bias(
     for part in pair_chunks(len(ps)):
         z = s.take(ps.row_i[part])
         z -= s.take(ps.row_j[part])
-        np.add.at(pos, cell[part], clamp_prob(stable_sigmoid(z)))
+        np.add.at(pos, cell[part], stable_sigmoid(z))
         np.negative(z, out=z)
-        np.add.at(neg, cell[part], clamp_prob(stable_sigmoid(z)))
+        np.add.at(neg, cell[part], stable_sigmoid(z))
     cell_sums = np.stack((neg.reshape(K, K).T, pos.reshape(K, K)), axis=-1)
     table = pair_constraint_table(kind, stats)
     return DeltaMatrix(table @ cell_sums.ravel() / (2 * len(ps)), pair_constraint_mask(kind, stats))

@@ -13,8 +13,9 @@ import numpy as np
 
 from fairpair.constraints import GroupStats, compute_point_stats, pair_constraint_table
 from fairpair.data import Dataset
-from fairpair.model import clamp_prob, stable_sigmoid
+from fairpair.model import stable_sigmoid
 from fairpair.reweight import _pair_cell_weights
+from loss_oracle import clamp_prob
 
 
 def pair_cell(group_i, group_j, label, K: int):
@@ -82,7 +83,7 @@ def ordered_feature_diff(op: OrderedPairs) -> np.ndarray:
 def ordered_expected_bias(model, op: OrderedPairs, stats, kind) -> np.ndarray:
     """expected_bias values, one order probability per ordered pair."""
     s = op.source.features @ model.w
-    l_hat = clamp_prob(stable_sigmoid(s[op.row_i] - s[op.row_j]))
+    l_hat = stable_sigmoid(s[op.row_i] - s[op.row_j])
     table = pair_constraint_table(kind, stats)
     return table @ np.bincount(op.cell, weights=l_hat, minlength=table.shape[-1]) / len(op)
 

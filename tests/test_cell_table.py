@@ -32,7 +32,7 @@ from fairpair.constraints import (
 )
 from fairpair.data import Dataset, generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
-from fairpair.model import LinearRankingModel, clamp_prob, score_matrix, stable_sigmoid
+from fairpair.model import LinearRankingModel, score_matrix, stable_sigmoid
 from fairpair.reweight import (
     Coefficients,
     _exponents,
@@ -61,7 +61,7 @@ def pair_groups(op):
 
 def loop_expected_bias(model, op, stats, kind):
     group_i, group_j = pair_groups(op)
-    l_hat = clamp_prob(stable_sigmoid(ordered_feature_diff(op) @ model.w))
+    l_hat = stable_sigmoid(ordered_feature_diff(op) @ model.w)
     proxy = op.label.astype(np.float64)
     mask = pair_constraint_mask(kind, stats)
     values = np.zeros((stats.K, stats.K))
@@ -115,7 +115,7 @@ def loop_point_constraint_at_one(kind, stats, k, groups, labels):
 
 
 def loop_point_expected_bias(model, ds, stats, kind):
-    p = clamp_prob(stable_sigmoid(ds.features @ model.w + model.b))
+    p = stable_sigmoid(ds.features @ model.w + model.b)
     mask = point_constraint_mask(kind, stats)
     values = np.zeros(stats.K)
     for k in range(stats.K):

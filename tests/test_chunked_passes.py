@@ -20,7 +20,7 @@ from fairpair import data
 from fairpair.constraints import ConstraintKind, compute_group_stats, pair_constraint_table
 from fairpair.data import Dataset, generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
-from fairpair.model import LinearRankingModel, clamp_prob, score_matrix, stable_sigmoid
+from fairpair.model import LinearRankingModel, score_matrix, stable_sigmoid
 from fairpair.reweight import Coefficients, _pair_cell_weights, expected_bias, pair_weights
 
 PAIR_KINDS = [k for k in ConstraintKind if k.is_pairwise]
@@ -66,9 +66,9 @@ def whole_expected_bias(model, ps, stats, kind):
     z = s[ps.row_i]
     z -= s[ps.row_j]
     cell, K = whole_cell(ps), stats.K
-    pos = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=K * K)
+    pos = np.bincount(cell, weights=stable_sigmoid(z), minlength=K * K)
     np.negative(z, out=z)
-    neg = np.bincount(cell, weights=clamp_prob(stable_sigmoid(z)), minlength=K * K)
+    neg = np.bincount(cell, weights=stable_sigmoid(z), minlength=K * K)
     cell_sums = np.stack((neg.reshape(K, K).T, pos.reshape(K, K)), axis=-1)
     return pair_constraint_table(kind, stats) @ cell_sums.ravel() / (2 * len(ps))
 

@@ -540,6 +540,11 @@ class TestConfigHandling:
             (("dataset", "synth", "bias_strength"), MISSING, "dataset.synth.bias_strength"),
             (("dataset", "synth", "n_queries"), 12.5, "dataset.synth.n_queries"),
             (("dataset", "synth", "noise"), 0.1, "dataset.synth.noise"),
+            (("train", "momentum"), 0.9, "unknown config key train.momentum"),
+            (("fair", "inner"), {}, "unknown config key fair.inner"),
+            (("constraint",), ["inter"], "constraint"),
+            (("point_constraint",), [1], "point_constraint"),
+            (("out_dir",), ["x"], "out_dir"),
         ],
     )
     def test_bad_config_values_named(self, tmp_path, capsys, command, path, value, key):

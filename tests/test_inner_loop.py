@@ -30,7 +30,7 @@ import pytest
 from conftest import pair_feature_diff, pair_subset, random_dataset
 from fairpair import training
 from fairpair.data import PairSet, generate_synthetic, make_pairs
-from fairpair.model import LinearRankingModel, clamp_prob, stable_sigmoid
+from fairpair.model import LinearRankingModel, stable_sigmoid
 from fairpair.training import (
     AdamState,
     TrainConfig,
@@ -39,7 +39,7 @@ from fairpair.training import (
     train_pointwise,
     train_weighted,
 )
-from loss_oracle import old_batch_gradient
+from loss_oracle import clamp_prob, old_batch_gradient
 
 
 def old_stable_sigmoid(z):

@@ -9,14 +9,13 @@ from conftest import build_dataset
 from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
 from fairpair.model import (
-    PROB_EPS,
     LinearRankingModel,
     load_model,
     save_model,
     score_matrix,
     stable_sigmoid,
 )
-from loss_oracle import weighted_loss
+from loss_oracle import PROB_EPS, weighted_loss
 
 
 class TestScore:

@@ -1,11 +1,20 @@
-"""README.md stays well formed and its Python examples run against the
-library as it is."""
+"""README.md stays well formed, its Python examples run against the
+library as it is, and the library names it cites exist."""
 
+import importlib
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+MODULES = sorted(p.stem for p in (ROOT / "src" / "fairpair").glob("*.py") if p.stem != "__init__")
+# One backticked module-level name, `fairpair.<module>.<name>` or `<module>.<name>`.
+REFERENCE = re.compile(rf"(?:fairpair\.)?({'|'.join(MODULES)})\.(\w+)")
+# perfbench's per-layer metrics are named <layer>.<metric>, as data.arrays_s is.
+METRICS = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 
 
 def fenced_blocks(text):
@@ -48,3 +57,30 @@ def test_python_example_runs(tmp_path, monkeypatch, line, body):
     # Each block runs on its own, in an empty working directory.
     monkeypatch.chdir(tmp_path)
     exec(compile(body, f"README.md:{line}", "exec"), {"__name__": "readme_example"})
+
+
+def references(text):
+    """The (module, name) of each backticked reference to a module-level name,
+    but for per-layer metrics and artifact files such as model.json."""
+    found = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = REFERENCE.fullmatch(span)
+        if match and span not in METRICS and match[2] not in ("json", "csv"):
+            found.append(match.groups())
+    return found
+
+
+def test_cited_names_exist():
+    refs = references(README.read_text(encoding="utf-8"))
+    assert len(refs) >= 10
+    missing = [
+        f"{module}.{name}"
+        for module, name in refs
+        if not hasattr(importlib.import_module(f"fairpair.{module}"), name)
+    ]
+    assert missing == []
+
+
+def test_references_skip_metrics_and_files():
+    text = "`data.arrays_s`, `model.json`, `fairpair.model.stable_sigmoid`, `model.w @ x`"
+    assert references(text) == [("model", "stable_sigmoid")]

@@ -436,9 +436,10 @@ class TestFairTrain:
             fair_train(train, valid, ConstraintKind.POINT_STATISTICAL, small_cfg(T=1))
 
     @pytest.mark.parametrize("delta_set", ["train", "validation"])
-    def test_eval_set_without_discordant_pairs(self, delta_set):
+    def test_eval_set_without_discordant_pairs(self, monkeypatch, delta_set):
         # T = 0 never builds the evaluation pair set, so it trains as on any
-        # other evaluation set; from T = 1 on the loop needs its pairs.
+        # other evaluation set; from T = 1 on the loop needs its pairs, and
+        # fails before the first fit.
         train, valid, _ = self.biased_splits()
         flat = dataclasses.replace(valid, labels=np.zeros_like(valid.labels))
         cfg = small_cfg(T=0, delta_set=delta_set)
@@ -447,6 +448,7 @@ class TestFairTrain:
         baseline = train_weighted(ps, np.full(len(ps), 0.5), cfg.inner)
         assert model.w.tobytes() == baseline.w.tobytes() and model.b == baseline.b
         assert np.all(coeffs.values == 0.0) and history == []
+        monkeypatch.setattr(rw, "train_weighted", no_training)
         for T in (1, 3):
             with pytest.raises(ValidationError, match="^evaluation set has no discordant pairs$"):
                 fair_train(train, flat, STAT, small_cfg(T=T, delta_set=delta_set))
