@@ -30,7 +30,7 @@ from .data import (
     save_truth_csv,
     split_queries,
 )
-from .errors import ValidationError
+from .errors import ValidationError, require_types
 from .evaluation import evaluate
 from .model import load_model, save_model, score_matrix
 from .reweight import (
@@ -41,14 +41,9 @@ from .reweight import (
     pointwise_reweight_train,
     write_history_csv,
 )
-from .training import TrainConfig, require_types, shared_epoch_orders, train_weighted
+from .training import TrainConfig, shared_epoch_orders, train_weighted
 
-PAIR_KINDS = {
-    "statistical": ConstraintKind.PAIR_STATISTICAL,
-    "inter": ConstraintKind.PAIR_INTER_GROUP,
-    "intra": ConstraintKind.PAIR_INTRA_GROUP,
-    "marginal": ConstraintKind.PAIR_MARGINAL,
-}
+PAIR_KINDS = {k.value: k for k in ConstraintKind if k.is_pairwise}
 POINT_KINDS = {
     "statistical": ConstraintKind.POINT_STATISTICAL,
     "equal_opportunity": ConstraintKind.POINT_EQUAL_OPPORTUNITY,
@@ -61,27 +56,24 @@ DEFAULT_SWEEP_SCALES = [0.0, 0.5, 1.0, 1.5, 2.0]
 class RunConfig:
     """Resolved knobs for one experiment run."""
 
-    csv_path: Path | None
-    csv_K: int | None
-    synth: dict | None
+    dataset: dict  # {"csv": path, "K": K} or {"synth": generate_synthetic's arguments}
     constraint: ConstraintKind
     point_constraint: ConstraintKind
     method: str
-    ratio_test: float
-    ratio_valid: float
-    split_seed: int
+    split: dict  # split_queries' keyword arguments
     fair: FairTrainConfig
     sweep_scales: list[float]
     out_dir: Path
 
 
 def _object(value, where: str, names) -> dict:
-    """A copy of one config object whose keys are all among ``names``."""
+    """A copy of one config object whose keys are all among ``names``;
+    ``where`` is its dotted path, empty for the top level."""
     if not isinstance(value, dict):
         raise ValidationError(f"{where} must be a JSON object, got {value!r}")
     for key in value:
         if key not in names:
-            raise ValidationError(f"unknown config key {where}.{key}")
+            raise ValidationError(f"unknown config key {where + '.' if where else ''}{key}")
     return dict(value)
 
 
@@ -101,43 +93,54 @@ def _checked_block(value, where: str, ints=(), floats=(), defaults=None) -> dict
     return block
 
 
+def _name(doc: dict, key: str, names, default: str) -> str:
+    """The config value of ``key``, which must be one of ``names``."""
+    name = doc.get(key, default)
+    if not isinstance(name, str) or name not in names:
+        raise ValidationError(f"unknown {key} {name!r}")
+    return name
+
+
+def _dataset(source) -> dict:
+    """The checked dataset block, in its csv or its synth form."""
+    if not isinstance(source, dict) or ("csv" in source) == ("synth" in source):
+        raise ValidationError("config must set dataset.csv or dataset.synth (exactly one)")
+    source = _object(source, "dataset", ("synth",) if "synth" in source else ("csv", "K"))
+    if "synth" in source:
+        ints = ("n_queries", "items_per_query", "d", "K", "seed")
+        return {"synth": _checked_block(source["synth"], "dataset.synth", ints, ("bias_strength",))}
+    if "K" not in source:
+        raise ValidationError("dataset.csv requires a declared group count dataset.K")
+    if not isinstance(source["csv"], str):
+        raise ValidationError(f"dataset.csv must be a path string, got {source['csv']!r}")
+    require_types({"dataset.K": source["K"]}, ints=("dataset.K",))
+    if source["K"] < 1:
+        raise ValidationError("dataset.K must be >= 1")
+    return source
+
+
 def load_config(path, args: argparse.Namespace) -> RunConfig:
+    """Resolve a config file: the flags, then FAIRPAIR_OUT, replace the
+    document keys they name, and then every key is checked once."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
-    source = doc.get("dataset")
-    if not isinstance(source, dict) or ("csv" in source) == ("synth" in source):
-        raise ValidationError("config must set dataset.csv or dataset.synth (exactly one)")
-    synth = None
-    if "synth" in source:
-        synth = _checked_block(
-            source["synth"],
-            "dataset.synth",
-            ints=("n_queries", "items_per_query", "d", "K", "seed"),
-            floats=("bias_strength",),
-        )
-    elif "K" not in source:
-        raise ValidationError("dataset.csv requires a declared group count dataset.K")
-    elif not isinstance(source["csv"], str):
-        raise ValidationError(f"dataset.csv must be a path string, got {source['csv']!r}")
-    else:
-        require_types({"dataset.K": source["K"]}, ints=("dataset.K",))
-        if source["K"] < 1:
-            raise ValidationError("dataset.K must be >= 1")
-
-    constraint_name = args.constraint or doc.get("constraint", "statistical")
-    if not isinstance(constraint_name, str) or constraint_name not in PAIR_KINDS:
-        raise ValidationError(f"unknown constraint {constraint_name!r}")
-    point_name = doc.get("point_constraint", "equal_opportunity")
-    if not isinstance(point_name, str) or point_name not in POINT_KINDS:
-        raise ValidationError(f"unknown point_constraint {point_name!r}")
-    method = args.method or doc.get("method", "pairwise")
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}")
-
+    out = args.out or os.environ.get("FAIRPAIR_OUT")
+    for key, value in (("constraint", args.constraint), ("method", args.method), ("out_dir", out)):
+        if value:
+            doc[key] = value
+    for block, key, value in (("train", "seed", args.seed), ("fair", "T", args.T)):
+        if value is not None and isinstance(doc.get(block, {}), dict):
+            doc[block] = {**doc.get(block, {}), key: value}
+    doc = _object(doc, "", ("dataset", "constraint", "point_constraint", "method", "split",
+                            "train", "fair", "sweep_scales", "out_dir"))
+    dataset = _dataset(doc.get("dataset"))
+    constraint = PAIR_KINDS[_name(doc, "constraint", PAIR_KINDS, "statistical")]
+    point_constraint = POINT_KINDS[_name(doc, "point_constraint", POINT_KINDS, "equal_opportunity")]
+    method = _name(doc, "method", METHODS, "pairwise")
     split = _checked_block(
         doc.get("split", {}),
         "split",
@@ -152,43 +155,23 @@ def load_config(path, args: argparse.Namespace) -> RunConfig:
         {f"sweep_scales[{i}]": x for i, x in enumerate(scales)},
         floats=[f"sweep_scales[{i}]" for i in range(len(scales))],
     )
+    inner = TrainConfig(**_object(doc.get("train", {}), "train", vars(TrainConfig())))
+    fair_keys = vars(FairTrainConfig()).keys() - {"inner"}
+    fair = FairTrainConfig(inner=inner, **_object(doc.get("fair", {}), "fair", fair_keys))
 
-    train_doc = _object(doc.get("train", {}), "train", vars(TrainConfig()))
-    if args.seed is not None:
-        train_doc["seed"] = args.seed
-    train_cfg = TrainConfig(**train_doc)
-
-    fair_doc = _object(doc.get("fair", {}), "fair", vars(FairTrainConfig()).keys() - {"inner"})
-    if args.T is not None:
-        fair_doc["T"] = args.T
-    fair_cfg = FairTrainConfig(inner=train_cfg, **fair_doc)
-
-    out_dir = args.out or os.environ.get("FAIRPAIR_OUT") or doc.get("out_dir")
+    out_dir = doc.get("out_dir")
     if not out_dir:
         raise ValidationError("no output directory: set out_dir, FAIRPAIR_OUT, or --out")
     if not isinstance(out_dir, str):
         raise ValidationError(f"out_dir must be a path string, got {out_dir!r}")
-
-    return RunConfig(
-        csv_path=Path(source["csv"]) if synth is None else None,
-        csv_K=source["K"] if synth is None else None,
-        synth=synth,
-        constraint=PAIR_KINDS[constraint_name],
-        point_constraint=POINT_KINDS[point_name],
-        method=method,
-        ratio_test=float(split["ratio_test"]),
-        ratio_valid=float(split["ratio_valid"]),
-        split_seed=split["seed"],
-        fair=fair_cfg,
-        sweep_scales=[float(x) for x in scales],
-        out_dir=Path(out_dir),
-    )
+    return RunConfig(dataset, constraint, point_constraint, method, split, fair,
+                     [float(x) for x in scales], Path(out_dir))
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
-    if cfg.csv_path is not None:
-        return load_csv(cfg.csv_path, cfg.csv_K)
-    return generate_synthetic(**cfg.synth)[0]
+    if "csv" in cfg.dataset:
+        return load_csv(cfg.dataset["csv"], cfg.dataset["K"])
+    return generate_synthetic(**cfg.dataset["synth"])[0]
 
 
 def _write_reports(model, splits, kind, out_dir: Path) -> None:
@@ -203,9 +186,9 @@ def _write_reports(model, splits, kind, out_dir: Path) -> None:
 
 
 def cmd_generate(cfg: RunConfig) -> None:
-    if cfg.synth is None:
+    if "synth" not in cfg.dataset:
         raise ValidationError("generate requires a dataset.synth config block")
-    ds, truth = generate_synthetic(**cfg.synth)
+    ds, truth = generate_synthetic(**cfg.dataset["synth"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(ds, cfg.out_dir / "dataset.csv")
     save_truth_csv(truth, ds, cfg.out_dir / "truth.csv")
@@ -213,7 +196,7 @@ def cmd_generate(cfg: RunConfig) -> None:
 
 
 def _split(cfg: RunConfig, ds: Dataset):
-    return split_queries(ds, cfg.ratio_test, cfg.ratio_valid, cfg.split_seed)
+    return split_queries(ds, **cfg.split)
 
 
 def cmd_train(cfg: RunConfig) -> None:
@@ -253,8 +236,10 @@ def _read_coefficients(path: Path, K: int, kind: ConstraintKind) -> Coefficients
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         file_K, file_kind = doc["K"], doc["kind"]
+        fields = {"K": file_K, **{f"values[{i}]": v for i, v in enumerate(doc["values"])}}
+        require_types(fields, ints=["K"], floats=list(fields)[1:])
         values = np.asarray(doc["values"], dtype=np.float64)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"coefficients file {path} is corrupt: {exc!r}") from None
     if file_kind != kind.value:
         raise ValidationError(
@@ -265,7 +250,7 @@ def _read_coefficients(path: Path, K: int, kind: ConstraintKind) -> Coefficients
         raise ValidationError(
             f"coefficients file {path} has K={file_K!r}, but the dataset has K={K}"
         )
-    if values.shape != (K * K,) or not np.all(np.isfinite(values)):
+    if values.shape != (K * K,):
         raise ValidationError(f"coefficients file {path} must hold {K * K} finite values")
     return Coefficients(values.reshape(K, K), kind)
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, PairSet, make_pairs
+from .data import Dataset, PairSet, _check_items, make_pairs
 from .errors import ValidationError
 
 
@@ -108,8 +108,7 @@ def compute_point_stats(ds) -> GroupStats:
     """Item-only statistics for pointwise constraints; pair fields are zeroed."""
     if ds.n_items == 0:
         raise ValidationError("cannot compute item statistics of an empty dataset")
-    if ((ds.labels != 0) & (ds.labels != 1)).any():
-        raise ValidationError("item statistics need every item label in {0, 1}")
+    _check_items(ds, "item statistics")
     item_frac, pos_item_frac = _item_stats(ds)
     K = ds.K
     return GroupStats(np.zeros((K, K)), np.zeros((K, K)), 0.0, item_frac, pos_item_frac)

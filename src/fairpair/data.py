@@ -105,6 +105,16 @@ def _first_bad_row(features, labels, groups, K: int) -> tuple[int, str] | None:
     return row, "non-finite feature value"
 
 
+def _check_items(ds: Dataset, use: str) -> None:
+    """A ValidationError naming ``use`` unless every label is in {0, 1}, and
+    one worded as load_csv's unless every group is in [0, K)."""
+    if ((ds.labels != 0) & (ds.labels != 1)).any():
+        raise ValidationError(f"{use} need every item label in {{0, 1}}")
+    bad = (ds.groups < 0) | (ds.groups >= ds.K)
+    if bad.any():
+        raise ValidationError(f"group {ds.groups[bad.argmax()]} outside [0, {ds.K})")
+
+
 def item_cell(group, label, K: int):
     """Index of an item's (group, label) in the row-major (K, 2) grid."""
     return np.ravel_multi_index((group, label), (K, 2))
@@ -414,12 +424,11 @@ def make_pairs(ds: Dataset) -> PairSet:
     query, and each query's positives × negatives are written into the
     int32 row columns, so beyond them it holds only counts over the items.
     A dataset with more items than int32 can address, or with a label
-    outside {0, 1}, is a ValidationError.
+    outside {0, 1} or a group outside [0, K), is a ValidationError.
     """
     if ds.n_items > np.iinfo(np.int32).max:
         raise ValidationError(f"{ds.n_items} items is more than int32 pair indices can address")
-    if ((ds.labels != 0) & (ds.labels != 1)).any():
-        raise ValidationError("pairs need every item label in {0, 1}")
+    _check_items(ds, "pairs")
     offsets = ds.offsets
     n_pos = np.diff(np.concatenate(([0], np.cumsum(ds.labels)))[offsets])
     ends = np.cumsum(n_pos * (np.diff(offsets) - n_pos)).tolist()

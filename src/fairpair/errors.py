@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of config
+values and artifact fields that raises them."""
+
+import numbers
+import sys
+from collections.abc import Mapping
 
 
 class FairpairError(Exception):
@@ -18,3 +23,21 @@ class ParseError(ValidationError):
         super().__init__(message)
         self.line = line
 
+
+def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
+    """Reject values that are not integers (``ints``) or finite reals (``floats``).
+
+    ``values`` maps each name to its value; the error message names the
+    offending entry.  Bools are rejected for both; integers are accepted as
+    reals, but not one too large for a float.
+    """
+    for name in ints:
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    for name in floats:
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # a NaN compares false
+            raise ValidationError(f"{name} must be finite, got {value!r}")

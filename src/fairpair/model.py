@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_types
 
 
 def stable_sigmoid(z):
@@ -90,10 +90,11 @@ def load_model(path) -> LinearRankingModel:
     """Read a model written by save_model; a malformed file is a ValidationError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        fields = {"d": doc["d"], "b": doc["b"], **{f"w[{i}]": v for i, v in enumerate(doc["w"])}}
+        require_types(fields, ints=["d"], floats=list(fields)[1:])
         w = np.asarray(doc["w"], dtype=np.float64)
-        d, b = doc["d"], float(doc["b"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"model file {path} is corrupt: {exc!r}") from None
-    if w.shape != (d,):
+    if w.shape != (doc["d"],):
         raise ValidationError(f"model file {path} is inconsistent: d != len(w)")
-    return LinearRankingModel(w, b)
+    return LinearRankingModel(w, float(doc["b"]))

@@ -29,11 +29,10 @@ from .constraints import (
     point_constraint_table,
 )
 from .data import Dataset, PairSet, item_cell, pair_chunks
-from .errors import ValidationError
+from .errors import ValidationError, require_types
 from .model import LinearRankingModel, check_scores, score_matrix, stable_sigmoid
 from .training import (
     TrainConfig,
-    require_types,
     shared_epoch_orders,
     train_pointwise,
     train_weighted,

@@ -11,35 +11,13 @@ both trainers share one loop and one residual form (batch_gradient).
 
 from __future__ import annotations
 
-import math
-import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import GATHER_BYTES, Dataset, PairSet
-from .errors import ValidationError
+from .errors import ValidationError, require_types
 from .model import LinearRankingModel, check_dimension
-
-
-def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
-    """Reject config values that are not integers (``ints``) or finite reals (``floats``).
-
-    ``values`` maps each name to its value; the error message names the
-    offending entry.  Bools are rejected for both; integers are accepted as
-    reals.
-    """
-    for name in ints:
-        value = values[name]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    for name in floats:
-        value = values[name]
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

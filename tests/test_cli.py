@@ -322,7 +322,16 @@ class TestSweep:
         assert main(["train", "--config", cfg]) == 0
         return cfg, out / "coefficients.json"
 
-    @pytest.mark.parametrize("text", ['{"kind": "statistical", "K": 2, "val', "[]", "{}"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "statistical", "K": 2, "val',
+            "[]",
+            "{}",
+            '{"kind": "statistical", "K": 2, "values": ["0", "0.5", "-0.5", "0"]}',
+            '{"kind": "statistical", "K": 2.0, "values": [0.0, 0.5, -0.5, 0.0]}',
+        ],
+    )
     def test_corrupt_coefficients_named(self, tmp_path, capsys, text):
         cfg, path = self.trained_run(tmp_path)
         path.write_text(text)
@@ -353,7 +362,15 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", cfg]) == 1
 
     @pytest.mark.parametrize(
-        "text", ['{"d": 3, "w": [0.1, 0.2', '{"d": 3}', '{"d": 1, "w": ["x"], "b": 0}']
+        "text",
+        [
+            '{"d": 3, "w": [0.1, 0.2',
+            '{"d": 3}',
+            '{"d": 1, "w": ["x"], "b": 0}',
+            '{"d": 3, "w": ["0.1", "0.2", "0.3"], "b": "0.5"}',
+            '{"d": 3, "w": [true, 0.0, 1.0], "b": false}',
+            '{"d": 3.0, "w": [0.1, 0.2, 0.3], "b": 0.0}',
+        ],
     )
     def test_corrupt_model_named(self, tmp_path, capsys, text):
         out = tmp_path / "run"
@@ -510,6 +527,7 @@ class TestConfigHandling:
             ("fair", "T", 2.0),
             ("fair", "T", False),
             ("fair", "eta_lambda", float("-inf")),
+            ("fair", "eta_lambda", 10**400),
             ("fair", "warm_start", "false"),
         ],
     )
@@ -545,6 +563,11 @@ class TestConfigHandling:
             (("constraint",), ["inter"], "constraint"),
             (("point_constraint",), [1], "point_constraint"),
             (("out_dir",), ["x"], "out_dir"),
+            (("constrant",), "inter", "unknown config key constrant"),
+            (("spilt",), {"seed": 1}, "unknown config key spilt"),
+            (("dataset",), {"csv": "x.csv", "K": 2, "delimiter": ";"},
+             "unknown config key dataset.delimiter"),
+            (("dataset", "K"), 2, "unknown config key dataset.K"),
         ],
     )
     def test_bad_config_values_named(self, tmp_path, capsys, command, path, value, key):
@@ -589,6 +612,29 @@ class TestConfigHandling:
         doc["dataset"]["synth"]["bias_strength"] = 1
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize(
+        "path,value,flag",
+        [
+            (("constraint",), ["inter"], ["--constraint", "inter"]),
+            (("method",), "magic", ["--method", "pairwise"]),
+            (("train", "seed"), "9", ["--seed", "9"]),
+            (("fair", "T"), -2, ["--T", "2"]),
+            (("out_dir",), ["x"], ["--out", "{tmp}/flagged"]),
+        ],
+    )
+    def test_flag_replaces_invalid_value(self, tmp_path, monkeypatch, path, value, flag):
+        # A flag replaces the key it names before the key is checked.
+        monkeypatch.delenv("FAIRPAIR_OUT", raising=False)
+        doc = base_config(tmp_path / "out")
+        *parents, last = path
+        block = doc
+        for name in parents:
+            block = block[name]
+        block[last] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["generate", "--config", cfg]) == 1
+        assert main(["generate", "--config", cfg, *(f.format(tmp=tmp_path) for f in flag)]) == 0
 
     def test_out_flag_overrides_config(self, tmp_path):
         doc = base_config(tmp_path / "ignored")

@@ -299,6 +299,14 @@ class TestPointConstraint:
         with pytest.raises(ValidationError, match=msg):
             compute_point_stats(ds)
 
+    @pytest.mark.parametrize("group", [2, -1])
+    def test_point_stats_reject_group_outside_K(self, group):
+        # Unchecked, an item in group K gave item_frac K + 1 entries.
+        ds = Dataset(["q"], np.array([0, 3]), np.zeros((3, 1)), np.array([1, 0, 0]),
+                     np.array([0, group, 1]), 2)
+        with pytest.raises(ValidationError, match=rf"^group {group} outside \[0, 2\)$"):
+            compute_point_stats(ds)
+
     def test_undefined_group_is_masked(self):
         # A group without items (or without positives) has no pointwise
         # constraint: masked, and its table row reads 0.

@@ -445,6 +445,16 @@ class TestMakePairs:
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("K,group", [(16, 16), (2, 2), (2, -1)])
+    def test_group_outside_K_rejected(self, K, group):
+        # A dataset built in code is not checked by load_csv.  Unchecked, the
+        # one-byte cell of group 16 at K=16 wrapped to another group pair's,
+        # and at K=2 the group statistics failed on a broadcast.
+        ds = Dataset(["q"], np.array([0, 3]), np.zeros((3, 1)), np.array([1, 0, 0]),
+                     np.array([0, group, 1]), K)
+        with pytest.raises(ValidationError, match=rf"^group {group} outside \[0, {K}\)$"):
+            make_pairs(ds)
+
     @pytest.mark.parametrize("K", [1, 2, 11, 16, 17])
     def test_arrays_hold_nine_bytes_a_pair(self, rng, K):
         # A pair is its two int32 rows and its group pair, one byte up to

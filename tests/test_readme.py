@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from fairpair import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 MODULES = sorted(p.stem for p in (ROOT / "src" / "fairpair").glob("*.py") if p.stem != "__init__")
@@ -57,6 +59,24 @@ def test_python_example_runs(tmp_path, monkeypatch, line, body):
     # Each block runs on its own, in an empty working directory.
     monkeypatch.chdir(tmp_path)
     exec(compile(body, f"README.md:{line}", "exec"), {"__name__": "readme_example"})
+
+
+def test_config_example_loads(tmp_path, monkeypatch):
+    # The CLI rejects unknown keys, so the documented config must hold none,
+    # and it resolves as a config that gives only the keys it says are not
+    # at their defaults.
+    (body,) = [body for info, _, body in BLOCKS if info == "json"]
+    doc = json.loads(body)
+    minimal = {"dataset": doc["dataset"], "out_dir": doc["out_dir"],
+               "train": {"seed": doc["train"]["seed"]}}
+    monkeypatch.delenv("FAIRPAIR_OUT", raising=False)
+    resolved = []
+    for name, text in (("full.json", body), ("minimal.json", json.dumps(minimal))):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        args = cli.build_parser().parse_args(["train", "--config", str(path)])
+        resolved.append(vars(cli.load_config(path, args)))
+    assert resolved[0] == resolved[1]
 
 
 def references(text):
