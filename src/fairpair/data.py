@@ -36,6 +36,10 @@ PAIR_CHUNK = GATHER_BYTES // 8
 # time, so writing holds about one block per column, not a copy of the data.
 WRITE_BLOCK = 1024
 
+# The largest group count whose (K, K, 2K²) constraint table numpy can
+# index: 2K⁴ entries at most np.iinfo(np.intp).max, so 46340 on 64-bit builds.
+MAX_GROUPS = math.isqrt(math.isqrt(np.iinfo(np.intp).max // 2))
+
 
 def pair_chunks(n: int):
     """Slices of PAIR_CHUNK pairs covering range(n), in order."""
@@ -115,6 +119,16 @@ def _check_items(ds: Dataset, use: str) -> None:
         raise ValidationError(f"group {ds.groups[bad.argmax()]} outside [0, {ds.K})")
 
 
+def _check_group_count(K: int) -> None:
+    """A ValidationError unless K <= MAX_GROUPS.  Such a K can still
+    exhaust memory: its tables are only known to be indexable."""
+    if K > MAX_GROUPS:
+        raise ValidationError(
+            f"group count K={K} exceeds {MAX_GROUPS}, the largest whose (K, K, 2K²) "
+            "constraint table numpy can index"
+        )
+
+
 def item_cell(group, label, K: int):
     """Index of an item's (group, label) in the row-major (K, 2) grid."""
     return np.ravel_multi_index((group, label), (K, 2))
@@ -176,16 +190,17 @@ class SynthTruth:
 def load_csv(path, declared_K: int) -> Dataset:
     """Load a dataset from the canonical CSV schema.
 
-    The feature dimension is inferred from the header; ``declared_K`` caps
-    the allowed group ids.  Raises ParseError (with line number) on
-    malformed rows and ValidationError on schema or value violations;
-    malformed rows are reported before out-of-range values.
+    The feature dimension is inferred from the header; ``declared_K``, at
+    most MAX_GROUPS, caps the allowed group ids.  Raises ParseError (with
+    line number) on malformed rows and ValidationError on schema or value
+    violations; malformed rows are reported before out-of-range values.
 
     The body is parsed in one ``np.loadtxt`` pass.  A body that pass
     rejects, or could read differently from the row parser (see
     ``_BodyLines``), is read again from the start by the row parser, so
     every file gives the same columns or the same error either way.
     """
+    _check_group_count(declared_K)
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         d = _read_header(_records(fh, path), path)
@@ -467,6 +482,7 @@ def generate_synthetic(
         raise ValidationError("all synthetic generator counts must be >= 1")
     if seed < 0:
         raise ValidationError("synthetic generator seed must be >= 0")
+    _check_group_count(K)
 
     rng = np.random.default_rng(seed)
     v = rng.normal(size=d)

@@ -328,11 +328,13 @@ def pointwise_reweight_train(
     stats = compute_point_stats(train)
     ds_delta = eval_set if cfg.delta_set == "validation" else train
     on_delta = ds_delta, compute_point_stats(ds_delta), kind
+    # As in fair_train, the T + 1 trainings share one draw of their orders.
+    orders = shared_epoch_orders(train.n_items, cfg.inner) if cfg.T else None
     model, _, _ = _reweight_loop(
         cfg,
         Coefficients(np.zeros(train.K), kind),
         lambda c: point_weights(c.values, stats, train, kind),
-        lambda weights, init: train_pointwise(train, weights, cfg.inner, init),
+        lambda weights, init: train_pointwise(train, weights, cfg.inner, init, orders),
         lambda m, t: (None, point_expected_bias(score_matrix(m, ds_delta.features), *on_delta)),
     )
     return model

@@ -12,6 +12,7 @@ both trainers share one loop and one residual form (batch_gradient).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import nan, sqrt
 
 import numpy as np
 
@@ -66,22 +67,36 @@ class AdamState:
 def adam_update(
     state: AdamState, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig
 ) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam step; returns fresh state and parameters."""
+    """One bias-corrected Adam step on 1-d arrays; returns fresh state and
+    parameters and leaves its inputs untouched.
+
+    Each coordinate takes m = b1*m + (1-b1)*g, v = ((1-b2)*g)*g + b2*v and
+    p - ((m/c1)*lr) / (sqrt(v/c2) + eps), with c = 1 - b**t, on Python
+    floats: one IEEE double operation at a time, in the order of the numpy
+    form this replaced, so the bits are the same (NaN payloads aside).
+    Where v/c2 is negative or NaN (only a hand-built state) the root is NaN,
+    as numpy's is, not math.sqrt's ValueError.  At small d numpy's fixed
+    cost per call dominates its 14 ufunc calls, while the float loop grows
+    with d: one step takes 4.0 against 7.7 µs at d = 5, and one 135-step
+    training changes by -13%, -5%, +4%, +18% and +33% at d = 5, 11, 20, 40
+    and 136 (one pinned CPU, python 3.11, numpy 2.4).
+    """
     if not (state.m.shape == state.v.shape == params.shape == grad.shape):
         raise ValidationError("adam_update: mismatched shapes")
+    if params.ndim != 1:
+        raise ValidationError(f"adam_update: {params.ndim}-d parameters, not 1-d")
+    if state.t < 0:
+        raise ValidationError(f"adam_update: negative step count {state.t}")
     t = state.t + 1
-    m = cfg.beta1 * state.m
-    m += (1.0 - cfg.beta1) * grad
-    v = (1.0 - cfg.beta2) * grad
-    v *= grad
-    v += cfg.beta2 * state.v
-    step = m / (1.0 - cfg.beta1**t)
-    step *= cfg.learning_rate
-    denom = v / (1.0 - cfg.beta2**t)
-    np.sqrt(denom, out=denom)
-    denom += cfg.eps_adam
-    step /= denom
-    return AdamState(m, v, t), params - step
+    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps_adam
+    a1, a2, c1, c2 = 1.0 - b1, 1.0 - b2, 1.0 - b1**t, 1.0 - b2**t
+    m, v, p = state.m.tolist(), state.v.tolist(), params.tolist()
+    for i, g in enumerate(grad.tolist()):
+        m[i] = mi = b1 * m[i] + a1 * g
+        v[i] = vi = a2 * g * g + b2 * v[i]
+        s = vi / c2
+        p[i] -= mi / c1 * lr / ((sqrt(s) if s >= 0.0 else nan) + eps)
+    return AdamState(np.array(m), np.array(v), t), np.array(p)
 
 
 def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -136,6 +151,17 @@ def shared_epoch_orders(n: int, cfg: TrainConfig) -> np.ndarray:
     return orders
 
 
+def _check_orders(orders, n: int, cfg: TrainConfig, unit: str):
+    """``orders`` if it has the shape of cfg.epochs orders of n pairs or
+    items, epoch_orders(n, cfg) if it is None, else a ValidationError."""
+    if orders is None:
+        return epoch_orders(n, cfg)
+    if orders.shape != (cfg.epochs, n):
+        shape, epochs = orders.shape, cfg.epochs
+        raise ValidationError(f"orders of shape {shape} for {epochs} epochs of {n} {unit}")
+    return orders
+
+
 def _train_rows(X, row_i, row_j, weights, cfg: TrainConfig, w, orders) -> np.ndarray:
     """Minibatch Adam from ``w`` on the weighted loss of pairs (X[row_i], X[row_j])
     at label 1; each epoch walks its order a chunk of whole minibatches of
@@ -178,12 +204,7 @@ def train_weighted(
         raise ValidationError("cannot train on an empty pair set")
     n = len(ps)
     weights = _check_weights(weights, n, "pairs")
-    if orders is None:
-        orders = epoch_orders(n, cfg)
-    elif orders.shape != (cfg.epochs, n):
-        raise ValidationError(
-            f"orders of shape {orders.shape} for {cfg.epochs} epochs of {n} pairs"
-        )
+    orders = _check_orders(orders, n, cfg, "pairs")
     d = ps.source.d
     if init is None:
         init = LinearRankingModel.zeros(d)
@@ -197,17 +218,19 @@ def train_pointwise(
     weights,
     cfg: TrainConfig,
     init: LinearRankingModel | None = None,
+    orders: np.ndarray | None = None,
 ) -> LinearRankingModel:
     """Weighted logistic regression on items (the pointwise ordering method),
     fitted as the pair loss of rows [x, 1] against a zero row: (item, zero) at
     label 1 and (zero, item) at label 0, so the bias, the last weight, gets
-    its gradient."""
+    its gradient.  ``orders`` is as in train_weighted, over items."""
     n = ds.n_items
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
     if ((ds.labels != 0) & (ds.labels != 1)).any():
         raise ValidationError("pointwise training needs every item label in {0, 1}")
     weights = _check_weights(weights, n, "items")
+    orders = _check_orders(orders, n, cfg, "items")
     if init is None:
         init = LinearRankingModel.zeros(ds.d)
     check_dimension(init, ds.d)
@@ -216,5 +239,5 @@ def train_pointwise(
     items, pos = np.arange(n), ds.labels == 1
     row_i, row_j = np.where(pos, items, n), np.where(pos, n, items)
     params = np.append(init.w, init.b)
-    params = _train_rows(X, row_i, row_j, weights, cfg, params, epoch_orders(n, cfg))
+    params = _train_rows(X, row_i, row_j, weights, cfg, params, orders)
     return LinearRankingModel(params[:-1], float(params[-1]))

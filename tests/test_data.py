@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import build_dataset, pair_feature_diff, random_dataset, validate_dataset
 from fairpair.data import (
+    MAX_GROUPS,
     Dataset,
     _round_half_down,
     generate_synthetic,
@@ -56,6 +57,16 @@ class TestLoadCsv:
         ds = load_csv(path, declared_K=1)
         assert [q.query_id for q in ds.queries] == ["b", "a"]
         assert len(ds.queries[0]) == 2
+
+    def test_group_count_bound(self, tmp_path):
+        # 2K⁴, the entry count of the (K, K, 2K²) constraint table, must be
+        # an index numpy takes: K = 46340 is the largest on 64-bit builds.
+        assert 2 * MAX_GROUPS**4 <= np.iinfo(np.intp).max < 2 * (MAX_GROUPS + 1) ** 4
+        path = write(tmp_path, "query_id,group,label,f0\nq,0,1,1.0\n")
+        assert load_csv(path, declared_K=MAX_GROUPS).K == MAX_GROUPS
+        for K in (MAX_GROUPS + 1, 10**30):
+            with pytest.raises(ValidationError, match=f"group count K={K} exceeds {MAX_GROUPS}"):
+                load_csv(tmp_path / "missing.csv", declared_K=K)
 
     def test_label_out_of_range(self, tmp_path):
         path = write(tmp_path, "query_id,group,label,f0\nq1,0,2,1.0\n")
@@ -505,6 +516,12 @@ class TestGenerateSynthetic:
             np.testing.assert_array_equal(qa.groups, qb.groups)
         for pa, pb in zip(ta.item_probs, tb.item_probs):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_group_count_bound(self):
+        assert generate_synthetic(1, 2, 3, MAX_GROUPS, 0.7, seed=1)[0].K == MAX_GROUPS
+        for K in (MAX_GROUPS + 1, 10**30):
+            with pytest.raises(ValidationError, match=f"group count K={K} exceeds {MAX_GROUPS}"):
+                generate_synthetic(1, 2, 3, K, 0.7, seed=1)
 
     def test_seed_changes_output(self):
         a, _ = generate_synthetic(4, 8, 3, 2, 0.7, seed=1)

@@ -20,13 +20,20 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from fairpair import cli, training
+from fairpair import cli, reweight, training
 from fairpair.cli import main
 from fairpair.constraints import ConstraintKind
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
+from fairpair.model import LinearRankingModel
 from fairpair.reweight import FairTrainConfig, fair_train, pointwise_reweight_train
-from fairpair.training import TrainConfig, epoch_orders, shared_epoch_orders, train_weighted
+from fairpair.training import (
+    TrainConfig,
+    epoch_orders,
+    shared_epoch_orders,
+    train_pointwise,
+    train_weighted,
+)
 from test_cli import base_config, write_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,6 +113,46 @@ def test_train_weighted_rejects_orders_of_another_shape(rng):
         orders = shared_epoch_orders(n, TrainConfig(epochs=epochs))
         with pytest.raises(ValidationError, match="orders of shape"):
             train_weighted(ps, np.ones(len(ps)), cfg, orders=orders)
+
+
+@pytest.mark.parametrize("cfg_kwargs", [{"epochs": 3, "batch_size": 7}, {"epochs": 0}])
+def test_train_pointwise_on_shared_orders_matches_drawn(rng, cfg_kwargs):
+    ds = random_dataset(rng, n_queries=5, items_per_query=9, d=4, K=3)
+    weights = rng.uniform(0.05, 3.0, size=ds.n_items)
+    cfg = TrainConfig(**cfg_kwargs)
+    init = LinearRankingModel(rng.normal(size=4), 0.25)
+    shared = train_pointwise(ds, weights, cfg, init, shared_epoch_orders(ds.n_items, cfg))
+    drawn = train_pointwise(ds, weights, cfg, init)
+    assert shared.w.tobytes() == drawn.w.tobytes() and shared.b == drawn.b
+
+
+def test_train_pointwise_rejects_orders_of_another_shape(rng):
+    ds = random_dataset(rng, n_queries=5, items_per_query=9, d=4, K=3)
+    cfg = TrainConfig(epochs=3)
+    for epochs, n in ((2, ds.n_items), (3, ds.n_items - 1)):
+        orders = shared_epoch_orders(n, TrainConfig(epochs=epochs))
+        with pytest.raises(ValidationError, match=f"orders of shape .* epochs of {ds.n_items} items"):
+            train_pointwise(ds, np.ones(ds.n_items), cfg, orders=orders)
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+@pytest.mark.parametrize("T", [0, 3])
+def test_pointwise_run_draws_its_orders_once(monkeypatch, T, warm_start):
+    # The T + 1 pointwise trainings draw cfg.inner.epochs orders in all,
+    # where one draw a training made (T + 1) * epochs, and the model keeps
+    # its bits.
+    train, valid, cfg = guard_run()
+    cfg = FairTrainConfig(T=T, inner=cfg.inner, warm_start=warm_start, delta_set="validation")
+    kind = ConstraintKind.POINT_STATISTICAL
+    drawn = counting_draws(monkeypatch)
+    monkeypatch.setattr(reweight, "shared_epoch_orders", drawn_each_time)
+    each = pointwise_reweight_train(train, valid, kind, cfg)
+    assert len(drawn) == (T + 1) * cfg.inner.epochs
+    monkeypatch.undo()
+    draws = counting_draws(monkeypatch)
+    shared = pointwise_reweight_train(train, valid, kind, cfg)
+    assert draws == [train.n_items] * cfg.inner.epochs
+    assert shared.w.tobytes() == each.w.tobytes() and shared.b == each.b
 
 
 def test_sweep_on_shared_orders_matches_drawn(tmp_path, monkeypatch):
