@@ -7,6 +7,9 @@ has its positive item first, so its pair label is 1, and its weight
 stands for its mirror too (see reweight.pair_weights).  train_pointwise
 fits the item cross-entropy as that loss on item-against-zero rows, so
 both trainers share one loop and one residual form (batch_gradient).
+adam_update steps on Python floats, bit for bit the numpy form it
+replaced, because at small d numpy's fixed cost per call outweighs the
+arithmetic (see its docstring for where that turns).
 """
 
 from __future__ import annotations

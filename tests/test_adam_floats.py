@@ -151,13 +151,11 @@ def test_any_floats_agree(data, d, t, cfg):
     assert_same_step(AdamState(m, v, t), params, grad, cfg)
 
 
-def test_inputs_untouched_and_outputs_fresh(rng):
+def test_outputs_are_fresh_arrays(rng):
+    # test_inner_loop.py checks that the inputs are left untouched.
     state = AdamState(rng.normal(size=4), rng.uniform(size=4), 2)
     params, grad = rng.normal(size=4), rng.normal(size=4)
-    before = [a.copy() for a in (state.m, state.v, params, grad)]
     new_state, new_params = adam_update(state, params, grad, TrainConfig())
-    for a, b in zip((state.m, state.v, params, grad), before):
-        assert a.tobytes() == b.tobytes()
     for out in (new_state.m, new_state.v, new_params):
         assert not any(np.shares_memory(out, a) for a in (state.m, state.v, params, grad))
 
