@@ -1,17 +1,17 @@
-"""Group statistics and the pairwise / pointwise constraint functions.
+"""Group statistics and the pairwise / pointwise constraints, in closed form.
 
 A constraint assigns each labeled pair (or item) a signed value whose
 average under the model's predicted label distribution measures group
 bias; a fair model has zero average.  Every constraint is zero at predicted
 label 0; at observed label 0 only the two statistical families are not.
-
-True order probabilities inside the inter/intra/marginal formulas are
-unknown in practice and are proxied by the observed pair labels.
+Each entry's value at a cell reads that cell's group pair and one total, so
+violations and weight exponents are (K, K) array expressions.  True order
+probabilities are unknown in practice and proxied by the observed labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -62,8 +62,6 @@ class GroupStats:
     pos_frac: float
     item_frac: np.ndarray
     pos_item_frac: np.ndarray
-    # pair_constraint_table's tables of these statistics, by kind.
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def K(self) -> int:
@@ -144,56 +142,59 @@ def point_constraint_mask(kind: ConstraintKind, stats: GroupStats) -> np.ndarray
     return (stats.pos_item_frac > 0) & (stats.pos_item_total > 0)
 
 
-def pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
-    """(K, K, 2K²) constraint values at pair label 1 of every ordered cell.
-
-    Entry [k, l, c] is the (k, l) constraint of ordered cell c, a row-major
-    (group_i, group_j, label); its label is the proxy.  Undefined rows are 0.
-    Each kind's table is built once per GroupStats and shared read-only, so
-    the statistics must not change after their first table is built.
-    """
-    table = stats._tables.get(kind)
-    if table is None:
-        table = stats._tables[kind] = _build_pair_constraint_table(kind, stats)
-        table.flags.writeable = False
-    return table
-
-
-def _build_pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
-    defined = pair_constraint_mask(kind, stats)[..., None]
-    K = stats.K
-    group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)
-    k, l = np.indices((K, K, 1))[:2]
-    if kind is ConstraintKind.PAIR_MARGINAL:
-        # Membership of the first item only, against the row total.
-        member, denom = group_i == k, stats.pos_pair_frac.sum(axis=1, keepdims=True)
-    else:
-        member = (group_i == k) & (group_j == l)
-        denom = stats.pair_frac if kind is ConstraintKind.PAIR_STATISTICAL else stats.pos_pair_frac
-    table = np.zeros((K, K, 2 * K * K))
-    # Undefined entries are never computed, so their zero denominators cannot warn.
-    np.divide(member, denom[..., None], out=table, where=defined)
-    if kind is ConstraintKind.PAIR_STATISTICAL:
-        return np.subtract(table, 1.0, out=table, where=defined)
-    np.subtract(table, 1.0 / stats.pos_frac, out=table, where=defined)
-    return np.multiply(label, table, out=table)
-
-
-def point_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
-    """(K, 2K) pointwise constraint values at label 1 of every item cell.
-
-    Column c holds the items in ``item_cell`` c; each cell's label is the
-    proxy.  POINT_STATISTICAL compares group membership against the group's
-    item share; POINT_EQUAL_OPPORTUNITY restricts the comparison to positive
-    items.  Undefined rows are 0.
-    """
-    K = stats.item_frac.size
-    groups, labels = np.indices((K, 2)).reshape(2, -1)
-    table = np.zeros((K, 2 * K))
-    for k in np.flatnonzero(point_constraint_mask(kind, stats)):
-        member = (groups == k).astype(float)
+def _form(kind: ConstraintKind, stats: GroupStats):
+    """(mask, denominators, total, label factors): at a cell of label y, entry
+    e of kind is labels[y] * ([cell in e] / denominators[e] - 1 / total).
+    A marginal entry (k, l) holds row k's cells, over the row's total."""
+    if kind.is_pointwise:
+        mask = point_constraint_mask(kind, stats)
         if kind is ConstraintKind.POINT_STATISTICAL:
-            table[k] = member / stats.item_frac[k] - 1.0
-        else:
-            table[k] = labels * (member / stats.pos_item_frac[k] - 1.0 / stats.pos_item_total)
-    return table
+            return mask, stats.item_frac, 1.0, (1.0, 1.0)
+        return mask, stats.pos_item_frac, stats.pos_item_total, (0.0, 1.0)
+    mask = pair_constraint_mask(kind, stats)
+    if kind is ConstraintKind.PAIR_STATISTICAL:
+        return mask, stats.pair_frac, 1.0, (1.0, 1.0)
+    if kind is ConstraintKind.PAIR_MARGINAL:
+        return mask, stats.pos_pair_frac.sum(axis=1, keepdims=True), stats.pos_frac, (0.0, 1.0)
+    return mask, stats.pos_pair_frac, stats.pos_frac, (0.0, 1.0)
+
+
+def _per_entry(kind: ConstraintKind, x: np.ndarray, mask, denom, total):
+    """x's part in each entry over its denominator, 0 where undefined (never
+    divided), and x's sum over the total; x is shaped as the mask."""
+    own = np.zeros(mask.shape)
+    if not mask.any():
+        return own, 0.0
+    part = x.sum(axis=1, keepdims=True) if kind is ConstraintKind.PAIR_MARGINAL else x
+    np.divide(part, denom, out=own, where=mask)
+    return own, x.sum() / total
+
+
+def constraint_bias(kind: ConstraintKind, stats: GroupStats, cell_sums: np.ndarray, n: int):
+    """Violation of every entry: the mean over ``n`` ordered pairs (or items)
+    of the constraint at predicted label 1 times its probability, from the
+    probabilities' sums P per cell, (K, K, 2) for pairs and (K, 2) for items.
+
+    An entry reads its own cells and the total: for ``statistical``
+    ((P0 + P1) / pair_frac - sum(P)) / n, for ``inter`` and ``intra``
+    (P1 / pos_pair_frac - sum(P1) / pos_frac) / n; ``marginal`` sums P1 and
+    pos_pair_frac along each row first.  Undefined entries read 0.  Returns
+    the violations and the mask of defined entries.
+    """
+    mask, denom, total, labels = _form(kind, stats)
+    own, rest = _per_entry(kind, cell_sums @ labels, mask, denom, total)
+    return np.where(mask, own - rest, 0.0) / n, mask
+
+
+def constraint_exponents(kind: ConstraintKind, stats: GroupStats, coeffs: np.ndarray) -> np.ndarray:
+    """Exponent of every cell, (K, K, 2) for pairs and (K, 2) for items: the
+    sum over defined entries of the coefficient times the entry's constraint
+    at the cell.  With c the coefficients, 0 on undefined entries (even
+    infinite ones), that is c / pair_frac - sum(c) at both labels for
+    ``statistical``, and c / pos_pair_frac - sum(c) / pos_frac at label 1
+    (0 at label 0) for ``inter`` and ``intra``; ``marginal`` sums c along
+    each row first.
+    """
+    mask, denom, total, labels = _form(kind, stats)
+    own, rest = _per_entry(kind, np.where(mask, coeffs, 0.0), mask, denom, total)
+    return (own - rest)[..., None] * labels

@@ -36,9 +36,10 @@ PAIR_CHUNK = GATHER_BYTES // 8
 # time, so writing holds about one block per column, not a copy of the data.
 WRITE_BLOCK = 1024
 
-# The largest group count whose (K, K, 2K²) constraint table numpy can
-# index: 2K⁴ entries at most np.iinfo(np.intp).max, so 46340 on 64-bit builds.
-MAX_GROUPS = math.isqrt(math.isqrt(np.iinfo(np.intp).max // 2))
+# The largest group count.  A run holds about 81 bytes per group pair to
+# measure and reweigh once and 31 more per outer iteration (about 700 MiB
+# at K = 1024, T = 20), and each history.csv row has 2K² + 5 columns.
+MAX_GROUPS = 1024
 
 
 def pair_chunks(n: int):
@@ -120,12 +121,12 @@ def _check_items(ds: Dataset, use: str) -> None:
 
 
 def _check_group_count(K: int) -> None:
-    """A ValidationError unless K <= MAX_GROUPS.  Such a K can still
-    exhaust memory: its tables are only known to be indexable."""
+    """A ValidationError unless K <= MAX_GROUPS, the largest K whose K²
+    group-pair state and 2K²-column history rows a run is sized for."""
     if K > MAX_GROUPS:
         raise ValidationError(
-            f"group count K={K} exceeds {MAX_GROUPS}, the largest whose (K, K, 2K²) "
-            "constraint table numpy can index"
+            f"group count K={K} exceeds {MAX_GROUPS}: a run holds state for each of "
+            "the K² group pairs"
         )
 
 

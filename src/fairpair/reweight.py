@@ -3,7 +3,7 @@
 Each group pair (k, l) carries a coefficient; a pair's weight is the
 normalized exponential of the coefficient-weighted constraint values over
 the two possible predicted labels.  Every constraint vanishes at predicted
-label 0 (at observed label 0 only the statistical tables do not), so the
+label 0 (at observed label 0 only the statistical ones do not), so the
 weight reduces to a sigmoid of the constraint sum.  One outer loop serves
 both methods: measure the model's violation, nudge the coefficients
 against it, reweight the pairs or items, and retrain.
@@ -22,11 +22,10 @@ from .constraints import (
     ConstraintKind,
     GroupStats,
     compute_point_stats,
+    constraint_bias,
+    constraint_exponents,
     pair_constraint_mask,
-    pair_constraint_table,
     pairs_and_stats,
-    point_constraint_mask,
-    point_constraint_table,
 )
 from .data import Dataset, PairSet, item_cell, pair_chunks
 from .errors import ValidationError, require_types
@@ -125,24 +124,7 @@ def expected_bias(
         np.negative(z, out=z)
         np.add.at(neg, cell[part], stable_sigmoid(z))
     cell_sums = np.stack((neg.reshape(K, K).T, pos.reshape(K, K)), axis=-1)
-    table = pair_constraint_table(kind, stats)
-    return DeltaMatrix(table @ cell_sums.ravel() / (2 * len(ps)), pair_constraint_mask(kind, stats))
-
-
-def _exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-cell sum of coeffs[e] * table[e] over defined entries e with nonzero coefficients.
-
-    The rows of terms are summed in entry order, the bits of a running sum
-    from zeros (a matrix product sums in another order).  The sum is added
-    to zeros, so a cell whose terms are all -0.0 reads +0.0 as in that
-    running sum, whichever value numpy's reduction starts from.
-    """
-    held = mask & (coeffs != 0.0)
-    terms = table[held]
-    terms *= coeffs[held][:, None]
-    s = np.zeros(table.shape[-1])
-    s += terms.sum(axis=0)
-    return s
+    return DeltaMatrix(*constraint_bias(kind, stats, cell_sums, 2 * len(ps)))
 
 
 def _own_label_weights(s: np.ndarray) -> np.ndarray:
@@ -153,11 +135,11 @@ def _own_label_weights(s: np.ndarray) -> np.ndarray:
 
 def _pair_cell_weights(coeffs: Coefficients, stats: GroupStats, weight_form: str):
     """Weight of every ordered cell, (k, l, label) raveled over (K, K, 2), at its own label."""
-    mask = pair_constraint_mask(coeffs.kind, stats)
     if weight_form == "general":
-        s = _exponents(coeffs.values, mask, pair_constraint_table(coeffs.kind, stats))
+        s = constraint_exponents(coeffs.kind, stats, coeffs.values).ravel()
     elif weight_form == "indicator":
-        s = np.repeat(np.where(mask, coeffs.values, 0.0).ravel(), 2)
+        held = np.where(pair_constraint_mask(coeffs.kind, stats), coeffs.values, 0.0)
+        s = np.repeat(held.ravel(), 2)
     else:
         raise ValidationError(f"unknown weight_form {weight_form!r}")
     return _own_label_weights(s)
@@ -290,10 +272,9 @@ def point_expected_bias(
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
     p = stable_sigmoid(check_scores(scores, ds.n_items))
-    table = point_constraint_table(kind, stats)
     cells = item_cell(ds.groups, ds.labels, ds.K)
-    cell_sums = np.bincount(cells, weights=p, minlength=table.shape[-1])
-    return DeltaMatrix(table @ cell_sums / p.size, point_constraint_mask(kind, stats))
+    cell_sums = np.bincount(cells, weights=p, minlength=2 * ds.K).reshape(ds.K, 2)
+    return DeltaMatrix(*constraint_bias(kind, stats, cell_sums, p.size))
 
 
 def point_weights(
@@ -301,7 +282,7 @@ def point_weights(
 ) -> np.ndarray:
     """Per-item weight at the observed label, normalized over both labels;
     a cell holding items whose weight is not > 0 is a ValidationError."""
-    s = _exponents(coeffs, point_constraint_mask(kind, stats), point_constraint_table(kind, stats))
+    s = constraint_exponents(kind, stats, coeffs).ravel()
     weights, cells = _own_label_weights(s), item_cell(ds.groups, ds.labels, ds.K)
     held = np.bincount(cells, minlength=weights.size)
     _check_cell_weights(weights, held, "item", {"k": ds.K, "label": 2})

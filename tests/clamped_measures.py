@@ -5,13 +5,12 @@ differential oracle: ``expected_bias`` and ``point_expected_bias`` summed
 
 import numpy as np
 
+from constraint_oracle import pair_constraint_table, point_constraint_table
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
     pair_constraint_mask,
-    pair_constraint_table,
     point_constraint_mask,
-    point_constraint_table,
 )
 from fairpair.data import Dataset, PairSet, item_cell, pair_chunks
 from fairpair.errors import ValidationError

@@ -1,10 +1,19 @@
-"""The per-(k, l) pairwise constraint and the per-entry exponent sum,
-kept as test oracles.
+"""The constraint tables the library's closed forms replaced, the per-(k, l)
+constraint and the per-entry exponent sum, kept as test oracles.
+
+``pair_constraint_table`` and ``point_constraint_table`` hold every
+entry's constraint at every cell, (K, K, 2K²) and (K, 2K) doubles;
+``table_exponents`` sums the coefficient-weighted rows of a table, the
+former ``reweight._exponents``.  ``table_bias`` and ``table_cell_exponents``
+apply them as ``constraints.constraint_bias`` and
+``constraints.constraint_exponents`` do in closed form, and ``table_algebra``
+patches them into ``reweight`` for tests that compare bits recorded or
+computed through the tables.
 
 ``pair_constraint_table`` builds every (k, l) row of the table in one
 broadcast expression.  It used to call ``pair_constraint_at_one`` once per
 defined (k, l) entry; ``loop_pair_constraint_table`` is that loop.
-``reweight._exponents`` sums its entries' weighted table rows in one
+``table_exponents`` sums its entries' weighted table rows in one
 reduction; ``loop_exponents`` is the running sum it replaced.
 ``reweight._own_label_weights`` is ``stable_sigmoid`` of the signed
 exponent; ``exp_own_label_weights`` is the normalized exponential it replaced.
@@ -12,7 +21,98 @@ exponent; ``exp_own_label_weights`` is the normalized exponential it replaced.
 
 import numpy as np
 
-from fairpair.constraints import ConstraintKind, GroupStats, pair_constraint_mask
+from fairpair import reweight
+from fairpair.constraints import (
+    ConstraintKind,
+    GroupStats,
+    pair_constraint_mask,
+    point_constraint_mask,
+)
+
+
+def pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
+    """(K, K, 2K²) constraint values at pair label 1 of every ordered cell.
+
+    Entry [k, l, c] is the (k, l) constraint of ordered cell c, a row-major
+    (group_i, group_j, label); its label is the proxy.  Undefined rows are 0.
+    """
+    defined = pair_constraint_mask(kind, stats)[..., None]
+    K = stats.K
+    group_i, group_j, label = np.indices((K, K, 2)).reshape(3, -1)
+    k, l = np.indices((K, K, 1))[:2]
+    if kind is ConstraintKind.PAIR_MARGINAL:
+        # Membership of the first item only, against the row total.
+        member, denom = group_i == k, stats.pos_pair_frac.sum(axis=1, keepdims=True)
+    else:
+        member = (group_i == k) & (group_j == l)
+        denom = stats.pair_frac if kind is ConstraintKind.PAIR_STATISTICAL else stats.pos_pair_frac
+    table = np.zeros((K, K, 2 * K * K))
+    # Undefined entries are never computed, so their zero denominators cannot warn.
+    np.divide(member, denom[..., None], out=table, where=defined)
+    if kind is ConstraintKind.PAIR_STATISTICAL:
+        return np.subtract(table, 1.0, out=table, where=defined)
+    np.subtract(table, 1.0 / stats.pos_frac, out=table, where=defined)
+    return np.multiply(label, table, out=table)
+
+
+def point_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
+    """(K, 2K) pointwise constraint values at label 1 of every item cell.
+
+    Column c holds the items in ``item_cell`` c; each cell's label is the
+    proxy.  POINT_STATISTICAL compares group membership against the group's
+    item share; POINT_EQUAL_OPPORTUNITY restricts the comparison to positive
+    items.  Undefined rows are 0.
+    """
+    K = stats.item_frac.size
+    groups, labels = np.indices((K, 2)).reshape(2, -1)
+    table = np.zeros((K, 2 * K))
+    for k in np.flatnonzero(point_constraint_mask(kind, stats)):
+        member = (groups == k).astype(float)
+        if kind is ConstraintKind.POINT_STATISTICAL:
+            table[k] = member / stats.item_frac[k] - 1.0
+        else:
+            table[k] = labels * (member / stats.pos_item_frac[k] - 1.0 / stats.pos_item_total)
+    return table
+
+
+def table_exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-cell sum of coeffs[e] * table[e] over defined entries e with nonzero coefficients.
+
+    The rows of terms are summed in entry order, the bits of a running sum
+    from zeros (a matrix product sums in another order).  The sum is added
+    to zeros, so a cell whose terms are all -0.0 reads +0.0 as in that
+    running sum, whichever value numpy's reduction starts from.
+    """
+    held = mask & (coeffs != 0.0)
+    terms = table[held]
+    terms *= coeffs[held][:, None]
+    s = np.zeros(table.shape[-1])
+    s += terms.sum(axis=0)
+    return s
+
+
+def _table_and_mask(kind: ConstraintKind, stats: GroupStats):
+    if kind.is_pairwise:
+        return pair_constraint_table(kind, stats), pair_constraint_mask(kind, stats)
+    return point_constraint_table(kind, stats), point_constraint_mask(kind, stats)
+
+
+def table_bias(kind: ConstraintKind, stats: GroupStats, cell_sums: np.ndarray, n: int) -> np.ndarray:
+    """constraints.constraint_bias as the table's product with the cell sums."""
+    table, mask = _table_and_mask(kind, stats)
+    return table @ cell_sums.ravel() / n, mask
+
+
+def table_cell_exponents(kind: ConstraintKind, stats: GroupStats, coeffs: np.ndarray) -> np.ndarray:
+    """constraints.constraint_exponents as the table's coefficient-weighted row sum."""
+    table, mask = _table_and_mask(kind, stats)
+    return table_exponents(coeffs, mask, table).reshape(*mask.shape, 2)
+
+
+def table_algebra(monkeypatch) -> None:
+    """Route reweight's violations and exponents through the tables."""
+    monkeypatch.setattr(reweight, "constraint_bias", table_bias)
+    monkeypatch.setattr(reweight, "constraint_exponents", table_cell_exponents)
 
 
 def pair_constraint_at_one(
@@ -48,7 +148,7 @@ def loop_pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.nd
 
 
 def loop_exponents(coeffs: np.ndarray, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """reweight._exponents as a running sum, one defined entry with a nonzero
+    """table_exponents as a running sum, one defined entry with a nonzero
     coefficient at a time."""
     s = np.zeros(table.shape[-1])
     for e in zip(*np.nonzero(mask & (coeffs != 0.0))):

@@ -5,11 +5,11 @@ but for the probability clamp, which the library has since dropped."""
 
 import numpy as np
 
+from constraint_oracle import pair_constraint_table
 from fairpair.constraints import (
     ConstraintKind,
     GroupStats,
     pair_constraint_mask,
-    pair_constraint_table,
 )
 from fairpair.data import Dataset, PairSet, pair_chunks
 from fairpair.errors import ValidationError

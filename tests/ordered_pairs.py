@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairpair.constraints import GroupStats, compute_point_stats, pair_constraint_table
+from constraint_oracle import pair_constraint_table
+from fairpair.constraints import GroupStats, compute_point_stats
 from fairpair.data import Dataset
 from fairpair.model import stable_sigmoid
 from fairpair.reweight import _pair_cell_weights

@@ -21,6 +21,7 @@ from conftest import (
     pair_subset,
     random_dataset,
 )
+from constraint_oracle import pair_constraint_table, point_constraint_table
 from enumeration import EnumeratedInstance, bias_correction_identity
 from fairpair.cli import main
 from fairpair.constraints import (
@@ -28,8 +29,6 @@ from fairpair.constraints import (
     compute_group_stats,
     compute_point_stats,
     pair_constraint_mask,
-    pair_constraint_table,
-    point_constraint_table,
 )
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.evaluation import auc

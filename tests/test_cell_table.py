@@ -21,13 +21,16 @@ from constraint_oracle import (
     loop_exponents,
     loop_pair_constraint_table,
     pair_constraint_at_one,
+    pair_constraint_table,
+    table_algebra,
+    table_exponents,
 )
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
     compute_point_stats,
+    constraint_exponents,
     pair_constraint_mask,
-    pair_constraint_table,
     point_constraint_mask,
 )
 from fairpair.data import Dataset, generate_synthetic, make_pairs, split_queries
@@ -35,7 +38,6 @@ from fairpair.errors import ValidationError
 from fairpair.model import LinearRankingModel, score_matrix, stable_sigmoid
 from fairpair.reweight import (
     Coefficients,
-    _exponents,
     _own_label_weights,
     FairTrainConfig,
     expected_bias,
@@ -175,8 +177,10 @@ class TestPairTablesMatchLoops:
         for s in (stats, stats_neg):
             assert_same_bits(pair_constraint_table(kind, s), loop_pair_constraint_table(kind, s))
 
-    def test_pair_weights_bit_identical(self, rng, kind, K):
-        # A pair weighs the mean of its two ordered pairs' loop weights.
+    def test_pair_weights_bit_identical(self, rng, monkeypatch, kind, K):
+        # A pair weighs the mean of its two ordered pairs' loop weights.  The
+        # loop sums the table's terms, so the exponents go through the tables.
+        table_algebra(monkeypatch)
         ds, ps, stats = self.setup_data(rng, K)
         op = ordered_pairs(ps)
         undefined = ~pair_constraint_mask(kind, stats)
@@ -226,14 +230,14 @@ def test_exponents_match_running_sum_bits(rng):
         coeffs[rng.random(shape) < 0.2] = 0.0
         coeffs[rng.random(shape) < 0.05] = -0.0
         mask = rng.random(shape) < 0.8
-        assert_same_bits(_exponents(coeffs, mask, table), loop_exponents(coeffs, mask, table))
+        assert_same_bits(table_exponents(coeffs, mask, table), loop_exponents(coeffs, mask, table))
     # Only -0.0 terms: the running sum from zeros reads +0.0.
     coeffs, table = np.array([-1.0, -2.0]), np.zeros((2, 4))
-    got = _exponents(coeffs, np.ones(2, dtype=bool), table)
+    got = table_exponents(coeffs, np.ones(2, dtype=bool), table)
     assert_same_bits(got, loop_exponents(coeffs, np.ones(2, dtype=bool), table))
     assert not np.signbit(got).any()
     # No entry held: zeros.
-    assert_same_bits(_exponents(coeffs, np.zeros(2, dtype=bool), table), np.zeros(4))
+    assert_same_bits(table_exponents(coeffs, np.zeros(2, dtype=bool), table), np.zeros(4))
 
 
 def test_own_label_weights_match_exp_form_bits(rng):
@@ -269,13 +273,14 @@ def test_exponents_match_running_sum_bits_on_tables(rng, kind, K):
     mask, table = pair_constraint_mask(kind, stats), pair_constraint_table(kind, stats)
     for scale in (0.0, 1e-3, 1.0, 50.0):
         coeffs = random_coefficients(rng, K, scale=scale)
-        assert_same_bits(_exponents(coeffs, mask, table), loop_exponents(coeffs, mask, table))
+        assert_same_bits(table_exponents(coeffs, mask, table), loop_exponents(coeffs, mask, table))
 
 
 @pytest.mark.parametrize("kind", POINT_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("K", [1, 3, 8])
 class TestPointTablesMatchLoops:
-    def test_point_weights_bit_identical(self, rng, kind, K):
+    def test_point_weights_bit_identical(self, rng, monkeypatch, kind, K):
+        table_algebra(monkeypatch)  # as for pairs, the loop sums the table's terms
         ds = random_dataset(rng, n_queries=5, items_per_query=12, d=3, K=K)
         stats = compute_point_stats(ds)
         for _ in range(5):
@@ -310,8 +315,7 @@ def test_label_weights_of_a_cell_sum_to_one(seed, K, kind):
     ps = make_pairs(random_dataset(rng, n_queries=3, items_per_query=6, K=K))
     stats = compute_group_stats(ps)
     coeffs = Coefficients(random_coefficients(rng, K, scale=5.0), kind)
-    mask = pair_constraint_mask(kind, stats)
-    s = _exponents(coeffs.values, mask, pair_constraint_table(kind, stats))
+    s = constraint_exponents(kind, stats, coeffs.values).ravel()
     op = ordered_pairs(ps)
     cell = op.cell
     try:

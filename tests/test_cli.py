@@ -596,11 +596,13 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "source,command,K",
-        [("csv", "train", 10**30), ("csv", "train", 4 * 10**9), ("synth", "generate", 10**30)],
+        [("csv", "train", 10**30), ("csv", "train", 4 * 10**9), ("synth", "generate", 10**30),
+         ("synth", "generate", 1025)],
     )
     def test_group_count_too_large_rejected(self, tmp_path, capsys, source, command, K):
-        # K above data.MAX_GROUPS (46340), whose (K, K, 2K²) constraint
-        # table numpy cannot index, is named before any data is read or made.
+        # K above data.MAX_GROUPS (1024), whose K² group-pair state and
+        # 2K²-column history rows outgrow a run, is named before any data is
+        # read or made.
         doc = base_config(tmp_path / "out")
         if source == "csv":
             ds, _ = generate_synthetic(12, 10, 3, 2, 1.0, seed=5)
@@ -610,7 +612,7 @@ class TestConfigHandling:
             doc["dataset"]["synth"]["K"] = K
         assert main([command, "--config", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
-        assert f"group count K={K} exceeds 46340" in err
+        assert f"group count K={K} exceeds 1024" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

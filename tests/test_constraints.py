@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import all_cells_pairs, build_dataset, random_dataset
+from constraint_oracle import pair_constraint_table, point_constraint_table
 from ordered_pairs import fold, ordered_pairs
 from fairpair.constraints import (
     ConstraintKind,
@@ -11,9 +12,7 @@ from fairpair.constraints import (
     compute_group_stats,
     compute_point_stats,
     pair_constraint_mask,
-    pair_constraint_table,
     point_constraint_mask,
-    point_constraint_table,
 )
 from fairpair.data import Dataset, item_cell, make_pairs
 from fairpair.errors import ValidationError
@@ -233,18 +232,6 @@ class TestPairConstraint:
         stats = make_stats([[1.0]], [[0.5]], 0.5)
         with pytest.raises(ValidationError):
             pair_constraint_table(ConstraintKind.POINT_STATISTICAL, stats)
-
-    def test_table_built_once_per_kind_and_stats(self, rng):
-        ps = make_pairs(random_dataset(rng, n_queries=4, items_per_query=6, d=2, K=3))
-        stats, same_counts = compute_group_stats(ps), compute_group_stats(ps)
-        for kind in PAIR_KINDS:
-            table = pair_constraint_table(kind, stats)
-            assert pair_constraint_table(kind, stats) is table
-            assert not table.flags.writeable
-            fresh = pair_constraint_table(kind, same_counts)
-            assert fresh is not table and fresh.tobytes() == table.tobytes()
-        tables = [pair_constraint_table(kind, stats) for kind in PAIR_KINDS]
-        assert len({id(t) for t in tables}) == len(PAIR_KINDS)
 
 
 class TestPointConstraint:

@@ -59,9 +59,10 @@ class TestLoadCsv:
         assert len(ds.queries[0]) == 2
 
     def test_group_count_bound(self, tmp_path):
-        # 2K⁴, the entry count of the (K, K, 2K²) constraint table, must be
-        # an index numpy takes: K = 46340 is the largest on 64-bit builds.
-        assert 2 * MAX_GROUPS**4 <= np.iinfo(np.intp).max < 2 * (MAX_GROUPS + 1) ** 4
+        # A run holds about 81 bytes per group pair, plus about 31 per outer
+        # iteration, and history.csv rows have 2K² + 5 columns: at K = 1024
+        # that is about 700 MiB for T = 20 and 2.1M columns a row.
+        assert MAX_GROUPS == 1024 and 2 * MAX_GROUPS**2 + 5 == 2_097_157
         path = write(tmp_path, "query_id,group,label,f0\nq,0,1,1.0\n")
         assert load_csv(path, declared_K=MAX_GROUPS).K == MAX_GROUPS
         for K in (MAX_GROUPS + 1, 10**30):

@@ -13,12 +13,11 @@ import pytest
 
 import clamped_measures
 from conftest import build_dataset, random_dataset
+from constraint_oracle import pair_constraint_table, point_constraint_table, table_algebra
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
     compute_point_stats,
-    pair_constraint_table,
-    point_constraint_table,
 )
 from fairpair.data import make_pairs
 from fairpair.model import stable_sigmoid
@@ -45,7 +44,8 @@ def assert_within_clamp(got, want, table, any_clamped):
 
 @pytest.mark.parametrize("K", [2, 3, 8])
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
-def test_pair_violation_within_clamp_of_oracle(rng, kind, K):
+def test_pair_violation_within_clamp_of_oracle(rng, monkeypatch, kind, K):
+    table_algebra(monkeypatch)  # the oracle applies the table: equal bits unclamped
     seen_clamped = False
     for _ in range(3):
         ps = make_pairs(random_dataset(rng, n_queries=6, items_per_query=20, d=3, K=K))
@@ -64,7 +64,8 @@ def test_pair_violation_within_clamp_of_oracle(rng, kind, K):
 
 @pytest.mark.parametrize("K", [2, 3, 8])
 @pytest.mark.parametrize("kind", POINT_KINDS, ids=lambda k: k.value)
-def test_point_violation_within_clamp_of_oracle(rng, kind, K):
+def test_point_violation_within_clamp_of_oracle(rng, monkeypatch, kind, K):
+    table_algebra(monkeypatch)
     seen_clamped = False
     for _ in range(3):
         ds = random_dataset(rng, n_queries=6, items_per_query=20, d=3, K=K)

@@ -9,6 +9,7 @@ import pytest
 
 import fairpair.reweight as rw
 from conftest import all_cells_pairs, build_dataset, random_dataset
+from constraint_oracle import table_algebra
 from enumeration import EnumeratedInstance, bias_correction_identity
 from fairpair import constraints, training
 from fairpair.constraints import (
@@ -389,36 +390,6 @@ class TestFairTrain:
             assert rec.delta.tobytes() == ref.delta.tobytes()
             assert rec.coeffs.tobytes() == ref.coeffs.tobytes()
 
-    @pytest.mark.parametrize("weight_form", ["general", "indicator"])
-    @pytest.mark.parametrize("delta_set", ["train", "validation"])
-    def test_builds_each_constraint_table_once(self, monkeypatch, weight_form, delta_set):
-        # One table per GroupStats, train and eval, where every expected_bias
-        # and general pair_weights call used to build its own: 3T + 2 here.
-        # The run equals one that builds a fresh table on every call.
-        train, valid, _ = self.biased_splits()
-        cfg = small_cfg(T=3, delta_set=delta_set, weight_form=weight_form)
-        kind = ConstraintKind.PAIR_INTER_GROUP
-        build = constraints._build_pair_constraint_table
-        with monkeypatch.context() as mp:
-            mp.setattr(rw, "pair_constraint_table", build)
-            ref_model, ref_coeffs, ref_history = fair_train(train, valid, kind, cfg)
-
-        built = []
-
-        def counted(kind, stats):
-            built.append(stats)
-            return build(kind, stats)
-
-        monkeypatch.setattr(constraints, "_build_pair_constraint_table", counted)
-        model, coeffs, history = fair_train(train, valid, kind, cfg)
-        assert len(built) == 2 and built[0] is not built[1]
-        assert model.w.tobytes() == ref_model.w.tobytes()
-        assert coeffs.values.tobytes() == ref_coeffs.values.tobytes()
-        for rec, ref in zip(history, ref_history, strict=True):
-            assert (rec.fairness_train, rec.fairness_eval) == (ref.fairness_train, ref.fairness_eval)
-            assert rec.delta.tobytes() == ref.delta.tobytes()
-            assert rec.coeffs.tobytes() == ref.coeffs.tobytes()
-
     def test_warm_start_changes_trajectory(self):
         train, valid, _ = self.biased_splits()
         m_cold, _, _ = fair_train(train, valid, STAT, small_cfg(T=3))
@@ -510,7 +481,8 @@ def hex_digest(values):
 # (an int32 shuffle, np.clip, two exp calls per sigmoid, one constraint
 # table row per (k, l) call).  Each history row digests the four metrics,
 # then delta and the coefficients, row-major.  These bits hold with
-# training.batch_gradient patched to its old residual (loss_oracle).
+# training.batch_gradient patched to its old residual (loss_oracle) and
+# the constraint tables patched in (constraint_oracle.table_algebra).
 GOLDEN_W = ["0x1.0668e8f069708p-4", "-0x1.27be8a4602470p-4", "0x1.6cebc04c848bcp-4"]
 GOLDEN_COEFFS = "23fd16a2bb6536ae"
 GOLDEN_HISTORY = [
@@ -522,7 +494,8 @@ GOLDEN_HISTORY = [
 ]
 
 # Recorded from fair_train once the gradient's residual was formed as
-# -weight / (1 + exp(z)); the same digests as above.
+# -weight / (1 + exp(z)); the same digests as above, with the tables
+# patched in.
 GOLDEN_RESIDUAL_W = ["0x1.0668e8f069707p-4", "-0x1.27be8a4602470p-4", "0x1.6cebc04c848bcp-4"]
 GOLDEN_RESIDUAL_COEFFS = "ccffabee363ce5b8"
 GOLDEN_RESIDUAL_HISTORY = [
@@ -533,6 +506,19 @@ GOLDEN_RESIDUAL_HISTORY = [
     "77b62f628a4e69c9", "815c04809fade21f", "d27bcc0eb94328a2", "570e90bb042e8c5e",
 ]
 
+
+# Recorded from fair_train once the violations and exponents were formed
+# in closed form (constraints.constraint_bias and constraint_exponents),
+# which round differently from the table product; the same digests.
+GOLDEN_CLOSED_FORM_W = ["0x1.0668e8f06970dp-4", "-0x1.27be8a460246fp-4", "0x1.6cebc04c848bdp-4"]
+GOLDEN_CLOSED_FORM_COEFFS = "bbc7a958be60d025"
+GOLDEN_CLOSED_FORM_HISTORY = [
+    "fca897ae8152122a", "578cd70d2f74c4fd", "9a37adb6a95efa15", "e39dd816c54a4419",
+    "46bb8cc3490e2895", "9dc0a87e426e4afe", "ee97477232a22b47", "95b40afca5bccae4",
+    "263fa82ac4e1ee09", "294b48643143db37", "6c2dbf2399ba965e", "96e30e55a23b27fd",
+    "fa48045b49fc59d3", "eb56a98e891b557e", "0e9f72c2b10579b4", "c676630e696a9e69",
+    "db1e292768f9ea9b", "0331d28e515b2594", "6a520d23f25b2abf", "c06f9ce0edfeeee3",
+]
 
 def assert_small_fair_train_bits(golden_w, golden_coeffs, golden_history):
     # The tiny reweight-k8 benchmark shape: 48x16 items, d=3, K=8, inter,
@@ -555,12 +541,20 @@ def assert_small_fair_train_bits(golden_w, golden_coeffs, golden_history):
 
 def test_small_fair_train_matches_its_recorded_bits(monkeypatch):
     monkeypatch.setattr(training, "batch_gradient", old_batch_gradient)
+    table_algebra(monkeypatch)
     assert_small_fair_train_bits(GOLDEN_W, GOLDEN_COEFFS, GOLDEN_HISTORY)
 
 
-def test_small_fair_train_matches_its_recorded_residual_bits():
+def test_small_fair_train_matches_its_recorded_residual_bits(monkeypatch):
+    table_algebra(monkeypatch)
     assert_small_fair_train_bits(
         GOLDEN_RESIDUAL_W, GOLDEN_RESIDUAL_COEFFS, GOLDEN_RESIDUAL_HISTORY
+    )
+
+
+def test_small_fair_train_matches_its_recorded_closed_form_bits():
+    assert_small_fair_train_bits(
+        GOLDEN_CLOSED_FORM_W, GOLDEN_CLOSED_FORM_COEFFS, GOLDEN_CLOSED_FORM_HISTORY
     )
 
 

@@ -9,11 +9,11 @@ import pytest
 
 import model_measures as old
 from conftest import random_dataset
+from constraint_oracle import pair_constraint_table, table_algebra
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
     compute_point_stats,
-    pair_constraint_table,
 )
 from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
@@ -72,9 +72,11 @@ def setup_data(rng, K):
 
 @pytest.mark.parametrize("K", [2, 3, 8])
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
-def test_zero_bias_scores_match_the_model_forms_bit_for_bit(rng, kind, K):
+def test_zero_bias_scores_match_the_model_forms_bit_for_bit(rng, monkeypatch, kind, K):
     # A pairwise model's b is 0.0, so score_matrix's X @ w + b has the bits
-    # of X @ w but for the sign of a zero, which no sigmoid sees.
+    # of X @ w but for the sign of a zero, which no sigmoid sees.  The model
+    # forms apply the constraint table, so the scores' forms do too.
+    table_algebra(monkeypatch)
     ds, ps, stats = setup_data(rng, K)
     for scale in (0.1, 2.0, 30.0):
         model = LinearRankingModel(rng.normal(scale=scale, size=ds.d), 0.0)
