@@ -1,11 +1,13 @@
-"""Differential and property tests for the cell-table constraint core.
+"""Differential and property tests for the per-cell constraint core.
 
 Every pairwise constraint value depends only on a pair's cell (group_i,
 group_j, label), and every pointwise value only on an item's (group,
 label) cell.  The reference functions below are copies of the per-pair and
-per-item loops that the tables replaced, run on the ordered pairs (both
-orientations of each pair, see ordered_pairs.py); the table code must
-reproduce their weights bit for bit and their violations to 1e-12.
+per-item loops that the cell tables replaced, run on the ordered pairs
+(both orientations of each pair, see ordered_pairs.py).  The weights must
+match them bit for bit with the tables' algebra patched in (the loops sum
+the same terms), and the violations to 1e-12.  The tables themselves are
+test oracles (constraint_oracle.py), checked here against the loops.
 """
 
 import warnings

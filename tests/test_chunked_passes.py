@@ -70,6 +70,7 @@ def whole_expected_bias(model, ps, stats, kind):
     np.negative(z, out=z)
     neg = np.bincount(cell, weights=stable_sigmoid(z), minlength=K * K)
     cell_sums = np.stack((neg.reshape(K, K).T, pos.reshape(K, K)), axis=-1)
+    # The chunked cell sums are under test; the algebra after them is shared.
     return constraint_bias(kind, stats, cell_sums, 2 * len(ps))[0]
 
 
