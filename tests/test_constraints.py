@@ -18,14 +18,6 @@ from fairpair.data import Dataset, item_cell, make_pairs
 from fairpair.errors import ValidationError
 from fairpair.reweight import Coefficients, pair_weights, point_weights
 
-PAIR_KINDS = [
-    ConstraintKind.PAIR_STATISTICAL,
-    ConstraintKind.PAIR_INTER_GROUP,
-    ConstraintKind.PAIR_INTRA_GROUP,
-    ConstraintKind.PAIR_MARGINAL,
-]
-
-
 def make_stats(pair_frac, pos_pair_frac, pos_frac, item_frac=None, pos_item_frac=None):
     pair_frac = np.asarray(pair_frac, dtype=float)
     K = pair_frac.shape[0]
