@@ -1,12 +1,12 @@
 """Group statistics and the pairwise / pointwise constraints, in closed form.
 
-A constraint assigns each labeled pair (or item) a signed value whose
-average under the model's predicted label distribution measures group
-bias; a fair model has zero average.  Every constraint is zero at predicted
-label 0; at observed label 0 only the two statistical families are not.
-Each entry's value at a cell reads that cell's group pair and one total, so
-violations and weight exponents are (K, K) array expressions.  True order
-probabilities are unknown in practice and proxied by the observed labels.
+The statistics count the ordered pairs (or items) of each group cell and
+label.  A constraint gives each labeled pair (or item) a signed value whose
+mean under the model's predicted labels measures group bias; a fair model
+has zero mean.  Every constraint is zero at predicted label 0; at observed
+label 0 only the two statistical families are not.  An entry's value at a
+cell reads the cell's counts and one total, so violations and weight
+exponents are (K, K) expressions; observed labels proxy true order probabilities.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, PairSet, _check_items, make_pairs
+from .data import Dataset, PairSet, _check_items, item_cell, make_pairs
 from .errors import ValidationError
 
 
@@ -46,41 +46,38 @@ class ConstraintKind(Enum):
 
 @dataclass(eq=False)
 class GroupStats:
-    """Empirical group statistics of a pair set's ordered pairs and its source items.
+    """Per-cell counts of a pair set's ordered pairs, or of a dataset's items.
 
-    pair_frac[k, l]      fraction of ordered pairs whose items fall in (G_k, G_l)
-    pos_pair_frac[k, l]  fraction of ordered pairs in (G_k, G_l) with pair label 1
-    pos_frac             fraction of all ordered pairs with pair label 1; 0.5
-                         for every non-empty pair set, as each pair is one
-                         label-1 and one label-0 ordered pair
-    item_frac[k]         fraction of source items in G_k
-    pos_item_frac[k]     fraction of source items in G_k with label 1
+    ``counts`` is (K, K, 2) ordered pairs per (group_i, group_j, pair label),
+    or (K, 2) items per (group, label), out of ``n``.  The fractions the
+    constraints divide by serve both shapes: ``pair_frac`` counts both labels
+    of a cell and ``pos_pair_frac`` its label 1, over n; ``pos_frac`` is the
+    label-1 share of all n, 0.5 for every non-empty pair set, as each pair
+    is one label-1 and one label-0 ordered pair.
     """
 
-    pair_frac: np.ndarray
-    pos_pair_frac: np.ndarray
-    pos_frac: float
-    item_frac: np.ndarray
-    pos_item_frac: np.ndarray
+    counts: np.ndarray
+    n: int
 
     @property
     def K(self) -> int:
-        return self.pair_frac.shape[0]
+        return self.counts.shape[0]
 
     @property
-    def pos_item_total(self) -> float:
-        return float(self.pos_item_frac.sum())
+    def pair_frac(self) -> np.ndarray:
+        return self.counts.sum(axis=-1) / self.n
 
+    @property
+    def pos_pair_frac(self) -> np.ndarray:
+        return self.counts[..., 1] / self.n
 
-def _item_stats(ds) -> tuple[np.ndarray, np.ndarray]:
-    n = ds.n_items
-    item_frac = np.bincount(ds.groups, minlength=ds.K) / n
-    pos_item_frac = np.bincount(ds.groups, weights=ds.labels.astype(float), minlength=ds.K) / n
-    return item_frac, pos_item_frac
+    @property
+    def pos_frac(self) -> float:
+        return float(self.counts[..., 1].sum() / self.n)
 
 
 def compute_group_stats(ps: PairSet) -> GroupStats:
-    """Count group-pair membership and positive-label proportions over all ordered pairs.
+    """Count the ordered pairs of each group pair and label.
 
     Each pair is the label-1 pair (i, j) of its group pair and the label-0
     pair (j, i) of the transposed one, so the label-0 counts are the
@@ -88,9 +85,8 @@ def compute_group_stats(ps: PairSet) -> GroupStats:
     """
     if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
-    n = 2 * len(ps)
     pos = ps.cell_counts()
-    return GroupStats((pos + pos.T) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
+    return GroupStats(np.stack((pos.T, pos), axis=-1), 2 * len(ps))
 
 
 def pairs_and_stats(ds: Dataset, name: str) -> tuple[PairSet, GroupStats]:
@@ -103,60 +99,52 @@ def pairs_and_stats(ds: Dataset, name: str) -> tuple[PairSet, GroupStats]:
 
 
 def compute_point_stats(ds) -> GroupStats:
-    """Item-only statistics for pointwise constraints; pair fields are zeroed."""
+    """Count the items of each group and label, for the pointwise constraints."""
     if ds.n_items == 0:
         raise ValidationError("cannot compute item statistics of an empty dataset")
     _check_items(ds, "item statistics")
-    item_frac, pos_item_frac = _item_stats(ds)
-    K = ds.K
-    return GroupStats(np.zeros((K, K)), np.zeros((K, K)), 0.0, item_frac, pos_item_frac)
+    counts = np.bincount(item_cell(ds.groups, ds.labels, ds.K), minlength=2 * ds.K)
+    return GroupStats(counts.reshape(ds.K, 2), ds.n_items)
 
 
 def pair_constraint_mask(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
-    """(K, K) boolean mask of group pairs where the constraint has a value.
-
-    An entry is False when the family does not define it (e.g. diagonal
-    entries for cross-group families) or when a denominator is zero.
-    """
+    """(K, K) boolean mask of group pairs where the constraint has a value (see _form)."""
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
-    K = stats.K
-    off_diag = ~np.eye(K, dtype=bool)
-    if kind is ConstraintKind.PAIR_STATISTICAL:
-        return off_diag & (stats.pair_frac > 0)
-    if kind is ConstraintKind.PAIR_INTER_GROUP:
-        return off_diag & (stats.pos_pair_frac > 0)
-    if kind is ConstraintKind.PAIR_INTRA_GROUP:
-        return np.eye(K, dtype=bool) & (stats.pos_pair_frac > 0)
-    # Marginal: one constraint per first-group k, replicated across l.
-    row_ok = stats.pos_pair_frac.sum(axis=1) > 0
-    return np.repeat(row_ok[:, None], K, axis=1)
+    return _form(kind, stats)[0]
 
 
 def point_constraint_mask(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
     """(K,) boolean mask of groups where the pointwise constraint has a value."""
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
-    if kind is ConstraintKind.POINT_STATISTICAL:
-        return stats.item_frac > 0
-    return (stats.pos_item_frac > 0) & (stats.pos_item_total > 0)
+    return _form(kind, stats)[0]
 
 
 def _form(kind: ConstraintKind, stats: GroupStats):
     """(mask, denominators, total, label factors): at a cell of label y, entry
     e of kind is labels[y] * ([cell in e] / denominators[e] - 1 / total).
-    A marginal entry (k, l) holds row k's cells, over the row's total."""
-    if kind.is_pointwise:
-        mask = point_constraint_mask(kind, stats)
-        if kind is ConstraintKind.POINT_STATISTICAL:
-            return mask, stats.item_frac, 1.0, (1.0, 1.0)
-        return mask, stats.pos_item_frac, stats.pos_item_total, (0.0, 1.0)
-    mask = pair_constraint_mask(kind, stats)
-    if kind is ConstraintKind.PAIR_STATISTICAL:
-        return mask, stats.pair_frac, 1.0, (1.0, 1.0)
+    The statistical kinds divide by the both-label fraction, over total 1,
+    the others by the label-1 fraction, over pos_frac; marginal entry (k, l)
+    holds row k's cells, over the row's sum.  An entry is defined where its
+    denominator is > 0, off the diagonal for ``statistical`` and ``inter``
+    and on it for ``intra``.  Counts of the other shape are a ValidationError.
+    """
+    if kind.is_pairwise != (stats.counts.ndim == 3):
+        want = "pair" if kind.is_pairwise else "item"
+        raise ValidationError(f"{kind} needs {want} statistics, got counts {stats.counts.shape}")
+    if kind in (ConstraintKind.PAIR_STATISTICAL, ConstraintKind.POINT_STATISTICAL):
+        denom, total, labels = stats.pair_frac, 1.0, (1.0, 1.0)
+    else:
+        denom, total, labels = stats.pos_pair_frac, stats.pos_frac, (0.0, 1.0)
     if kind is ConstraintKind.PAIR_MARGINAL:
-        return mask, stats.pos_pair_frac.sum(axis=1, keepdims=True), stats.pos_frac, (0.0, 1.0)
-    return mask, stats.pos_pair_frac, stats.pos_frac, (0.0, 1.0)
+        denom = denom.sum(axis=1, keepdims=True)
+    mask = np.broadcast_to(denom > 0, stats.counts.shape[:-1]).copy()
+    if kind in (ConstraintKind.PAIR_STATISTICAL, ConstraintKind.PAIR_INTER_GROUP):
+        mask &= ~np.eye(stats.K, dtype=bool)
+    elif kind is ConstraintKind.PAIR_INTRA_GROUP:
+        mask &= np.eye(stats.K, dtype=bool)
+    return mask, denom, total, labels
 
 
 def _per_entry(kind: ConstraintKind, x: np.ndarray, mask, denom, total):

@@ -37,7 +37,7 @@ PAIR_CHUNK = GATHER_BYTES // 8
 WRITE_BLOCK = 1024
 
 # The largest group count.  A run holds about 81 bytes per group pair to
-# measure and reweigh once and 31 more per outer iteration (about 700 MiB
+# measure and reweigh once and 17 more per outer iteration (about 450 MiB
 # at K = 1024, T = 20), and each history.csv row has 2K² + 5 columns.
 MAX_GROUPS = 1024
 

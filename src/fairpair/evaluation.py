@@ -56,8 +56,10 @@ def fairness_score(delta: "reweight.DeltaMatrix") -> float:
 
     The maximum always includes 0 (the same-group gap), so the score never
     exceeds 1.  Undefined entries are excluded from the scan and their
-    mirror values read 0.
+    mirror values read 0.  A violation that is not (K, K) is a ValidationError.
     """
+    if delta.values.shape != delta.values.shape[:1] * 2:
+        raise ValidationError(f"fairness score needs a (K, K) violation, got {delta.values.shape}")
     gaps = delta.values - delta.values.T
     return 1.0 - float(np.max(gaps[delta.defined], initial=0.0))
 

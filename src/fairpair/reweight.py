@@ -83,7 +83,7 @@ class FairTrainConfig:
 
 @dataclass(eq=False)
 class IterationRecord:
-    """Snapshot of one outer-loop iteration."""
+    """One outer-loop iteration; its arrays are the loop's own, not copies."""
 
     iteration: int
     auc_train: float
@@ -91,7 +91,7 @@ class IterationRecord:
     fairness_train: float
     fairness_eval: float
     delta: np.ndarray  # (K, K) violation that drove this iteration's update
-    coeffs: np.ndarray  # (K, K) coefficients after the update
+    coeffs: np.ndarray  # (K, K) after the update; the last is the returned coefficients' array
 
 
 def expected_bias(
@@ -259,7 +259,7 @@ def fair_train(
         measure,
     )
     history = [
-        IterationRecord(t, *metrics, delta.values.copy(), coeffs_t.values.copy())
+        IterationRecord(t, *metrics, delta.values, coeffs_t.values)
         for t, (metrics, delta, coeffs_t) in enumerate(steps, 1)
     ]
     return model, coeffs, history

@@ -17,7 +17,15 @@ defined (k, l) entry; ``loop_pair_constraint_table`` is that loop.
 reduction; ``loop_exponents`` is the running sum it replaced.
 ``reweight._own_label_weights`` is ``stable_sigmoid`` of the signed
 exponent; ``exp_own_label_weights`` is the normalized exponential it replaced.
+
+``FractionStats``, ``fraction_group_stats`` and ``fraction_point_stats`` are
+the group statistics as fractions, the layout ``constraints.GroupStats`` had
+before it held per-cell counts: the pair and item fields side by side, with
+the pair fields zeroed for items.  ``fraction_pair_mask`` and
+``fraction_point_mask`` are the masks read off that layout, one rule per kind.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +36,97 @@ from fairpair.constraints import (
     pair_constraint_mask,
     point_constraint_mask,
 )
+from fairpair.data import PairSet, _check_items
+from fairpair.errors import ValidationError
+
+
+@dataclass(eq=False)
+class FractionStats:
+    """Empirical group statistics of a pair set's ordered pairs and its source items.
+
+    pair_frac[k, l]      fraction of ordered pairs whose items fall in (G_k, G_l)
+    pos_pair_frac[k, l]  fraction of ordered pairs in (G_k, G_l) with pair label 1
+    pos_frac             fraction of all ordered pairs with pair label 1; 0.5
+                         for every non-empty pair set, as each pair is one
+                         label-1 and one label-0 ordered pair
+    item_frac[k]         fraction of source items in G_k
+    pos_item_frac[k]     fraction of source items in G_k with label 1
+    """
+
+    pair_frac: np.ndarray
+    pos_pair_frac: np.ndarray
+    pos_frac: float
+    item_frac: np.ndarray
+    pos_item_frac: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return self.pair_frac.shape[0]
+
+    @property
+    def pos_item_total(self) -> float:
+        return float(self.pos_item_frac.sum())
+
+
+def _item_stats(ds) -> tuple[np.ndarray, np.ndarray]:
+    n = ds.n_items
+    item_frac = np.bincount(ds.groups, minlength=ds.K) / n
+    pos_item_frac = np.bincount(ds.groups, weights=ds.labels.astype(float), minlength=ds.K) / n
+    return item_frac, pos_item_frac
+
+
+def fraction_group_stats(ps: PairSet) -> FractionStats:
+    """Count group-pair membership and positive-label proportions over all ordered pairs.
+
+    Each pair is the label-1 pair (i, j) of its group pair and the label-0
+    pair (j, i) of the transposed one, so the label-0 counts are the
+    transpose of the label-1 counts, out of 2 * len(ps) ordered pairs.
+    """
+    if not len(ps):
+        raise ValidationError("cannot compute group statistics of an empty pair set")
+    n = 2 * len(ps)
+    pos = ps.cell_counts()
+    return FractionStats((pos + pos.T) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
+
+
+def fraction_point_stats(ds) -> FractionStats:
+    """Item-only statistics for pointwise constraints; pair fields are zeroed."""
+    if ds.n_items == 0:
+        raise ValidationError("cannot compute item statistics of an empty dataset")
+    _check_items(ds, "item statistics")
+    item_frac, pos_item_frac = _item_stats(ds)
+    K = ds.K
+    return FractionStats(np.zeros((K, K)), np.zeros((K, K)), 0.0, item_frac, pos_item_frac)
+
+
+def fraction_pair_mask(kind: ConstraintKind, stats: FractionStats) -> np.ndarray:
+    """(K, K) boolean mask of group pairs where the constraint has a value.
+
+    An entry is False when the family does not define it (e.g. diagonal
+    entries for cross-group families) or when a denominator is zero.
+    """
+    if not kind.is_pairwise:
+        raise ValidationError(f"{kind} is not a pairwise constraint kind")
+    K = stats.K
+    off_diag = ~np.eye(K, dtype=bool)
+    if kind is ConstraintKind.PAIR_STATISTICAL:
+        return off_diag & (stats.pair_frac > 0)
+    if kind is ConstraintKind.PAIR_INTER_GROUP:
+        return off_diag & (stats.pos_pair_frac > 0)
+    if kind is ConstraintKind.PAIR_INTRA_GROUP:
+        return np.eye(K, dtype=bool) & (stats.pos_pair_frac > 0)
+    # Marginal: one constraint per first-group k, replicated across l.
+    row_ok = stats.pos_pair_frac.sum(axis=1) > 0
+    return np.repeat(row_ok[:, None], K, axis=1)
+
+
+def fraction_point_mask(kind: ConstraintKind, stats: FractionStats) -> np.ndarray:
+    """(K,) boolean mask of groups where the pointwise constraint has a value."""
+    if not kind.is_pointwise:
+        raise ValidationError(f"{kind} is not a pointwise constraint kind")
+    if kind is ConstraintKind.POINT_STATISTICAL:
+        return stats.item_frac > 0
+    return (stats.pos_item_frac > 0) & (stats.pos_item_total > 0)
 
 
 def pair_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:
@@ -63,15 +162,15 @@ def point_constraint_table(kind: ConstraintKind, stats: GroupStats) -> np.ndarra
     item share; POINT_EQUAL_OPPORTUNITY restricts the comparison to positive
     items.  Undefined rows are 0.
     """
-    K = stats.item_frac.size
+    K = stats.K
     groups, labels = np.indices((K, 2)).reshape(2, -1)
     table = np.zeros((K, 2 * K))
     for k in np.flatnonzero(point_constraint_mask(kind, stats)):
         member = (groups == k).astype(float)
         if kind is ConstraintKind.POINT_STATISTICAL:
-            table[k] = member / stats.item_frac[k] - 1.0
+            table[k] = member / stats.pair_frac[k] - 1.0
         else:
-            table[k] = labels * (member / stats.pos_item_frac[k] - 1.0 / stats.pos_item_total)
+            table[k] = labels * (member / stats.pos_pair_frac[k] - 1.0 / stats.pos_frac)
     return table
 
 

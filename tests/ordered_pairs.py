@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from constraint_oracle import pair_constraint_table
-from fairpair.constraints import GroupStats, compute_point_stats
+from fairpair.constraints import GroupStats
 from fairpair.data import Dataset
 from fairpair.model import stable_sigmoid
 from fairpair.reweight import _pair_cell_weights
@@ -67,13 +67,8 @@ def fold(values, op: OrderedPairs) -> np.ndarray:
 
 def ordered_group_stats(op: OrderedPairs) -> GroupStats:
     """compute_group_stats counting the ordered pairs' cells."""
-    K, n = op.source.K, len(op)
-    counts = np.bincount(op.cell, minlength=2 * K * K).reshape(K, K, 2)
-    pos = counts[..., 1]
-    items = compute_point_stats(op.source)
-    return GroupStats(
-        counts.sum(axis=2) / n, pos / n, float(pos.sum() / n), items.item_frac, items.pos_item_frac
-    )
+    K = op.source.K
+    return GroupStats(np.bincount(op.cell, minlength=2 * K * K).reshape(K, K, 2), len(op))
 
 
 def ordered_feature_diff(op: OrderedPairs) -> np.ndarray:

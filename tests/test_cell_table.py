@@ -114,8 +114,8 @@ def loop_point_constraint_at_one(kind, stats, k, groups, labels):
     labels = np.asarray(labels, dtype=np.float64)
     member = (np.asarray(groups) == k).astype(float)
     if kind is ConstraintKind.POINT_STATISTICAL:
-        return member / stats.item_frac[k] - 1.0
-    return labels * (member / stats.pos_item_frac[k] - 1.0 / stats.pos_item_total)
+        return member / stats.pair_frac[k] - 1.0
+    return labels * (member / stats.pos_pair_frac[k] - 1.0 / stats.pos_frac)
 
 
 def loop_point_expected_bias(model, ds, stats, kind):

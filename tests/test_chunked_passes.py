@@ -21,7 +21,15 @@ from fairpair.constraints import ConstraintKind, compute_group_stats, constraint
 from fairpair.data import Dataset, generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
 from fairpair.model import LinearRankingModel, score_matrix, stable_sigmoid
-from fairpair.reweight import Coefficients, _pair_cell_weights, expected_bias, pair_weights
+from fairpair.reweight import (
+    Coefficients,
+    FairTrainConfig,
+    _pair_cell_weights,
+    expected_bias,
+    fair_train,
+    pair_weights,
+)
+from fairpair.training import TrainConfig
 
 PAIR_KINDS = [k for k in ConstraintKind if k.is_pairwise]
 CHUNK = 7
@@ -271,3 +279,23 @@ class TestPeakMemory:
 
         _, peak = traced_peak(measure_and_weigh)
         assert peak < CHUNK_BOUND + 512 * K * K
+
+    def test_history_holds_each_iteration_once(self):
+        # Each outer iteration keeps its violation and coefficients, 16 bytes
+        # a group pair, and its violation's mask, 1 more, while the loop runs.
+        # Copying the two into each history record while the loop's own list
+        # was alive made that about 29 bytes a group pair at K=256.  The
+        # growth is read between T=3 and T=10; eta_lambda is small enough
+        # that no weight underflows.  The bound sits between the two, 22 bytes.
+        K = 256
+        train, _ = generate_synthetic(40, 60, d=5, K=K, bias_strength=1.0, seed=0)
+        eval_set, _ = generate_synthetic(40, 60, d=5, K=K, bias_strength=1.0, seed=1)
+
+        def peak(T):
+            cfg = FairTrainConfig(eta_lambda=1e-4, T=T, inner=TrainConfig(epochs=1))
+            return traced_peak(
+                lambda: fair_train(train, eval_set, ConstraintKind.PAIR_STATISTICAL, cfg)
+            )[1]
+
+        per_iteration = (peak(10) - peak(3)) / 7
+        assert per_iteration < 22 * K * K

@@ -42,12 +42,8 @@ def term_scale(kind, stats, x):
     """The largest term an entry combines: the entry's part of x over its
     denominator, or x's sum over the total.  x is entry-shaped, cell sums
     or |coefficients|; a marginal entry's part is its row's."""
-    if kind is ConstraintKind.PAIR_STATISTICAL:
+    if kind in (ConstraintKind.PAIR_STATISTICAL, ConstraintKind.POINT_STATISTICAL):
         denom, total = stats.pair_frac, 1.0
-    elif kind is ConstraintKind.POINT_STATISTICAL:
-        denom, total = stats.item_frac, 1.0
-    elif kind is ConstraintKind.POINT_EQUAL_OPPORTUNITY:
-        denom, total = stats.pos_item_frac, stats.pos_item_total
     else:
         denom, total = stats.pos_pair_frac, stats.pos_frac
     if kind is ConstraintKind.PAIR_MARGINAL:
@@ -59,8 +55,8 @@ def term_scale(kind, stats, x):
 def drawn_stats(rng, K, kind, starve):
     """Statistics of a small random dataset: with K above a few groups, most
     group pairs hold no pair, so their denominators are 0.  ``starve`` gives
-    the last group no positive item, zeroing its row of pos_pair_frac and
-    its pos_item_frac."""
+    the last group no positive item, zeroing its row of pos_pair_frac (or,
+    for items, its entry)."""
     ds = random_dataset(rng, n_queries=int(rng.integers(1, 5)),
                         items_per_query=int(rng.integers(2, 16)), d=1, K=K)
     if starve:

@@ -18,16 +18,27 @@ from fairpair.data import Dataset, item_cell, make_pairs
 from fairpair.errors import ValidationError
 from fairpair.reweight import Coefficients, pair_weights, point_weights
 
-def make_stats(pair_frac, pos_pair_frac, pos_frac, item_frac=None, pos_item_frac=None):
-    pair_frac = np.asarray(pair_frac, dtype=float)
-    K = pair_frac.shape[0]
-    return GroupStats(
-        pair_frac,
-        np.asarray(pos_pair_frac, dtype=float),
-        float(pos_frac),
-        np.asarray(item_frac if item_frac is not None else np.full(K, 1.0 / K)),
-        np.asarray(pos_item_frac if pos_item_frac is not None else np.full(K, 0.5 / K)),
-    )
+def counts_of(label0, label1, n):
+    """Integer counts whose fractions over n are the given label-0 and
+    label-1 fractions (each a multiple of 1/n), stacked on a last label axis."""
+    fracs = np.stack((np.asarray(label0, dtype=float), np.asarray(label1, dtype=float)), axis=-1)
+    counts = np.rint(fracs * n).astype(np.int64)
+    np.testing.assert_allclose(counts / n, fracs, atol=1e-12)
+    return counts
+
+
+def make_stats(pair_frac, pos_pair_frac, pos_frac, n=20):
+    """Pair statistics of n ordered pairs with the given fractions."""
+    pos_pair_frac = np.asarray(pos_pair_frac, dtype=float)
+    stats = GroupStats(counts_of(np.asarray(pair_frac) - pos_pair_frac, pos_pair_frac, n), n)
+    assert stats.pos_frac == pytest.approx(pos_frac)
+    return stats
+
+
+def make_item_stats(item_frac, pos_item_frac, n=20):
+    """Item statistics of n items with the given per-group fractions."""
+    pos_item_frac = np.asarray(pos_item_frac, dtype=float)
+    return GroupStats(counts_of(np.asarray(item_frac) - pos_item_frac, pos_item_frac, n), n)
 
 
 class TestComputeStats:
@@ -83,13 +94,14 @@ class TestComputeStats:
         assert stats.pos_frac == pytest.approx(positives / n, abs=1e-15)
 
         n_items = ds.n_items
+        items = compute_point_stats(ds)
         for k in range(3):
             in_group = sum(1 for q in ds.queries for g in q.groups if g == k)
             pos_in_group = sum(
                 1 for q in ds.queries for g, l in zip(q.groups, q.labels) if g == k and l == 1
             )
-            assert stats.item_frac[k] == pytest.approx(in_group / n_items, abs=1e-15)
-            assert stats.pos_item_frac[k] == pytest.approx(
+            assert items.pair_frac[k] == pytest.approx(in_group / n_items, abs=1e-15)
+            assert items.pos_pair_frac[k] == pytest.approx(
                 pos_in_group / n_items, abs=1e-15
             )
 
@@ -113,7 +125,7 @@ def cell_table(kind, stats):
 
 def item_table(kind, stats):
     """point_constraint_table indexed [k, group, label]."""
-    K = stats.item_frac.size
+    K = stats.K
     return point_constraint_table(kind, stats).reshape(K, K, 2)
 
 
@@ -228,17 +240,13 @@ class TestPairConstraint:
 
 class TestPointConstraint:
     def test_statistical_substitution(self):
-        stats = make_stats(
-            [[1.0]], [[0.5]], 0.5, item_frac=[0.5, 0.5], pos_item_frac=[0.25, 0.25]
-        )
+        stats = make_item_stats([0.5, 0.5], [0.25, 0.25])
         got = item_table(ConstraintKind.POINT_STATISTICAL, stats)[0, 0, 1]
         assert got == pytest.approx(1.0)
 
     def test_label_zero(self):
         # As for pairs, label 0 gets the exponent 0 in every item cell.
-        stats = make_stats(
-            [[1.0]], [[0.5]], 0.5, item_frac=[0.5, 0.5], pos_item_frac=[0.25, 0.25]
-        )
+        stats = make_item_stats([0.5, 0.5], [0.25, 0.25])
         ds = build_dataset([("q", [0, 1, 0, 1], [0, 0, 1, 1], [[0.0]] * 4)], d=1, K=2)
         cell = item_cell(ds.groups, ds.labels, 2)
         for kind in (ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY):
@@ -258,8 +266,8 @@ class TestPointConstraint:
         pos_frac_g0 = 2 / 6
         pos_frac_g1 = 1 / 6
         pos_total = 3 / 6
-        assert stats.pos_item_frac[0] == pytest.approx(pos_frac_g0)
-        assert stats.pos_item_frac[1] == pytest.approx(pos_frac_g1)
+        assert stats.pos_pair_frac[0] == pytest.approx(pos_frac_g0)
+        assert stats.pos_pair_frac[1] == pytest.approx(pos_frac_g1)
 
         table = item_table(ConstraintKind.POINT_EQUAL_OPPORTUNITY, stats)
         q = ds.queries[0]
@@ -270,8 +278,8 @@ class TestPointConstraint:
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_point_stats_reject_label_outside_0_1(self, label):
-        # Weighed by its raw label, every item at label 2 and K=1 read
-        # pos_item_frac [2.0] against item_frac [1.0].
+        # Weighed by its raw label, every item at label 2 and K=1 once read a
+        # label-1 fraction of 2.0 against a group fraction of 1.0.
         ds = Dataset(["q"], np.array([0, 3]), np.zeros((3, 1)), np.full(3, label),
                      np.zeros(3, dtype=np.int64), 1)
         msg = r"^item statistics need every item label in \{0, 1\}$"
@@ -280,7 +288,7 @@ class TestPointConstraint:
 
     @pytest.mark.parametrize("group", [2, -1])
     def test_point_stats_reject_group_outside_K(self, group):
-        # Unchecked, an item in group K gave item_frac K + 1 entries.
+        # Unchecked, an item in group K once gave K + 1 group fractions.
         ds = Dataset(["q"], np.array([0, 3]), np.zeros((3, 1)), np.array([1, 0, 0]),
                      np.array([0, group, 1]), 2)
         with pytest.raises(ValidationError, match=rf"^group {group} outside \[0, 2\)$"):
@@ -289,9 +297,7 @@ class TestPointConstraint:
     def test_undefined_group_is_masked(self):
         # A group without items (or without positives) has no pointwise
         # constraint: masked, and its table row reads 0.
-        stats = make_stats(
-            [[1.0]], [[0.5]], 0.5, item_frac=[1.0, 0.0], pos_item_frac=[0.5, 0.0]
-        )
+        stats = make_item_stats([1.0, 0.0], [0.5, 0.0])
         for kind in (ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY):
             assert not point_constraint_mask(kind, stats)[1]
             assert np.all(point_constraint_table(kind, stats)[1] == 0.0)
@@ -314,9 +320,7 @@ class TestMasks:
         assert mask.tolist() == [[True, True], [False, False]]
 
     def test_point_masks(self):
-        stats = make_stats(
-            [[1.0]], [[0.5]], 0.5, item_frac=[0.8, 0.0], pos_item_frac=[0.3, 0.0]
-        )
+        stats = make_item_stats([0.8, 0.0], [0.3, 0.0])
         assert point_constraint_mask(ConstraintKind.POINT_STATISTICAL, stats).tolist() == [
             True,
             False,

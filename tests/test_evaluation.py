@@ -12,6 +12,7 @@ from conftest import build_dataset, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
+    compute_point_stats,
     pair_constraint_mask,
     pairs_and_stats,
 )
@@ -19,7 +20,7 @@ from fairpair.data import generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel, score_matrix
-from fairpair.reweight import DeltaMatrix
+from fairpair.reweight import DeltaMatrix, point_expected_bias
 
 STAT = ConstraintKind.PAIR_STATISTICAL
 
@@ -229,6 +230,21 @@ class TestFairnessScore:
             defined = rng.random((K, K)) < (0.0 if trial % 4 == 0 else 0.7)
             delta = DeltaMatrix(values, defined)
             assert fairness_score(delta) == loop_score(delta)
+
+    def test_rejects_a_violation_that_is_not_square(self):
+        # A pointwise violation is one entry per group, and values - values.T
+        # of a (K,) vector is 0, so it scored 1.0 whatever the violation: here
+        # it did so for δ = [-0.069, 0.324, -0.252].
+        ds, _ = generate_synthetic(20, 20, d=3, K=3, bias_strength=1.0, seed=0)
+        stats = compute_point_stats(ds)
+        scores = score_matrix(LinearRankingModel(np.ones(ds.d)), ds.features)
+        delta = point_expected_bias(scores, ds, stats, ConstraintKind.POINT_STATISTICAL)
+        assert delta.values.shape == (3,) and np.abs(delta.values).max() > 0.01
+        with pytest.raises(ValidationError, match=r"needs a \(K, K\) violation, got \(3,\)"):
+            fairness_score(delta)
+        for shape in ((2, 3), (2, 2, 2)):
+            with pytest.raises(ValidationError, match="needs a"):
+                fairness_score(DeltaMatrix(np.zeros(shape), np.ones(shape, dtype=bool)))
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 """README.md stays well formed, its Python examples run against the
 library as it is, and the library names it cites exist."""
 
+import dataclasses
 import importlib
 import json
 import re
@@ -8,13 +9,17 @@ from pathlib import Path
 
 import pytest
 
+import fairpair
 from fairpair import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 MODULES = sorted(p.stem for p in (ROOT / "src" / "fairpair").glob("*.py") if p.stem != "__init__")
-# One backticked module-level name, `fairpair.<module>.<name>` or `<module>.<name>`.
-REFERENCE = re.compile(rf"(?:fairpair\.)?({'|'.join(MODULES)})\.(\w+)")
+# The classes the package exports, whose attributes README cites as `<Class>.<name>`.
+CLASSES = sorted(name for name, obj in vars(fairpair).items() if isinstance(obj, type))
+# One backticked module-level name, `fairpair.<module>.<name>` or
+# `<module>.<name>`, or one attribute of an exported class, `<Class>.<name>`.
+REFERENCE = re.compile(rf"(?:fairpair\.)?({'|'.join(MODULES + CLASSES)})\.(\w+)")
 # perfbench's per-layer metrics are named <layer>.<metric>, as data.arrays_s is.
 METRICS = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 
@@ -80,8 +85,9 @@ def test_config_example_loads(tmp_path, monkeypatch):
 
 
 def references(text):
-    """The (module, name) of each backticked reference to a module-level name,
-    but for per-layer metrics and artifact files such as model.json."""
+    """The (module or class, name) of each backticked reference to a
+    module-level name or an exported class's attribute, but for per-layer
+    metrics and artifact files such as model.json."""
     found = []
     for span in re.findall(r"`([^`\n]+)`", text):
         match = REFERENCE.fullmatch(span)
@@ -90,17 +96,33 @@ def references(text):
     return found
 
 
+def cites(owner, name):
+    """Whether module or exported class ``owner`` has ``name``: a module-level
+    name, or a class attribute, property or dataclass field."""
+    if owner not in CLASSES:
+        return hasattr(importlib.import_module(f"fairpair.{owner}"), name)
+    cls = getattr(fairpair, owner)
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return hasattr(cls, name) or name in fields
+
+
 def test_cited_names_exist():
     refs = references(README.read_text(encoding="utf-8"))
     assert len(refs) >= 10
-    missing = [
-        f"{module}.{name}"
-        for module, name in refs
-        if not hasattr(importlib.import_module(f"fairpair.{module}"), name)
-    ]
+    assert any(owner in CLASSES for owner, _ in refs)
+    missing = [f"{owner}.{name}" for owner, name in refs if not cites(owner, name)]
     assert missing == []
 
 
 def test_references_skip_metrics_and_files():
-    text = "`data.arrays_s`, `model.json`, `fairpair.model.stable_sigmoid`, `model.w @ x`"
-    assert references(text) == [("model", "stable_sigmoid")]
+    text = (
+        "`data.arrays_s`, `model.json`, `fairpair.model.stable_sigmoid`, `model.w @ x`, "
+        "`GroupStats.counts`, `GroupStats.item_frac`, `Unexported.x`"
+    )
+    assert references(text) == [
+        ("model", "stable_sigmoid"), ("GroupStats", "counts"), ("GroupStats", "item_frac")
+    ]
+    # A dataclass field without a default is no class attribute, but is cited.
+    assert cites("GroupStats", "counts") and cites("GroupStats", "pos_frac")
+    assert cites("ConstraintKind", "PAIR_MARGINAL") and cites("PairSet", "cell_counts")
+    assert not cites("GroupStats", "item_frac") and not cites("GroupStats", "pos_item_total")

@@ -124,13 +124,8 @@ class TestExpectedBias:
 
 
 def uniform_stats(K=2):
-    return GroupStats(
-        np.full((K, K), 1.0 / (K * K)),
-        np.full((K, K), 0.5 / (K * K)),
-        0.5,
-        np.full(K, 1.0 / K),
-        np.full(K, 0.5 / K),
-    )
+    """One ordered pair in each (group_i, group_j, label) cell."""
+    return GroupStats(np.ones((K, K, 2), dtype=np.int64), 2 * K * K)
 
 
 def weight_by_cell(coeffs, stats, weight_form="general"):
@@ -155,13 +150,8 @@ class TestPairWeight:
     def test_log3_exponent(self):
         # pair_frac = 1/2 makes the membership constraint equal 1, so one
         # coefficient of log 3 yields exponent log 3 for member pairs.
-        stats = GroupStats(
-            np.asarray([[0.0, 0.5], [0.5, 0.0]]),
-            np.asarray([[0.0, 0.25], [0.25, 0.0]]),
-            0.5,
-            np.asarray([0.5, 0.5]),
-            np.asarray([0.25, 0.25]),
-        )
+        # One ordered pair in each label of the cross-group pairs, of 4.
+        stats = GroupStats(np.asarray([[[0, 0], [1, 1]], [[1, 1], [0, 0]]]), 4)
         values = np.zeros((2, 2))
         values[0, 1] = math.log(3)
         weights = weight_by_cell(Coefficients(values, STAT), stats)

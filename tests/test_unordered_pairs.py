@@ -54,7 +54,7 @@ class TestMatchesOrderedPairs:
     def test_group_stats_bit_equal(self, rng, kind, K):
         ps, op, stats = self.setup_data(rng, K)
         want = ordered_group_stats(op)
-        for name in ("pair_frac", "pos_pair_frac", "pos_frac", "item_frac", "pos_item_frac"):
+        for name in ("counts", "n", "pair_frac", "pos_pair_frac", "pos_frac"):
             assert_same_bits(getattr(stats, name), getattr(want, name))
 
     def test_expected_bias_within_1e12(self, rng, kind, K):
