@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import ConstraintKind, compute_group_stats, pairs_and_stats
+from .constraints import ConstraintKind
 from .data import (
     Dataset,
+    checked_pairs,
     generate_synthetic,
     load_csv,
     make_pairs,
@@ -179,7 +180,7 @@ def _write_reports(model, splits, kind, out_dir: Path) -> None:
     for name, ds in zip(("train", "valid", "test"), splits):
         ps = make_pairs(ds)
         if len(ps):
-            report = evaluate(score_matrix(model, ds.features), ps, compute_group_stats(ps), kind)
+            report = evaluate(score_matrix(model, ds.features), ps, kind)
             report.write_json(out_dir / f"eval_{name}.json")
             print(f"eval_{name}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
         del ps
@@ -259,16 +260,16 @@ def cmd_sweep(cfg: RunConfig) -> None:
     kind = cfg.constraint
     train, _valid, test = _split(cfg, _load_dataset(cfg))
     coeffs_star = _read_coefficients(cfg.out_dir / "coefficients.json", train.K, kind)
-    ps, stats = pairs_and_stats(train, "training set")
+    ps = checked_pairs(train, "training set")
     orders = shared_epoch_orders(len(ps), cfg.fair.inner)
-    ps_test, stats_test = pairs_and_stats(test, "test set")
+    ps_test = checked_pairs(test, "test set")
 
     rows = []
     for x in cfg.sweep_scales:
         scaled = Coefficients(x * coeffs_star.values, kind)
-        weights = pair_weights(scaled, stats, ps, cfg.fair.weight_form)
+        weights = pair_weights(scaled, ps, cfg.fair.weight_form)
         model = train_weighted(ps, weights, cfg.fair.inner, orders=orders)
-        report = evaluate(score_matrix(model, test.features), ps_test, stats_test, kind)
+        report = evaluate(score_matrix(model, test.features), ps_test, kind)
         rows.append((x, report.auc, report.fairness))
         print(f"sweep x={x:g}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, PairSet, _check_items, item_cell, make_pairs
+from .data import PairSet, _check_items, item_cell
 from .errors import ValidationError
 
 
@@ -81,21 +81,13 @@ def compute_group_stats(ps: PairSet) -> GroupStats:
 
     Each pair is the label-1 pair (i, j) of its group pair and the label-0
     pair (j, i) of the transposed one, so the label-0 counts are the
-    transpose of the label-1 counts, out of 2 * len(ps) ordered pairs.
+    transpose of the label-1 counts, out of 2 * len(ps) ordered pairs.  It
+    stacks PairSet.cell_counts, which counts the pairs once per pair set.
     """
     if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
-    pos = ps.cell_counts()
+    pos = ps.cell_counts
     return GroupStats(np.stack((pos.T, pos), axis=-1), 2 * len(ps))
-
-
-def pairs_and_stats(ds: Dataset, name: str) -> tuple[PairSet, GroupStats]:
-    """The pair set of a split and its statistics; a split with no discordant
-    pair is a ValidationError naming it as ``name``."""
-    ps = make_pairs(ds)
-    if not len(ps):
-        raise ValidationError(f"{name} has no discordant pairs")
-    return ps, compute_group_stats(ps)
 
 
 def compute_point_stats(ds) -> GroupStats:

@@ -144,9 +144,9 @@ class PairSet:
     stands for both ordered pairs of the pairwise objective: (i, j) at pair
     label 1 and its mirror (j, i) at label 0, whose loss terms are the same.
     ``arrays`` is each pair's cell, group_i * K + group_j: 9 bytes a pair
-    up to K=16, with the two row columns.  Building, counting, weighting
-    and measuring the pairs work a chunk at a time (see pair_chunks), so
-    their temporaries are bounded by one chunk.
+    up to K=16, with the two row columns; ``cell_counts``, its pairs per
+    cell, is counted once.  Every pass over the pairs works a chunk at a
+    time (see pair_chunks), so its temporaries are bounded by one chunk.
     """
 
     row_i: np.ndarray
@@ -168,6 +168,7 @@ class PairSet:
             cell[part] += second.take(self.row_j[part])
         return cell
 
+    @cached_property
     def cell_counts(self) -> np.ndarray:
         """(K, K) int64 number of pairs of each group pair (group_i, group_j)."""
         K, cell = self.source.K, self.arrays
@@ -461,6 +462,15 @@ def make_pairs(ds: Dataset) -> PairSet:
         np.add(j, start, out=row_j[a:b].reshape(i.size, j.size), casting="unsafe")
         a = b
     return PairSet(row_i, row_j, ds)
+
+
+def checked_pairs(ds: Dataset, name: str) -> PairSet:
+    """The pair set of a split; a split with no discordant pair is a
+    ValidationError naming it as ``name``."""
+    ps = make_pairs(ds)
+    if not len(ps):
+        raise ValidationError(f"{name} has no discordant pairs")
+    return ps
 
 
 def generate_synthetic(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reweight
-from .constraints import ConstraintKind, GroupStats
+from .constraints import ConstraintKind
 from .data import Dataset, PairSet
 from .errors import ValidationError
 from .model import check_scores
@@ -88,11 +88,10 @@ class EvalReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
-def evaluate(
-    scores: np.ndarray, ps: PairSet, stats: GroupStats, kind: ConstraintKind
-) -> EvalReport:
-    """Measure per-item scores of a pair set's source, under the pair set's own statistics."""
-    delta = reweight.expected_bias(scores, ps, stats, kind)
+def evaluate(scores: np.ndarray, ps: PairSet, kind: ConstraintKind) -> EvalReport:
+    """Measure per-item scores of a pair set's source: AUC over its queries,
+    and violation and fairness under the pair set's own group statistics."""
+    delta = reweight.expected_bias(scores, ps, kind)
     mean_auc, per_query = auc(scores, ps.source)
     return EvalReport(
         auc=mean_auc,

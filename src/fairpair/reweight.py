@@ -21,13 +21,13 @@ from . import evaluation
 from .constraints import (
     ConstraintKind,
     GroupStats,
+    compute_group_stats,
     compute_point_stats,
     constraint_bias,
     constraint_exponents,
     pair_constraint_mask,
-    pairs_and_stats,
 )
-from .data import Dataset, PairSet, item_cell, pair_chunks
+from .data import Dataset, PairSet, checked_pairs, item_cell, pair_chunks
 from .errors import ValidationError, require_types
 from .model import LinearRankingModel, check_scores, score_matrix, stable_sigmoid
 from .training import (
@@ -94,9 +94,7 @@ class IterationRecord:
     coeffs: np.ndarray  # (K, K) after the update; the last is the returned coefficients' array
 
 
-def expected_bias(
-    scores: np.ndarray, ps: PairSet, stats: GroupStats, kind: ConstraintKind
-) -> DeltaMatrix:
+def expected_bias(scores: np.ndarray, ps: PairSet, kind: ConstraintKind) -> DeltaMatrix:
     """Mean predicted-order-probability-weighted constraint per group pair,
     over the ordered pairs, of per-item scores (one a row of ps.source).
 
@@ -104,12 +102,11 @@ def expected_bias(
     items' score difference, so no pair features are built.  The pairs are
     read a chunk at a time (see data.pair_chunks) into running per-cell
     sums.  Only the predicted-label-1 term counts, as constraints vanish at
-    predicted label 0.  Undefined entries are masked and read 0.
+    predicted label 0.  The statistics are ps's own; undefined entries read 0.
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
-    if not len(ps):
-        raise ValidationError("cannot evaluate expected bias on an empty pair set")
+    stats = compute_group_stats(ps)
     s = check_scores(scores, ps.source.n_items)
     # Constraint values depend only on an ordered pair's (k, l, label) cell.  A
     # pair is (i, j) at label 1, predicted sigmoid(z), and (j, i) at label 0 of
@@ -155,13 +152,8 @@ def _check_cell_weights(weights: np.ndarray, held: np.ndarray, what: str, coords
         raise ValidationError(f"{what} weight of cell ({cell}) is {float(weights[bad][0])!r}")
 
 
-def pair_weights(
-    coeffs: Coefficients,
-    stats: GroupStats,
-    ps: PairSet,
-    weight_form: str = "general",
-) -> np.ndarray:
-    """Weight of every pair, aligned with ps order.
+def pair_weights(coeffs: Coefficients, ps: PairSet, weight_form: str = "general") -> np.ndarray:
+    """Weight of every pair, aligned with ps order, under ps's own group statistics.
 
     A pair weighs the mean of its two ordered pairs' weights, (i, j) at
     label 1 and (j, i) at label 0, whose loss terms are the same, so its
@@ -169,11 +161,10 @@ def pair_weights(
     holding pairs whose weight under- or overflows to 0 (or NaN) is a
     ValidationError naming the cell.
     """
+    stats = compute_group_stats(ps)
     K, cell = stats.K, ps.arrays
     weights = _pair_cell_weights(coeffs, stats, weight_form).reshape(K, K, 2)
-    pos = ps.cell_counts()
-    held = np.stack((pos.T, pos), axis=-1)
-    _check_cell_weights(weights, held, "pair", {"k": K, "l": K, "label": 2})
+    _check_cell_weights(weights, stats.counts, "pair", {"k": K, "l": K, "label": 2})
     table = ((weights[..., 1] + weights[..., 0].T) / 2).ravel()
     out = np.empty(len(ps))
     for part in pair_chunks(len(ps)):
@@ -230,31 +221,30 @@ def fair_train(
     if eval_set.K != train.K:
         raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
 
-    ps_train, stats_train = pairs_and_stats(train, "training set")
+    ps_train = checked_pairs(train, "training set")
     # All T + 1 trainings share one pair set and one cfg.inner, so one draw
     # of their epoch orders serves every one.  The evaluation pairs are built
     # only if T > 0, and before the first fit.
-    orders, splits = None, [(ps_train, stats_train)]
+    orders, splits = None, [ps_train]
     if cfg.T:
         orders = shared_epoch_orders(len(ps_train), cfg.inner)
-        splits.append(pairs_and_stats(eval_set, "evaluation set"))
+        splits.append(checked_pairs(eval_set, "evaluation set"))
     at_delta = 1 if cfg.delta_set == "validation" else 0
 
     def measure(model, t):
         # The first fit's violation is measured on the delta set alone.
         if not t:
-            ps, stats = splits[at_delta]
-            return None, expected_bias(score_matrix(model, ps.source.features), ps, stats, kind)
+            ps = splits[at_delta]
+            return None, expected_bias(score_matrix(model, ps.source.features), ps, kind)
         reports = [
-            evaluation.evaluate(score_matrix(model, ps.source.features), ps, stats, kind)
-            for ps, stats in splits
+            evaluation.evaluate(score_matrix(model, ps.source.features), ps, kind) for ps in splits
         ]
         return [r.auc for r in reports] + [r.fairness for r in reports], reports[at_delta].delta
 
     model, coeffs, steps = _reweight_loop(
         cfg,
         Coefficients.zeros(train.K, kind),
-        lambda c: pair_weights(c, stats_train, ps_train, cfg.weight_form),
+        lambda c: pair_weights(c, ps_train, cfg.weight_form),
         lambda weights, init: train_weighted(ps_train, weights, cfg.inner, init, orders),
         measure,
     )
@@ -265,28 +255,25 @@ def fair_train(
     return model, coeffs, history
 
 
-def point_expected_bias(
-    scores: np.ndarray, ds: Dataset, stats: GroupStats, kind: ConstraintKind
-) -> DeltaMatrix:
-    """Per-group item-level violation of per-item scores (one a row of ds)."""
+def point_expected_bias(scores: np.ndarray, ds: Dataset, kind: ConstraintKind) -> DeltaMatrix:
+    """Per-group item-level violation of per-item scores (one a row of ds),
+    under ds's own item statistics."""
     if not kind.is_pointwise:
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
+    stats = compute_point_stats(ds)
     p = stable_sigmoid(check_scores(scores, ds.n_items))
     cells = item_cell(ds.groups, ds.labels, ds.K)
     cell_sums = np.bincount(cells, weights=p, minlength=2 * ds.K).reshape(ds.K, 2)
     return DeltaMatrix(*constraint_bias(kind, stats, cell_sums, p.size))
 
 
-def point_weights(
-    coeffs: np.ndarray, stats: GroupStats, ds: Dataset, kind: ConstraintKind
-) -> np.ndarray:
-    """Per-item weight at the observed label, normalized over both labels;
-    a cell holding items whose weight is not > 0 is a ValidationError."""
-    s = constraint_exponents(kind, stats, coeffs).ravel()
-    weights, cells = _own_label_weights(s), item_cell(ds.groups, ds.labels, ds.K)
-    held = np.bincount(cells, minlength=weights.size)
-    _check_cell_weights(weights, held, "item", {"k": ds.K, "label": 2})
-    return weights[cells]
+def point_weights(coeffs: Coefficients, ds: Dataset) -> np.ndarray:
+    """Per-item weight at the observed label, normalized over both labels, under
+    ds's statistics; a cell holding items whose weight is not > 0 is a ValidationError."""
+    stats = compute_point_stats(ds)
+    weights = _own_label_weights(constraint_exponents(coeffs.kind, stats, coeffs.values).ravel())
+    _check_cell_weights(weights, stats.counts.ravel(), "item", {"k": ds.K, "label": 2})
+    return weights[item_cell(ds.groups, ds.labels, ds.K)]
 
 
 def pointwise_reweight_train(
@@ -306,17 +293,17 @@ def pointwise_reweight_train(
         raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
     if any(((ds.labels != 0) & (ds.labels != 1)).any() for ds in (train, eval_set)):
         raise ValidationError("pointwise training needs every item label in {0, 1}")
-    stats = compute_point_stats(train)
     ds_delta = eval_set if cfg.delta_set == "validation" else train
-    on_delta = ds_delta, compute_point_stats(ds_delta), kind
     # As in fair_train, the T + 1 trainings share one draw of their orders.
     orders = shared_epoch_orders(train.n_items, cfg.inner) if cfg.T else None
     model, _, _ = _reweight_loop(
         cfg,
         Coefficients(np.zeros(train.K), kind),
-        lambda c: point_weights(c.values, stats, train, kind),
+        lambda c: point_weights(c, train),
         lambda weights, init: train_pointwise(train, weights, cfg.inner, init, orders),
-        lambda m, t: (None, point_expected_bias(score_matrix(m, ds_delta.features), *on_delta)),
+        lambda m, t: (
+            None, point_expected_bias(score_matrix(m, ds_delta.features), ds_delta, kind)
+        ),
     )
     return model
 

@@ -1,5 +1,8 @@
 """Shared builders for hand-constructed datasets and pair sets, a dataset
-checker and a numerical gradient."""
+checker, a numerical gradient and a counter of the passes that count a
+pair set's cells."""
+
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -94,3 +97,19 @@ def all_cells_pairs():
     ordered pairs fill all 8 (group_i, group_j, label) cells."""
     ds = build_dataset([("q", [1, 0, 0, 1], [0, 1, 0, 1], [[0.0]] * 4)], d=1, K=2)
     return make_pairs(ds)
+
+
+def count_cell_passes(monkeypatch):
+    """Record each pass over a pair set that counts its cells (a computed
+    PairSet.cell_counts); returns the list of pair sets, one entry a pass."""
+    count = PairSet.__dict__["cell_counts"].func
+    passes = []
+
+    def counted(ps):
+        passes.append(ps)
+        return count(ps)
+
+    prop = cached_property(counted)
+    prop.__set_name__(PairSet, "cell_counts")
+    monkeypatch.setattr(PairSet, "cell_counts", prop)
+    return passes

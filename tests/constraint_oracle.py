@@ -85,7 +85,7 @@ def fraction_group_stats(ps: PairSet) -> FractionStats:
     if not len(ps):
         raise ValidationError("cannot compute group statistics of an empty pair set")
     n = 2 * len(ps)
-    pos = ps.cell_counts()
+    pos = ps.cell_counts
     return FractionStats((pos + pos.T) / n, pos / n, float(pos.sum() / n), *_item_stats(ps.source))
 
 

@@ -162,7 +162,7 @@ def test_criterion_2_weight_closed_form(rng):
             lam = rng.normal(scale=2.0, size=(K, K)) * mask
             coeffs = Coefficients(lam, STAT)
             weights = ordered_weights(coeffs, stats, ordered)
-            mean_ok &= np.array_equal(pair_weights(coeffs, stats, ps), fold(weights, ordered))
+            mean_ok &= np.array_equal(pair_weights(coeffs, ps), fold(weights, ordered))
             t = int(rng.integers(len(ordered)))
             gi, gj, label = groups_i[t], groups_j[t], labels[t]
             s = sum(
@@ -304,8 +304,8 @@ def test_criterion_6_fixed_point_and_t0(monkeypatch):
 
     real = rw.expected_bias
 
-    def zeroed(model, ps_, stats_, kind_):
-        delta = real(model, ps_, stats_, kind_)
+    def zeroed(model, ps_, kind_):
+        delta = real(model, ps_, kind_)
         return rw.DeltaMatrix(np.zeros_like(delta.values), delta.defined)
 
     monkeypatch.setattr(rw, "expected_bias", zeroed)

@@ -193,14 +193,14 @@ class TestPairTablesMatchLoops:
                 values[undefined] = np.inf
             coeffs = Coefficients(values, kind)
             for form in ("general", "indicator"):
-                got = pair_weights(coeffs, stats, ps, form)
+                got = pair_weights(coeffs, ps, form)
                 assert_same_bits(got, fold(loop_pair_weights(coeffs, stats, op, form), op))
 
     def test_expected_bias_matches(self, rng, kind, K):
         ds, ps, stats = self.setup_data(rng, K)
         for _ in range(5):
             model = LinearRankingModel(rng.normal(scale=2.0, size=ds.d), 0.0)
-            delta = expected_bias(score_matrix(model, ds.features), ps, stats, kind)
+            delta = expected_bias(score_matrix(model, ds.features), ps, kind)
             values, mask = loop_expected_bias(model, ordered_pairs(ps), stats, kind)
             np.testing.assert_array_equal(delta.defined, mask)
             np.testing.assert_allclose(delta.values, values, rtol=0, atol=1e-12)
@@ -212,7 +212,7 @@ class TestPairTablesMatchLoops:
         ds, ps, stats = self.setup_data(rng, K)
         coeffs = Coefficients(random_coefficients(rng, K, scale=0.1), kind)
         for form in ("general", "indicator"):
-            weights = pair_weights(coeffs, stats, ps, form)
+            weights = pair_weights(coeffs, ps, form)
             by_cell = np.zeros(2 * K * K)
             by_cell[ps.arrays] = weights
             assert_same_bits(by_cell[ps.arrays], weights)
@@ -288,7 +288,7 @@ class TestPointTablesMatchLoops:
         for _ in range(5):
             coeffs = rng.normal(scale=2.0, size=K)
             coeffs[rng.random(K) < 0.2] = 0.0
-            got = point_weights(coeffs, stats, ds, kind)
+            got = point_weights(Coefficients(coeffs, kind), ds)
             assert_same_bits(got, loop_point_weights(coeffs, stats, ds, kind))
 
     def test_point_expected_bias_matches(self, rng, kind, K):
@@ -296,7 +296,7 @@ class TestPointTablesMatchLoops:
         stats = compute_point_stats(ds)
         for _ in range(5):
             model = LinearRankingModel(rng.normal(size=ds.d), float(rng.normal()))
-            delta = point_expected_bias(score_matrix(model, ds.features), ds, stats, kind)
+            delta = point_expected_bias(score_matrix(model, ds.features), ds, kind)
             want, want_mask = loop_point_expected_bias(model, ds, stats, kind)
             np.testing.assert_array_equal(delta.defined, want_mask)
             np.testing.assert_allclose(delta.values, want, rtol=0, atol=1e-12)
@@ -321,7 +321,7 @@ def test_label_weights_of_a_cell_sum_to_one(seed, K, kind):
     op = ordered_pairs(ps)
     cell = op.cell
     try:
-        weights = pair_weights(coeffs, stats, ps)
+        weights = pair_weights(coeffs, ps)
     except ValidationError:
         # Exponents beyond the float range underflow a weight, which pair_weights refuses.
         assert np.abs(s[cell]).max() > 700
@@ -377,14 +377,14 @@ class TestWeightUnderflow:
         # only cells (0, 1, 1) and (1, 0, 0) hold ordered pairs.
         ds = build_dataset([("q", [1, 1, 0, 0], [0, 0, 1, 1], [[0.0]] * 4)], d=1, K=2)
         ps = make_pairs(ds)
-        stats = compute_group_stats(ps)
         values = np.asarray([[0.0, 1e4], [0.0, 0.0]])
         coeffs = Coefficients(values, ConstraintKind.PAIR_STATISTICAL)
-        np.testing.assert_array_equal(pair_weights(coeffs, stats, ps), np.ones(len(ps)))
-        # The same weights on ordered pairs of every cell: cells such as
-        # (0, 1, 0) and (1, 0, 1) weigh 0, and the first is named.
+        np.testing.assert_array_equal(pair_weights(coeffs, ps), np.ones(len(ps)))
+        # The same coefficients on a pair set whose ordered pairs fill every
+        # cell: the exponent of every cell but (0, 1) is -1e4, so cells such
+        # as (0, 0, 1) and (1, 0, 1) weigh 0, and the first is named.
         with pytest.raises(ValidationError, match=r"cell \(k=0, l=0, label=1\) is 0\.0"):
-            pair_weights(coeffs, stats, all_cells_pairs())
+            pair_weights(coeffs, all_cells_pairs())
 
     def test_underflow_of_a_mirror_cell_is_named(self):
         # Pairs (0, 1, 1) and (0, 0, 1), so the ordered cells (1, 0, 0) and
@@ -394,8 +394,7 @@ class TestWeightUnderflow:
             [("a", [1, 0], [0, 1], [[0.0]] * 2), ("b", [1, 0], [0, 0], [[0.0]] * 2)], d=1, K=2
         )
         ps = make_pairs(ds)
-        stats = compute_group_stats(ps)
         values = np.asarray([[0.0, 0.0], [300.0, 0.0]])
         coeffs = Coefficients(values, ConstraintKind.PAIR_STATISTICAL)
         with pytest.raises(ValidationError, match=r"cell \(k=1, l=0, label=0\) is 0\.0"):
-            pair_weights(coeffs, stats, ps)
+            pair_weights(coeffs, ps)

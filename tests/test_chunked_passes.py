@@ -146,8 +146,8 @@ def test_cells_and_counts_match_whole_form(rng, K):
     for sub in [ps, *subsets.values()]:
         assert sub.arrays.dtype == np.uint8
         assert sub.arrays.tobytes() == whole_cell(sub).tobytes()
-        np.testing.assert_array_equal(sub.cell_counts(), whole_cell_counts(sub))
-        assert sub.cell_counts().dtype == np.int64
+        np.testing.assert_array_equal(sub.cell_counts, whole_cell_counts(sub))
+        assert sub.cell_counts.dtype == np.int64
 
 
 @pytest.mark.usefixtures("small_chunks")
@@ -167,13 +167,12 @@ def test_group_stats_bit_identical(rng, K):
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
 def test_pair_weights_bit_identical(rng, kind, K):
     ps, subsets = pair_sets(rng, K)
-    stats = compute_group_stats(ps)
     coeffs = Coefficients(rng.normal(scale=0.5, size=(K, K)), kind)
     for weight_form in ("general", "indicator"):
         for sub in [ps, *subsets.values()]:
             assert_same_bits(
-                pair_weights(coeffs, stats, sub, weight_form),
-                whole_pair_weights(coeffs, stats, sub, weight_form),
+                pair_weights(coeffs, sub, weight_form),
+                whole_pair_weights(coeffs, compute_group_stats(sub), sub, weight_form),
             )
 
 
@@ -185,7 +184,7 @@ def test_expected_bias_bit_identical(rng, kind, K):
     model = LinearRankingModel(rng.normal(scale=2.0, size=ps.source.d))
     for sub in [ps, *subsets.values()]:
         stats = compute_group_stats(sub)
-        delta = expected_bias(score_matrix(model, sub.source.features), sub, stats, kind)
+        delta = expected_bias(score_matrix(model, sub.source.features), sub, kind)
         assert_same_bits(delta.values, whole_expected_bias(model, sub, stats, kind))
 
 
@@ -194,15 +193,15 @@ def test_empty_pair_set(rng):
     ps, _ = pair_sets(rng, 3)
     empty = pair_subset(ps, np.zeros(0, dtype=np.intp))
     assert empty.arrays.size == 0 and empty.arrays.dtype == np.uint8
-    np.testing.assert_array_equal(empty.cell_counts(), np.zeros((3, 3), dtype=np.int64))
-    stats = compute_group_stats(ps)
+    np.testing.assert_array_equal(empty.cell_counts, np.zeros((3, 3), dtype=np.int64))
+    # An empty pair set has no statistics, so it can be neither weighed nor measured.
     coeffs = Coefficients(rng.normal(size=(3, 3)), ConstraintKind.PAIR_STATISTICAL)
-    weights = pair_weights(coeffs, stats, empty)
-    assert weights.shape == (0,) and weights.dtype == np.float64
     with pytest.raises(ValidationError, match="empty pair set"):
         compute_group_stats(empty)
     with pytest.raises(ValidationError, match="empty pair set"):
-        expected_bias(np.ones(ps.source.n_items), empty, stats, ConstraintKind.PAIR_STATISTICAL)
+        pair_weights(coeffs, empty)
+    with pytest.raises(ValidationError, match="empty pair set"):
+        expected_bias(np.ones(ps.source.n_items), empty, ConstraintKind.PAIR_STATISTICAL)
     no_pairs = build_dataset([("q", [1, 1], [0, 1], [[0.0]] * 2)], d=1, K=2)
     assert len(make_pairs(no_pairs)) == 0
 
@@ -239,23 +238,22 @@ class TestPeakMemory:
 
     def test_group_stats_peak_is_bounded(self, pairs):
         ps, _ = pairs
+        vars(ps).pop("cell_counts", None)  # measure the counting pass, not the cached counts
         _, peak = traced_peak(lambda: compute_group_stats(ps))
         assert peak < CHUNK_BOUND
 
     def test_pair_weights_peak_beyond_output_is_bounded(self, pairs):
         ps, _ = pairs
-        stats = compute_group_stats(ps)
         coeffs = Coefficients(np.array([[0.0, 0.4], [-0.3, 0.0]]), ConstraintKind.PAIR_INTER_GROUP)
-        weights, peak = traced_peak(lambda: pair_weights(coeffs, stats, ps))
+        weights, peak = traced_peak(lambda: pair_weights(coeffs, ps))
         assert peak - weights.nbytes < CHUNK_BOUND
 
     def test_expected_bias_peak_is_bounded(self, pairs):
         ps, _ = pairs
-        stats = compute_group_stats(ps)
         model = LinearRankingModel(np.linspace(-1.0, 1.0, ps.source.d))
         scores = score_matrix(model, ps.source.features)
         _, peak = traced_peak(
-            lambda: expected_bias(scores, ps, stats, ConstraintKind.PAIR_INTER_GROUP)
+            lambda: expected_bias(scores, ps, ConstraintKind.PAIR_INTER_GROUP)
         )
         assert peak < CHUNK_BOUND
 
@@ -273,9 +271,8 @@ class TestPeakMemory:
         coeffs = Coefficients(np.full((K, K), 0.01), kind)
 
         def measure_and_weigh():
-            stats = compute_group_stats(ps)
-            expected_bias(scores, ps, stats, kind)
-            return pair_weights(coeffs, stats, ps)
+            expected_bias(scores, ps, kind)
+            return pair_weights(coeffs, ps)
 
         _, peak = traced_peak(measure_and_weigh)
         assert peak < CHUNK_BOUND + 512 * K * K

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpair import cli, constraints
+from conftest import count_cell_passes
+from fairpair import cli
 from fairpair.cli import main
 from fairpair.data import (
     Dataset,
@@ -255,25 +256,24 @@ class TestSweep:
         assert float(rows[1.0]["fairness"]) == pair["fairness"]
 
     def test_builds_test_pairs_once(self, tmp_path, monkeypatch):
-        # Every scale is scored on one test pair set and its statistics: a
-        # 5-scale sweep builds those of the training and test splits, 2 of
-        # each, where one evaluate call per scale built 6.
+        # Every scale is scored on one test pair set and weighs one training
+        # pair set: a 5-scale sweep builds the pairs of the training and test
+        # splits and counts their cells, 2 of each, where one evaluate call
+        # per scale built 6.
         doc = base_config(tmp_path / "run", sweep_scales=[0.0, 0.5, 1.0, 1.5, 2.0])
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg]) == 0
-        calls = {"make_pairs": 0, "compute_group_stats": 0}
+        calls = {"make_pairs": 0}
 
-        def counted(name, real):
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
+        def counted(*args):
+            calls["make_pairs"] += 1
+            return make_pairs(*args)
 
-        for module in (cli, constraints):
-            for name in calls:
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module in ("fairpair.cli", "fairpair.data"):
+            monkeypatch.setattr(f"{module}.make_pairs", counted)
+        passes = count_cell_passes(monkeypatch)
         assert main(["sweep", "--config", cfg]) == 0
-        assert calls == {"make_pairs": 2, "compute_group_stats": 2}
+        assert (calls["make_pairs"], len(passes)) == (2, 2)
 
     def test_test_split_without_pairs_fails_before_training(self, tmp_path, monkeypatch, capsys):
         # A test split whose queries hold one label each is named in the

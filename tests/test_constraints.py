@@ -146,22 +146,20 @@ class TestPairConstraint:
     def test_label_zero_for_all_kinds(self):
         # Every constraint is 0 at label 0, so the weights give label 0 the
         # exponent 0 in every cell, whatever its label-1 value.
-        stats = make_stats(
-            [[0.25, 0.25], [0.25, 0.25]], [[0.1, 0.15], [0.1, 0.15]], 0.5
-        )
+        ps = all_cells_pairs()
+        stats = compute_group_stats(ps)
         cases = {
             ConstraintKind.PAIR_STATISTICAL: (0, 1),
             ConstraintKind.PAIR_INTER_GROUP: (0, 1),
             ConstraintKind.PAIR_INTRA_GROUP: (1, 1),
             ConstraintKind.PAIR_MARGINAL: (0, 1),
         }
-        ps = all_cells_pairs()
         ordered = ordered_pairs(ps)
         cell = ordered.cell
         for kind, (k, l) in cases.items():
             values = np.zeros((2, 2))
             values[k, l] = 0.7
-            weights = pair_weights(Coefficients(values, kind), stats, ps)
+            weights = pair_weights(Coefficients(values, kind), ps)
             s = 0.7 * pair_constraint_table(kind, stats)[k, l, cell]
             # A pair weighs the mean of its two ordered pairs' weights.
             want = fold(own_label_weights(s, cell % 2), ordered)
@@ -246,11 +244,13 @@ class TestPointConstraint:
 
     def test_label_zero(self):
         # As for pairs, label 0 gets the exponent 0 in every item cell.
-        stats = make_item_stats([0.5, 0.5], [0.25, 0.25])
         ds = build_dataset([("q", [0, 1, 0, 1], [0, 0, 1, 1], [[0.0]] * 4)], d=1, K=2)
+        stats = compute_point_stats(ds)
+        assert stats.pair_frac.tolist() == [0.5, 0.5]
+        assert stats.pos_pair_frac.tolist() == [0.25, 0.25]
         cell = item_cell(ds.groups, ds.labels, 2)
         for kind in (ConstraintKind.POINT_STATISTICAL, ConstraintKind.POINT_EQUAL_OPPORTUNITY):
-            weights = point_weights(np.asarray([0.7, 0.0]), stats, ds, kind)
+            weights = point_weights(Coefficients(np.asarray([0.7, 0.0]), kind), ds)
             s = 0.7 * point_constraint_table(kind, stats)[0, cell]
             np.testing.assert_allclose(weights, own_label_weights(s, ds.labels), rtol=1e-15)
 

@@ -12,11 +12,9 @@ from conftest import build_dataset, random_dataset
 from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
-    compute_point_stats,
     pair_constraint_mask,
-    pairs_and_stats,
 )
-from fairpair.data import generate_synthetic, make_pairs
+from fairpair.data import checked_pairs, generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel, score_matrix
@@ -236,9 +234,8 @@ class TestFairnessScore:
         # of a (K,) vector is 0, so it scored 1.0 whatever the violation: here
         # it did so for δ = [-0.069, 0.324, -0.252].
         ds, _ = generate_synthetic(20, 20, d=3, K=3, bias_strength=1.0, seed=0)
-        stats = compute_point_stats(ds)
         scores = score_matrix(LinearRankingModel(np.ones(ds.d)), ds.features)
-        delta = point_expected_bias(scores, ds, stats, ConstraintKind.POINT_STATISTICAL)
+        delta = point_expected_bias(scores, ds, ConstraintKind.POINT_STATISTICAL)
         assert delta.values.shape == (3,) and np.abs(delta.values).max() > 0.01
         with pytest.raises(ValidationError, match=r"needs a \(K, K\) violation, got \(3,\)"):
             fairness_score(delta)
@@ -250,15 +247,15 @@ class TestFairnessScore:
 class TestEvaluate:
     def test_zero_model_is_fair_for_statistical(self):
         ds, _ = generate_synthetic(10, 12, 3, 2, bias_strength=1.0, seed=4)
-        report = evaluate(np.zeros(ds.n_items), *pairs_and_stats(ds, "dataset"), STAT)
+        report = evaluate(np.zeros(ds.n_items), checked_pairs(ds, "dataset"), STAT)
         assert report.fairness == pytest.approx(1.0, abs=1e-9)
         assert report.auc == 0.5
 
     def test_deterministic(self, rng):
         ds = random_dataset(rng, n_queries=4, items_per_query=6)
         model = LinearRankingModel(rng.normal(size=ds.d), 0.1)
-        r1 = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
-        r2 = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
+        r1 = evaluate(score_matrix(model, ds.features), checked_pairs(ds, "dataset"), STAT)
+        r2 = evaluate(score_matrix(model, ds.features), checked_pairs(ds, "dataset"), STAT)
         assert r1.auc == r2.auc and r1.fairness == r2.fairness
         np.testing.assert_array_equal(r1.delta.values, r2.delta.values)
 
@@ -274,7 +271,7 @@ class TestEvaluate:
             K=2,
         )
         model = LinearRankingModel(np.asarray([1.0]), 0.0)
-        report = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
+        report = evaluate(score_matrix(model, ds.features), checked_pairs(ds, "dataset"), STAT)
 
         per_query = []
         for q in ds.queries:
@@ -312,20 +309,20 @@ class TestEvaluate:
 
     def test_scores_length_must_match(self, rng):
         ds = random_dataset(rng, d=4)
-        ps, stats = pairs_and_stats(ds, "dataset")
+        ps = checked_pairs(ds, "dataset")
         with pytest.raises(ValidationError, match="need one score per item"):
-            evaluate(np.zeros(ds.n_items - 1), ps, stats, STAT)
+            evaluate(np.zeros(ds.n_items - 1), ps, STAT)
 
     def test_requires_pairwise_kind(self, rng):
         ds = random_dataset(rng)
-        ps, stats = pairs_and_stats(ds, "dataset")
+        ps = checked_pairs(ds, "dataset")
         with pytest.raises(ValidationError):
-            evaluate(np.zeros(ds.n_items), ps, stats, ConstraintKind.POINT_STATISTICAL)
+            evaluate(np.zeros(ds.n_items), ps, ConstraintKind.POINT_STATISTICAL)
 
     def test_report_json_round_trip(self, tmp_path, rng):
         ds = random_dataset(rng, n_queries=3, items_per_query=6)
         model = LinearRankingModel(rng.normal(size=ds.d), 0.0)
-        report = evaluate(score_matrix(model, ds.features), *pairs_and_stats(ds, "dataset"), STAT)
+        report = evaluate(score_matrix(model, ds.features), checked_pairs(ds, "dataset"), STAT)
         path = tmp_path / "report.json"
         report.write_json(path)
         doc = json.loads(path.read_text())

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 
-from fairpair.constraints import ConstraintKind, compute_group_stats
+from fairpair.constraints import ConstraintKind
 from fairpair.data import generate_synthetic, make_pairs, split_queries
 from fairpair.evaluation import evaluate
 from fairpair.model import score_matrix
@@ -41,11 +41,10 @@ def test_fair_train_makes_a_quadratic_model_fairer():
         )
         assert train_q.d == 20
         ps = make_pairs(test)
-        stats = compute_group_stats(ps)
         for T, fairness in ((0, unconstrained), (20, pairwise)):
             cfg = FairTrainConfig(T=T, inner=TrainConfig(seed=s + 2))
             model, _, _ = fair_train(train_q, valid_q, STAT, cfg)
-            report = evaluate(score_matrix(model, fmap(test.features)), ps, stats, STAT)
+            report = evaluate(score_matrix(model, fmap(test.features)), ps, STAT)
             fairness.append(report.fairness)
     assert np.median(pairwise) > np.median(unconstrained)
     assert sum(p > u for p, u in zip(pairwise, unconstrained)) >= 7

@@ -25,13 +25,13 @@ from fairpair.constraints import (
     ConstraintKind,
     compute_group_stats,
     compute_point_stats,
+    constraint_bias,
+    constraint_exponents,
     pair_constraint_mask,
     point_constraint_mask,
 )
 from fairpair.data import Dataset, make_pairs
 from fairpair.errors import ValidationError
-from fairpair.evaluation import evaluate
-from fairpair.reweight import Coefficients, expected_bias, pair_weights, point_expected_bias
 
 PAIR_KINDS = [k for k in ConstraintKind if k.is_pairwise]
 POINT_KINDS = [k for k in ConstraintKind if k.is_pointwise]
@@ -85,32 +85,30 @@ def test_counts_match_the_fraction_builders(seed, K, starve):
 
 class TestStatisticsFitTheKind:
     """Item statistics for a pair kind, or pair statistics for a point kind,
-    are a ValidationError.  Unchecked, evaluate on item statistics with a
+    are a ValidationError in the masks and closed forms, which take
+    statistics alone; every measurement and weighting reads the statistics
+    of the pairs or items it is handed.  Unchecked, item statistics with a
     pair kind reported every entry undefined and fairness 1.0."""
 
     @pytest.fixture
     def data(self, rng):
         ds = random_dataset(rng, n_queries=4, items_per_query=8, K=3)
-        ps = make_pairs(ds)
-        return ds, ps, compute_group_stats(ps), compute_point_stats(ds)
+        return compute_group_stats(make_pairs(ds)), compute_point_stats(ds)
 
     @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
     def test_pair_kind_rejects_item_statistics(self, data, kind):
-        ds, ps, _, items = data
-        scores = ds.features[:, 0]
+        _, items = data
         with pytest.raises(ValidationError, match=r"needs pair statistics, got counts \(3, 2\)"):
-            evaluate(scores, ps, items, kind)
-        with pytest.raises(ValidationError, match="needs pair statistics"):
-            expected_bias(scores, ps, items, kind)
-        with pytest.raises(ValidationError, match="needs pair statistics"):
-            pair_weights(Coefficients.zeros(3, kind), items, ps)
-        with pytest.raises(ValidationError, match="needs pair statistics"):
             pair_constraint_mask(kind, items)
+        with pytest.raises(ValidationError, match="needs pair statistics"):
+            constraint_bias(kind, items, np.ones((3, 2)), 24)
+        with pytest.raises(ValidationError, match="needs pair statistics"):
+            constraint_exponents(kind, items, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("kind", POINT_KINDS, ids=lambda k: k.value)
     def test_point_kind_rejects_pair_statistics(self, data, kind):
-        ds, _, stats, _ = data
+        stats, _ = data
         with pytest.raises(ValidationError, match=r"needs item statistics, got counts \(3, 3, 2\)"):
-            point_expected_bias(ds.features[:, 0], ds, stats, kind)
-        with pytest.raises(ValidationError, match="needs item statistics"):
             point_constraint_mask(kind, stats)
+        with pytest.raises(ValidationError, match="needs item statistics"):
+            constraint_bias(kind, stats, np.ones((3, 3, 2)), 24)

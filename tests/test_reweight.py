@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 
 import fairpair.reweight as rw
-from conftest import all_cells_pairs, build_dataset, random_dataset
+from conftest import all_cells_pairs, build_dataset, count_cell_passes, random_dataset
 from constraint_oracle import table_algebra
 from enumeration import EnumeratedInstance, bias_correction_identity
-from fairpair import constraints, training
+from fairpair import data, training
 from fairpair.constraints import (
     ConstraintKind,
-    GroupStats,
     compute_group_stats,
-    compute_point_stats,
     pair_constraint_mask,
 )
-from fairpair.data import generate_synthetic, make_pairs, split_queries
+from fairpair.data import checked_pairs, generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel, score_matrix
@@ -57,8 +55,7 @@ class TestExpectedBias:
         for _ in range(5):
             ds = random_dataset(rng, n_queries=4, items_per_query=6, K=3)
             ps = make_pairs(ds)
-            stats = compute_group_stats(ps)
-            delta = expected_bias(np.zeros(ds.n_items), ps, stats, STAT)
+            delta = expected_bias(np.zeros(ds.n_items), ps, STAT)
             assert np.all(np.abs(delta.values) < 1e-12)
 
     def test_group_symmetric_dataset(self, rng):
@@ -69,9 +66,8 @@ class TestExpectedBias:
             [("q", [1, 1, 0, 0], [0, 1, 0, 1], [u, u, w, w])], d=2, K=2
         )
         ps = make_pairs(ds)
-        stats = compute_group_stats(ps)
         model = LinearRankingModel(np.asarray([0.3, -0.7]), 0.0)
-        delta = expected_bias(score_matrix(model, ds.features), ps, stats, STAT)
+        delta = expected_bias(score_matrix(model, ds.features), ps, STAT)
         assert delta.values[0, 1] == pytest.approx(delta.values[1, 0], abs=1e-15)
 
     def test_brute_force_oracle(self, rng):
@@ -89,7 +85,7 @@ class TestExpectedBias:
         assert len(ps) == 5  # hand-sized instance: 10 ordered pairs
         stats = compute_group_stats(ps)
         model = LinearRankingModel(np.asarray([0.8]), 0.3)
-        delta = expected_bias(score_matrix(model, ds.features), ps, stats, STAT)
+        delta = expected_bias(score_matrix(model, ds.features), ps, STAT)
 
         mask = pair_constraint_mask(STAT, stats)
         for k in range(2):
@@ -111,50 +107,51 @@ class TestExpectedBias:
     def test_requires_pairwise_kind(self, rng):
         ds = random_dataset(rng)
         ps = make_pairs(ds)
-        stats = compute_group_stats(ps)
         with pytest.raises(ValidationError):
-            expected_bias(np.zeros(ds.n_items), ps, stats, ConstraintKind.POINT_STATISTICAL)
+            expected_bias(np.zeros(ds.n_items), ps, ConstraintKind.POINT_STATISTICAL)
 
     def test_scores_length_checked(self, rng):
         ds = random_dataset(rng, d=3)
         ps = make_pairs(ds)
-        stats = compute_group_stats(ps)
         with pytest.raises(ValidationError, match="need one score per item"):
-            expected_bias(np.zeros(ds.n_items + 1), ps, stats, STAT)
+            expected_bias(np.zeros(ds.n_items + 1), ps, STAT)
 
 
-def uniform_stats(K=2):
-    """One ordered pair in each (group_i, group_j, label) cell."""
-    return GroupStats(np.ones((K, K, 2), dtype=np.int64), 2 * K * K)
-
-
-def weight_by_cell(coeffs, stats, weight_form="general"):
-    """The weight of an ordered pair in each K=2 cell, indexed [group_i,
-    group_j, label]; pair_weights must weigh each pair the mean of its two
-    ordered pairs' weights."""
-    ps = all_cells_pairs()
+def weight_by_cell(coeffs, weight_form="general", ps=None):
+    """The weight of an ordered pair in each K=2 cell of ps, indexed
+    [group_i, group_j, label], NaN in a cell ps leaves empty; pair_weights
+    must weigh each pair the mean of its two ordered pairs' weights.  The
+    default, all_cells_pairs, holds one ordered pair in each cell."""
+    ps = all_cells_pairs() if ps is None else ps
     ordered = ordered_pairs(ps)
-    cell_weights = ordered_weights(coeffs, stats, ordered, weight_form)
-    got = pair_weights(coeffs, stats, ps, weight_form)
+    cell_weights = ordered_weights(coeffs, compute_group_stats(ps), ordered, weight_form)
+    got = pair_weights(coeffs, ps, weight_form)
     np.testing.assert_array_equal(got, fold(cell_weights, ordered))
-    weights = np.empty(8)
+    weights = np.full(8, np.nan)
     weights[ordered.cell] = cell_weights
     return weights.reshape(2, 2, 2)
 
 
 class TestPairWeight:
     def test_zero_coefficients_give_half(self):
-        weights = weight_by_cell(Coefficients.zeros(2, STAT), uniform_stats())
+        assert compute_group_stats(all_cells_pairs()).counts.tolist() == [[[1, 1]] * 2] * 2
+        weights = weight_by_cell(Coefficients.zeros(2, STAT))
         assert np.all(weights == 0.5)
 
     def test_log3_exponent(self):
         # pair_frac = 1/2 makes the membership constraint equal 1, so one
         # coefficient of log 3 yields exponent log 3 for member pairs.
-        # One ordered pair in each label of the cross-group pairs, of 4.
-        stats = GroupStats(np.asarray([[[0, 0], [1, 1]], [[1, 1], [0, 0]]]), 4)
+        # One pair in each cross-group pair, so one ordered pair in each
+        # label of the cross-group cells, of 4.
+        ds = build_dataset(
+            [("a", [1, 0], [0, 1], [[0.0]] * 2), ("b", [1, 0], [1, 0], [[0.0]] * 2)], d=1, K=2
+        )
+        ps = make_pairs(ds)
+        stats = compute_group_stats(ps)
+        assert stats.counts.tolist() == [[[0, 0], [1, 1]], [[1, 1], [0, 0]]] and stats.n == 4
         values = np.zeros((2, 2))
         values[0, 1] = math.log(3)
-        weights = weight_by_cell(Coefficients(values, STAT), stats)
+        weights = weight_by_cell(Coefficients(values, STAT), ps=ps)
         assert weights[0, 1, 1] == pytest.approx(0.75, abs=1e-12)
         assert weights[0, 1, 0] == pytest.approx(0.25, abs=1e-12)
 
@@ -173,7 +170,7 @@ class TestPairWeight:
             ordered = ordered_pairs(ps)
             weights = ordered_weights(coeffs, stats, ordered)
             # A pair weighs the mean of its two ordered pairs' weights.
-            np.testing.assert_array_equal(pair_weights(coeffs, stats, ps), fold(weights, ordered))
+            np.testing.assert_array_equal(pair_weights(coeffs, ps), fold(weights, ordered))
 
             group_i, group_j, label = np.unravel_index(ordered.cell, (K, K, 2))
             s = np.zeros(len(ordered))
@@ -189,21 +186,19 @@ class TestPairWeight:
             assert np.all(np.abs(sums[~np.isnan(sums)] - 1.0) < 1e-12)
 
     def test_indicator_form(self):
-        stats = uniform_stats()
         values = np.asarray([[0.0, math.log(3)], [0.0, 0.0]])
-        weights = weight_by_cell(Coefficients(values, STAT), stats, "indicator")
+        weights = weight_by_cell(Coefficients(values, STAT), "indicator")
         assert weights[0, 1, 1] == pytest.approx(0.75, abs=1e-12)
         # Same-group pairs hit masked diagonal entries: exponent 0.
         assert weights[0, 0, 1] == 0.5
 
     def test_monotone_in_coefficient(self):
         # Raising a coefficient raises the label-1 weight of member pairs.
-        stats = uniform_stats()
         previous = 0.0
         for lam in (0.0, 0.5, 1.0, 2.0):
             values = np.zeros((2, 2))
             values[0, 1] = lam
-            w1 = weight_by_cell(Coefficients(values, STAT), stats)[0, 1, 1]
+            w1 = weight_by_cell(Coefficients(values, STAT))[0, 1, 1]
             assert lam == 0.0 or w1 > previous
             previous = w1
 
@@ -222,7 +217,7 @@ class TestPairWeight:
         assert np.all(table[ordered.label == 0] == 0.5)
         label_one = np.empty(len(ps))
         label_one[ordered.pair[ordered.label == 1]] = table[ordered.label == 1]
-        np.testing.assert_array_equal(pair_weights(coeffs, stats, ps), (label_one + 0.5) / 2)
+        np.testing.assert_array_equal(pair_weights(coeffs, ps), (label_one + 0.5) / 2)
 
 
 class TestUpdateCoefficients:
@@ -284,8 +279,8 @@ class TestFairTrain:
 
         real = rw.expected_bias
 
-        def zero_bias(scores, ps, stats, kind):
-            delta = real(scores, ps, stats, kind)
+        def zero_bias(scores, ps, kind):
+            delta = real(scores, ps, kind)
             return rw.DeltaMatrix(np.zeros_like(delta.values), delta.defined)
 
         monkeypatch.setattr(rw, "expected_bias", zero_bias)
@@ -298,9 +293,9 @@ class TestFairTrain:
         train, valid, test = self.biased_splits()
         base, _, _ = fair_train(train, valid, STAT, small_cfg(T=0, seed=2))
         fair, _, _ = fair_train(train, valid, STAT, small_cfg(T=10, seed=2))
-        on_test = constraints.pairs_and_stats(test, "test set")
-        fair_score = evaluate(score_matrix(fair, test.features), *on_test, STAT).fairness
-        assert fair_score > evaluate(score_matrix(base, test.features), *on_test, STAT).fairness
+        ps_test = checked_pairs(test, "test set")
+        fair_score = evaluate(score_matrix(fair, test.features), ps_test, STAT).fairness
+        assert fair_score > evaluate(score_matrix(base, test.features), ps_test, STAT).fairness
 
     def test_history_records_shape(self):
         train, valid, _ = self.biased_splits()
@@ -329,16 +324,18 @@ class TestFairTrain:
             made.append(ps)
             return ps
 
-        monkeypatch.setattr(constraints, "make_pairs", recorded)
+        monkeypatch.setattr(data, "make_pairs", recorded)
 
         train, valid, test = self.biased_splits()
-        on_test = constraints.pairs_and_stats(test, "test set")
-        evaluate(score_matrix(LinearRankingModel(np.ones(test.d)), test.features), *on_test, STAT)
+        ps_test = checked_pairs(test, "test set")
+        evaluate(score_matrix(LinearRankingModel(np.ones(test.d)), test.features), ps_test, STAT)
         fair_train(train, valid, STAT, small_cfg(T=3))
         assert len(made) == 3
         for ps in made:
-            assert "arrays" in vars(ps)
-            held = [v for v in vars(ps).values() if isinstance(v, np.ndarray)]
+            # Beside its columns, a pair set holds its (K, K) cell counts.
+            held = dict(vars(ps))
+            assert held.pop("cell_counts").shape == (ps.source.K,) * 2 and "arrays" in held
+            held = [v for v in held.values() if isinstance(v, np.ndarray)]
             assert held and all(v.shape == (len(ps),) for v in held)
 
     @pytest.mark.parametrize("delta_set", ["train", "validation"])
@@ -351,7 +348,7 @@ class TestFairTrain:
         train, valid, _ = self.biased_splits()
         cfg = small_cfg(T=4, delta_set=delta_set, warm_start=warm_start)
         calls = {"make_pairs": 0, "expected_bias": 0}
-        owners = {"make_pairs": constraints, "expected_bias": rw}
+        owners = {"make_pairs": data, "expected_bias": rw}
 
         def counted(name):
             real = getattr(owners[name], name)
@@ -379,6 +376,17 @@ class TestFairTrain:
             )
             assert rec.delta.tobytes() == ref.delta.tobytes()
             assert rec.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    def test_counts_the_training_cells_once(self, monkeypatch):
+        # Every weighting and measurement reads the statistics of its own pair
+        # set, stacked from the cell counts the pair set caches: one run at
+        # T=20 counts the cells of its training pairs and of its evaluation
+        # pairs once each, not once a pair_weights call.
+        train, valid, _ = self.biased_splits()
+        passes = count_cell_passes(monkeypatch)
+        fair_train(train, valid, STAT, small_cfg(T=20))
+        assert [ps.source is train for ps in passes].count(True) == 1
+        assert [ps.source is valid for ps in passes].count(True) == 1 and len(passes) == 2
 
     def test_warm_start_changes_trajectory(self):
         train, valid, _ = self.biased_splits()
@@ -426,21 +434,18 @@ def plain_fair_train(train, eval_set, kind, cfg):
     """Reference outer loop: every pair set built, every bias measured and
     every training's epoch orders drawn afresh."""
     ps_train = make_pairs(train)
-    stats_train = compute_group_stats(ps_train)
     ps_delta = make_pairs(train if cfg.delta_set == "train" else eval_set)
-    stats_delta = compute_group_stats(ps_delta)
     ps_eval = make_pairs(eval_set)
-    stats_eval = compute_group_stats(ps_eval)
 
     coeffs = Coefficients.zeros(train.K, kind)
-    weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
+    weights = pair_weights(coeffs, ps_train, cfg.weight_form)
     model = train_weighted(ps_train, weights, cfg.inner)
     history = []
     for t in range(1, cfg.T + 1):
         scores = score_matrix(model, ps_delta.source.features)
-        delta = expected_bias(scores, ps_delta, stats_delta, kind)
+        delta = expected_bias(scores, ps_delta, kind)
         coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
-        weights = pair_weights(coeffs, stats_train, ps_train, cfg.weight_form)
+        weights = pair_weights(coeffs, ps_train, cfg.weight_form)
         init = model if cfg.warm_start else None
         model = train_weighted(ps_train, weights, cfg.inner, init=init)
         history.append(
@@ -449,10 +454,10 @@ def plain_fair_train(train, eval_set, kind, cfg):
                 auc_train=auc(score_matrix(model, train.features), train)[0],
                 auc_eval=auc(score_matrix(model, eval_set.features), eval_set)[0],
                 fairness_train=fairness_score(
-                    expected_bias(score_matrix(model, train.features), ps_train, stats_train, kind)
+                    expected_bias(score_matrix(model, train.features), ps_train, kind)
                 ),
                 fairness_eval=fairness_score(
-                    expected_bias(score_matrix(model, eval_set.features), ps_eval, stats_eval, kind)
+                    expected_bias(score_matrix(model, eval_set.features), ps_eval, kind)
                 ),
                 delta=delta.values.copy(),
                 coeffs=coeffs.values.copy(),
@@ -597,42 +602,32 @@ class TestPointwiseReweightTrain:
 
     def test_point_expected_bias_checks_scores_length(self, rng):
         ds = random_dataset(rng, d=3)
-        stats = compute_point_stats(ds)
         with pytest.raises(ValidationError, match="need one score per item"):
             point_expected_bias(
-                np.zeros(ds.n_items - 1), ds, stats, ConstraintKind.POINT_STATISTICAL
+                np.zeros(ds.n_items - 1), ds, ConstraintKind.POINT_STATISTICAL
             )
 
     def test_point_weights_normalized(self, rng):
-        from fairpair.constraints import compute_point_stats
-
         ds = random_dataset(rng, n_queries=4, items_per_query=8, K=3)
-        stats = compute_point_stats(ds)
         coeffs = rng.normal(size=3)
-        w = point_weights(coeffs, stats, ds, ConstraintKind.POINT_EQUAL_OPPORTUNITY)
+        w = point_weights(Coefficients(coeffs, ConstraintKind.POINT_EQUAL_OPPORTUNITY), ds)
         assert np.all((w > 0) & (w < 1))
 
 
 def plain_pointwise_reweight_train(train, eval_set, kind, cfg):
     """Reference pointwise outer loop: its own coefficient step, error
     wrapper and retraining, as it stood before it shared fair_train's."""
-    stats = compute_point_stats(train)
     coeffs = np.zeros(train.K)
-    weights = point_weights(coeffs, stats, train, kind)
+    weights = point_weights(Coefficients(coeffs, kind), train)
     model = train_pointwise(train, weights, cfg.inner)
-
-    if cfg.delta_set == "validation":
-        ds_delta = eval_set
-        stats_delta = compute_point_stats(eval_set)
-    else:
-        ds_delta, stats_delta = train, stats
+    ds_delta = eval_set if cfg.delta_set == "validation" else train
 
     for t in range(1, cfg.T + 1):
         scores = score_matrix(model, ds_delta.features)
-        delta = point_expected_bias(scores, ds_delta, stats_delta, kind)
+        delta = point_expected_bias(scores, ds_delta, kind)
         coeffs = coeffs - cfg.eta_lambda * np.where(delta.defined, delta.values, 0.0)
         try:
-            weights = point_weights(coeffs, stats, train, kind)
+            weights = point_weights(Coefficients(coeffs, kind), train)
         except ValidationError as exc:
             msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
             raise ValidationError(msg) from exc

@@ -10,11 +10,7 @@ import pytest
 import model_measures as old
 from conftest import random_dataset
 from constraint_oracle import pair_constraint_table, table_algebra
-from fairpair.constraints import (
-    ConstraintKind,
-    compute_group_stats,
-    compute_point_stats,
-)
+from fairpair.constraints import ConstraintKind, compute_group_stats
 from fairpair.data import make_pairs
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate
@@ -29,14 +25,11 @@ MEASUREMENTS = ["auc", "expected_bias", "point_expected_bias", "evaluate"]
 def measurement(name, ds):
     """The named measurement of ds, as a function of its item scores."""
     ps = make_pairs(ds)
-    stats = compute_group_stats(ps)
     return {
         "auc": lambda s: auc(s, ds),
-        "expected_bias": lambda s: expected_bias(s, ps, stats, STAT),
-        "point_expected_bias": lambda s: point_expected_bias(
-            s, ds, compute_point_stats(ds), ConstraintKind.POINT_STATISTICAL
-        ),
-        "evaluate": lambda s: evaluate(s, ps, stats, STAT),
+        "expected_bias": lambda s: expected_bias(s, ps, STAT),
+        "point_expected_bias": lambda s: point_expected_bias(s, ds, ConstraintKind.POINT_STATISTICAL),
+        "evaluate": lambda s: evaluate(s, ps, STAT),
     }[name]
 
 
@@ -82,12 +75,12 @@ def test_zero_bias_scores_match_the_model_forms_bit_for_bit(rng, monkeypatch, ki
         model = LinearRankingModel(rng.normal(scale=scale, size=ds.d), 0.0)
         scores = score_matrix(model, ds.features)
         want = old.expected_bias(model, ps, stats, kind)
-        got = expected_bias(scores, ps, stats, kind)
+        got = expected_bias(scores, ps, kind)
         assert got.values.tobytes() == want.values.tobytes()
         np.testing.assert_array_equal(got.defined, want.defined)
         want_auc = old.auc(model, ds)
         assert auc(scores, ds) == want_auc
-        report = evaluate(scores, ps, stats, kind)
+        report = evaluate(scores, ps, kind)
         assert report.delta.values.tobytes() == want.values.tobytes()
         assert (report.auc, report.per_query_auc) == want_auc
 
@@ -106,7 +99,7 @@ def test_biased_scores_match_the_model_forms_within_rounding(rng, kind, K):
         model = LinearRankingModel(rng.normal(scale=2.0, size=ds.d), b)
         scores = score_matrix(model, ds.features)
         want = old.expected_bias(model, ps, stats, kind).values
-        got = expected_bias(scores, ps, stats, kind).values
+        got = expected_bias(scores, ps, kind).values
         bound = 2.0**-52 * (np.abs(scores).max() + 1.0) * table
         assert np.abs(got - want).max() <= bound
         assert auc(scores, ds) == old.auc(model, ds)

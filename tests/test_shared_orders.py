@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import count_cell_passes, random_dataset
 from fairpair import cli, reweight, training
 from fairpair.cli import main
 from fairpair.constraints import ConstraintKind
@@ -225,14 +225,15 @@ def test_traced_fair_train_reads_each_pair_set_arrays():
     assert tracing.layer_metrics(tracer)["data.arrays_s"] > 0
 
 
-def test_traced_fair_train_measures_through_evaluate():
+def test_traced_fair_train_measures_through_evaluate(monkeypatch):
     # Every history record is measured by evaluate on the train and eval
     # pairs, so perfbench's evaluation.evaluate_calls counts them: 2T spans,
     # each over one bias and one AUC.  The first delta is measured before
-    # the loop, outside evaluate, and the 2 pair sets and their statistics
-    # are built once each.
+    # the loop, outside evaluate, and the 2 pair sets are built, and their
+    # cells counted, once each.
     tracing = load_tracing()
     train, valid, cfg = guard_run()
+    passes = count_cell_passes(monkeypatch)
     tracer = traced_fair_train(tracing, train, valid, cfg)
     names = [s["name"] for s in tracer.spans]
     evaluates = [s["id"] for s in tracer.spans if s["name"] == "evaluation.evaluate"]
@@ -241,7 +242,7 @@ def test_traced_fair_train_measures_through_evaluate():
         children = [s["name"] for s in tracer.spans if s["parent"] == parent]
         assert children.count("reweight.expected_bias") == children.count("evaluation.auc") == 1
     assert names.count("reweight.expected_bias") == 1 + 2 * cfg.T
-    assert names.count("data.make_pairs") == names.count("constraints.compute_group_stats") == 2
+    assert names.count("data.make_pairs") == len(passes) == 2
 
 
 def test_traced_pointwise_run_counts_no_pairwise_training():
