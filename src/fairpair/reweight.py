@@ -11,7 +11,6 @@ against it, reweight the pairs or items, and retrain.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,12 +29,7 @@ from .constraints import (
 from .data import Dataset, PairSet, checked_pairs, item_cell, pair_chunks
 from .errors import ValidationError, require_types
 from .model import LinearRankingModel, check_scores, score_matrix, stable_sigmoid
-from .training import (
-    TrainConfig,
-    shared_epoch_orders,
-    train_pointwise,
-    train_weighted,
-)
+from .training import TrainConfig, shared_epoch_orders, train_pointwise, train_weighted
 
 
 @dataclass(eq=False)
@@ -178,13 +172,18 @@ def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) ->
     return Coefficients(coeffs.values - eta * step, coeffs.kind)
 
 
-def _reweight_loop(cfg: FairTrainConfig, coeffs: Coefficients, weigh, fit, measure):
+def _reweight_loop(cfg: FairTrainConfig, n: int, coeffs: Coefficients, weigh, fit, measure):
     """Fit on ``weigh(coeffs)``, then T times step the coefficients against the
     last violation, reweigh, refit and measure.  ``measure(model, t)`` returns
     what outer iteration t records and the violation driving t + 1 (t = 0 is
     the first fit, measured only when T > 0).  Returns the last model and
-    coefficients and, per iteration, its record, driving delta and coefficients."""
-    model, steps = fit(weigh(coeffs), None), []
+    coefficients and, per iteration, its record, driving delta and coefficients.
+
+    All T + 1 fits, ``fit(weights, init, orders)``, train on the same n pairs
+    or items with one cfg.inner, so one draw of their epoch orders serves
+    every one; with T = 0 the one fit draws its own."""
+    orders = shared_epoch_orders(n, cfg.inner) if cfg.T else None
+    model, steps = fit(weigh(coeffs), None, orders), []
     delta = measure(model, 0)[1] if cfg.T else None
     for t in range(1, cfg.T + 1):
         coeffs = update_coefficients(coeffs, delta, cfg.eta_lambda)
@@ -193,7 +192,7 @@ def _reweight_loop(cfg: FairTrainConfig, coeffs: Coefficients, weigh, fit, measu
         except ValidationError as exc:
             msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
             raise ValidationError(msg) from exc
-        model = fit(weights, model if cfg.warm_start else None)
+        model = fit(weights, model if cfg.warm_start else None, orders)
         recorded, next_delta = measure(model, t)
         steps.append((recorded, delta, coeffs))
         delta = next_delta
@@ -216,19 +215,14 @@ def fair_train(
     """
     if not kind.is_pairwise:
         raise ValidationError(f"{kind} is not a pairwise constraint kind")
-    if train.K < 2:
+    if cfg.T and train.K < 2:
         raise ValidationError("fair training requires at least two groups")
     if eval_set.K != train.K:
         raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
 
     ps_train = checked_pairs(train, "training set")
-    # All T + 1 trainings share one pair set and one cfg.inner, so one draw
-    # of their epoch orders serves every one.  The evaluation pairs are built
-    # only if T > 0, and before the first fit.
-    orders, splits = None, [ps_train]
-    if cfg.T:
-        orders = shared_epoch_orders(len(ps_train), cfg.inner)
-        splits.append(checked_pairs(eval_set, "evaluation set"))
+    # The evaluation pairs are built only if T > 0, and before the first fit.
+    splits = [ps_train] + ([checked_pairs(eval_set, "evaluation set")] if cfg.T else [])
     at_delta = 1 if cfg.delta_set == "validation" else 0
 
     def measure(model, t):
@@ -243,9 +237,10 @@ def fair_train(
 
     model, coeffs, steps = _reweight_loop(
         cfg,
+        len(ps_train),
         Coefficients.zeros(train.K, kind),
         lambda c: pair_weights(c, ps_train, cfg.weight_form),
-        lambda weights, init: train_weighted(ps_train, weights, cfg.inner, init, orders),
+        lambda weights, init, orders: train_weighted(ps_train, weights, cfg.inner, init, orders),
         measure,
     )
     history = [
@@ -294,13 +289,12 @@ def pointwise_reweight_train(
     if any(((ds.labels != 0) & (ds.labels != 1)).any() for ds in (train, eval_set)):
         raise ValidationError("pointwise training needs every item label in {0, 1}")
     ds_delta = eval_set if cfg.delta_set == "validation" else train
-    # As in fair_train, the T + 1 trainings share one draw of their orders.
-    orders = shared_epoch_orders(train.n_items, cfg.inner) if cfg.T else None
     model, _, _ = _reweight_loop(
         cfg,
+        train.n_items,
         Coefficients(np.zeros(train.K), kind),
         lambda c: point_weights(c, train),
-        lambda weights, init: train_pointwise(train, weights, cfg.inner, init, orders),
+        lambda weights, init, orders: train_pointwise(train, weights, cfg.inner, init, orders),
         lambda m, t: (
             None, point_expected_bias(score_matrix(m, ds_delta.features), ds_delta, kind)
         ),
@@ -312,17 +306,13 @@ def write_history_csv(history: list[IterationRecord], K: int, path) -> None:
     """One CSV row per outer iteration, violations and coefficients flattened row-major."""
     w = len(str(K - 1))  # padded, or (1, 11) and (11, 1) share a name from K=12
     cells = [f"{k:0{w}}{l:0{w}}" for k in range(K) for l in range(K)]
+    header = ["iter", "auc_train", "auc_eval", "fairness_train", "fairness_eval"]
+    header += [f"delta_{c}" for c in cells] + [f"lambda_{c}" for c in cells]
+    # Every field is an integer, a float's repr or a name of letters, digits
+    # and "_", none of which csv quotes, so joined fields are csv.writer's row.
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iter", "auc_train", "auc_eval", "fairness_train", "fairness_eval"]
-            + [f"delta_{c}" for c in cells]
-            + [f"lambda_{c}" for c in cells]
-        )
+        fh.write(",".join(header) + "\r\n")
         for rec in history:
-            writer.writerow(
-                [rec.iteration]
-                + [repr(v) for v in (rec.auc_train, rec.auc_eval, rec.fairness_train, rec.fairness_eval)]
-                + [repr(float(v)) for v in rec.delta.ravel()]
-                + [repr(float(v)) for v in rec.coeffs.ravel()]
-            )
+            metrics = [rec.auc_train, rec.auc_eval, rec.fairness_train, rec.fairness_eval]
+            values = metrics + rec.delta.ravel().tolist() + rec.coeffs.ravel().tolist()
+            fh.write(",".join([str(rec.iteration), *map(repr, values)]) + "\r\n")

@@ -125,15 +125,6 @@ def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndar
     return g
 
 
-def _check_weights(weights, n: int, unit: str) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValidationError(f"weight table length {weights.shape} != number of {unit} {n}")
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise ValidationError("weights must be finite and positive")
-    return weights
-
-
 def epoch_orders(n: int, cfg: TrainConfig):
     """Yield the cfg.epochs orders in which a trainer visits n pairs or items:
     successive permutations of a generator seeded by cfg.seed."""
@@ -154,22 +145,25 @@ def shared_epoch_orders(n: int, cfg: TrainConfig) -> np.ndarray:
     return orders
 
 
-def _check_orders(orders, n: int, cfg: TrainConfig, unit: str):
-    """``orders`` if it has the shape of cfg.epochs orders of n pairs or
-    items, epoch_orders(n, cfg) if it is None, else a ValidationError."""
-    if orders is None:
-        return epoch_orders(n, cfg)
-    if orders.shape != (cfg.epochs, n):
-        shape, epochs = orders.shape, cfg.epochs
-        raise ValidationError(f"orders of shape {shape} for {epochs} epochs of {n} {unit}")
-    return orders
-
-
-def _train_rows(X, row_i, row_j, weights, cfg: TrainConfig, w, orders) -> np.ndarray:
+def _train_rows(X, row_i, row_j, weights, cfg: TrainConfig, w, orders, unit: str) -> np.ndarray:
     """Minibatch Adam from ``w`` on the weighted loss of pairs (X[row_i], X[row_j])
     at label 1; each epoch walks its order a chunk of whole minibatches of
-    gathered rows at a time (see GATHER_BYTES).  Returns a stepped copy of w."""
+    gathered rows at a time (see GATHER_BYTES).  Returns a stepped copy of w.
+
+    Every trainer's inputs are checked here, before any step: one finite,
+    positive weight a row pair, and ``orders`` either None (drawn by
+    epoch_orders) or of shape (cfg.epochs, n); ``unit`` names the rows."""
     n, bs = row_i.size, cfg.batch_size
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValidationError(f"weight table length {weights.shape} != number of {unit} {n}")
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise ValidationError("weights must be finite and positive")
+    if orders is None:
+        orders = epoch_orders(n, cfg)
+    elif orders.shape != (cfg.epochs, n):
+        shape, epochs = orders.shape, cfg.epochs
+        raise ValidationError(f"orders of shape {shape} for {epochs} epochs of {n} {unit}")
     chunk = bs * max(1, GATHER_BYTES // (8 * X.shape[1] * bs))
     w = w.copy()
     state = AdamState.zeros(w.size)
@@ -205,14 +199,11 @@ def train_weighted(
     """
     if not len(ps):
         raise ValidationError("cannot train on an empty pair set")
-    n = len(ps)
-    weights = _check_weights(weights, n, "pairs")
-    orders = _check_orders(orders, n, cfg, "pairs")
     d = ps.source.d
     if init is None:
         init = LinearRankingModel.zeros(d)
     check_dimension(init, d)
-    w = _train_rows(ps.source.features, ps.row_i, ps.row_j, weights, cfg, init.w, orders)
+    w = _train_rows(ps.source.features, ps.row_i, ps.row_j, weights, cfg, init.w, orders, "pairs")
     return LinearRankingModel(w, float(init.b))
 
 
@@ -232,8 +223,6 @@ def train_pointwise(
         raise ValidationError("cannot train on an empty dataset")
     if ((ds.labels != 0) & (ds.labels != 1)).any():
         raise ValidationError("pointwise training needs every item label in {0, 1}")
-    weights = _check_weights(weights, n, "items")
-    orders = _check_orders(orders, n, cfg, "items")
     if init is None:
         init = LinearRankingModel.zeros(ds.d)
     check_dimension(init, ds.d)
@@ -242,5 +231,5 @@ def train_pointwise(
     items, pos = np.arange(n), ds.labels == 1
     row_i, row_j = np.where(pos, items, n), np.where(pos, n, items)
     params = np.append(init.w, init.b)
-    params = _train_rows(X, row_i, row_j, weights, cfg, params, orders)
+    params = _train_rows(X, row_i, row_j, weights, cfg, params, orders, "items")
     return LinearRankingModel(params[:-1], float(params[-1]))

@@ -162,6 +162,18 @@ class TestTrain:
         assert "outer iteration 1 with eta_lambda=10000.0" in err
         assert "pair weight of cell (k=" in err and "is 0.0" in err
 
+    def test_one_group_trains_only_without_coefficients(self, tmp_path, capsys):
+        # A T=0 run learns no group-pair coefficient, so one group is enough;
+        # the pairwise method's outer loop needs two.
+        doc = base_config(tmp_path / "run")
+        doc["dataset"]["synth"]["K"] = 1
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", cfg, "--method", "unconstrained"]) == 0
+        assert (tmp_path / "run" / "model.json").exists()
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--method", "pairwise"]) == 1
+        assert capsys.readouterr().err == "error: fair training requires at least two groups\n"
+
     def test_pointwise_method(self, tmp_path):
         out = tmp_path / "pw"
         cfg = write_config(tmp_path, base_config(out))

@@ -1,9 +1,10 @@
 """Differential and memory tests of the streaming CSV writers.
 
 save_csv and save_truth_csv turn WRITE_BLOCK values of each column into
-Python numbers at a time and format the rows with map.  row_writers holds
-the per-row csv.writer forms they replaced; every file must match them
-byte for byte, whatever the query ids and wherever the block edges fall.
+Python numbers at a time and format the rows with map; write_history_csv
+joins the reprs of each iteration's values.  row_writers holds the per-row
+csv.writer forms they replaced; every file must match them byte for byte,
+whatever the query ids and wherever the block edges fall.
 """
 
 import tempfile
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from fairpair import data
 from fairpair.data import Dataset, SynthTruth, generate_synthetic, save_csv, save_truth_csv
-from row_writers import row_save_csv, row_save_truth_csv
+from fairpair.reweight import IterationRecord, write_history_csv
+from row_writers import row_save_csv, row_save_truth_csv, row_write_history_csv
 
 # The extreme doubles of test_columnar's saved-CSV test, and ids the csv
 # module must quote, or that are not ASCII.
@@ -117,6 +119,22 @@ def test_matches_row_writers_on_random_datasets(draw):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(data, "WRITE_BLOCK", block)
         assert_same_bytes(ds, truth_of(ds), tmp)
+
+
+@pytest.mark.parametrize("K,T", [(1, 3), (2, 3), (12, 3), (3, 0)])
+def test_history_matches_row_writer(rng, tmp_path, K, T):
+    # At K=12 the cell names are padded, or (1, 11) and (11, 1) would clash;
+    # the values take in EXTREMES, NaN, infinities and negative zero.  A
+    # T=0 run writes the header alone.
+    specials = np.array(EXTREMES + [np.nan, np.inf, -np.inf])
+    history = []
+    for t in range(1, T + 1):
+        delta, coeffs = rng.standard_normal((2, K, K))
+        delta.ravel()[: specials.size] = specials[: K * K]
+        history.append(IterationRecord(t, 0.75, 1 / 3, -0.0, 0.1 * t, delta, coeffs))
+    write_history_csv(history, K, tmp_path / "new.csv")
+    row_write_history_csv(history, K, tmp_path / "old.csv")
+    assert_same_file(tmp_path / "new.csv", tmp_path / "old.csv")
 
 
 def save_csv_peak(n_queries, path):

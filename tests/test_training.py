@@ -404,6 +404,48 @@ class TestTrainWeighted:
         assert str(exc.value) == f"weight table length (3,) != number of pairs {len(ps)}"
 
 
+BAD_WEIGHT = "weights must be finite and positive"
+# Each fault of the weights or orders handed to a trainer of n rows: the
+# weights, the orders and the message, whose {unit} names the rows.
+ROW_FAULTS = {
+    "nan-weight": lambda n: (np.r_[np.nan, np.ones(n - 1)], None, BAD_WEIGHT),
+    "inf-weight": lambda n: (np.r_[np.ones(n - 1), np.inf], None, BAD_WEIGHT),
+    "zero-weight": lambda n: (np.r_[np.ones(n - 1), 0.0], None, BAD_WEIGHT),
+    "negative-weight": lambda n: (np.full(n, -0.5), None, BAD_WEIGHT),
+    "short-weights": lambda n: (
+        np.ones(n - 1), None, rf"weight table length \({n - 1},\) != number of {{unit}} {n}"
+    ),
+    "orders-of-other-epochs": lambda n: (
+        np.ones(n), np.zeros((2, n), np.int64),
+        rf"orders of shape \(2, {n}\) for 3 epochs of {n} {{unit}}",
+    ),
+    "orders-of-other-rows": lambda n: (
+        np.ones(n), np.zeros((3, n + 1), np.int64),
+        rf"orders of shape \(3, {n + 1}\) for 3 epochs of {n} {{unit}}",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ROW_FAULTS.values(), ids=ROW_FAULTS)
+@pytest.mark.parametrize("unit", ["pairs", "items"])
+def test_both_trainers_check_rows_before_any_step(rng, monkeypatch, unit, fault):
+    # train_weighted and train_pointwise hand their weights and orders to
+    # one check in the shared loop, which runs before the first Adam step.
+    def stepped(*args):
+        raise AssertionError("trained before the weights and orders were checked")
+
+    ds = random_dataset(rng)
+    if unit == "pairs":
+        trainer, rows = train_weighted, make_pairs(ds)
+        n = len(rows)
+    else:
+        trainer, rows, n = train_pointwise, ds, ds.n_items
+    weights, orders, msg = fault(n)
+    monkeypatch.setattr(training, "adam_update", stepped)
+    with pytest.raises(ValidationError, match=f"^{msg.format(unit=unit)}$"):
+        trainer(rows, weights, TrainConfig(epochs=3), None, orders)
+
+
 class TestTrainPointwise:
     @pytest.mark.parametrize("epochs,batch_size", STEP_CASES)
     def test_one_adam_step_per_minibatch(self, rng, monkeypatch, epochs, batch_size):
