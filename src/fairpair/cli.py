@@ -175,6 +175,11 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return generate_synthetic(**cfg.dataset["synth"])[0]
 
 
+def _shown(fairness: float | None) -> str:
+    """A fairness for stdout: n/a where no violation entry is defined."""
+    return "n/a" if fairness is None else f"{fairness:.4f}"
+
+
 def _write_reports(model, splits, kind, out_dir: Path) -> None:
     """One report a split that has pairs; each pair set is dropped before the next is built."""
     for name, ds in zip(("train", "valid", "test"), splits):
@@ -182,7 +187,7 @@ def _write_reports(model, splits, kind, out_dir: Path) -> None:
         if len(ps):
             report = evaluate(score_matrix(model, ds.features), ps, kind)
             report.write_json(out_dir / f"eval_{name}.json")
-            print(f"eval_{name}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
+            print(f"eval_{name}: auc={report.auc:.4f} fairness={_shown(report.fairness)}")
         del ps
 
 
@@ -271,14 +276,14 @@ def cmd_sweep(cfg: RunConfig) -> None:
         model = train_weighted(ps, weights, cfg.fair.inner, orders=orders)
         report = evaluate(score_matrix(model, test.features), ps_test, kind)
         rows.append((x, report.auc, report.fairness))
-        print(f"sweep x={x:g}: auc={report.auc:.4f} fairness={report.fairness:.4f}")
+        print(f"sweep x={x:g}: auc={report.auc:.4f} fairness={_shown(report.fairness)}")
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     with (cfg.out_dir / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "auc", "fairness"])
         for x, a, f in rows:
-            writer.writerow([repr(float(x)), repr(a), repr(f)])
+            writer.writerow([repr(float(x)), repr(a), "" if f is None else repr(f)])
     print(f"wrote {cfg.out_dir / 'sweep.csv'}")
 
 

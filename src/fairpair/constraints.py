@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import PairSet, _check_items, item_cell
+from .data import PairSet
 from .errors import ValidationError
 
 
@@ -91,12 +91,11 @@ def compute_group_stats(ps: PairSet) -> GroupStats:
 
 
 def compute_point_stats(ds) -> GroupStats:
-    """Count the items of each group and label, for the pointwise constraints."""
+    """The items of each group and label, for the pointwise constraints: the
+    dataset's Dataset.cell_counts, counted once a dataset."""
     if ds.n_items == 0:
         raise ValidationError("cannot compute item statistics of an empty dataset")
-    _check_items(ds, "item statistics")
-    counts = np.bincount(item_cell(ds.groups, ds.labels, ds.K), minlength=2 * ds.K)
-    return GroupStats(counts.reshape(ds.K, 2), ds.n_items)
+    return GroupStats(ds.cell_counts, ds.n_items)
 
 
 def pair_constraint_mask(kind: ConstraintKind, stats: GroupStats) -> np.ndarray:

@@ -65,7 +65,8 @@ class Dataset:
     """Queries stored as columns with a shared feature dimension and group count.
 
     The rows of query q are ``offsets[q]:offsets[q + 1]``; each query's rows
-    are contiguous and keep their input order.
+    are contiguous and keep their input order.  ``item_cells`` and
+    ``cell_counts`` are checked and counted once, as a PairSet's are.
     """
 
     query_ids: list[str]
@@ -91,6 +92,22 @@ class Dataset:
             QueryGroup(qid, self.features[a:b], self.labels[a:b], self.groups[a:b])
             for qid, (a, b) in zip(self.query_ids, bounds)
         ]
+
+    @cached_property
+    def item_cells(self) -> np.ndarray:
+        """Each item's cell in the row-major (K, 2) grid, read-only, once
+        every label is in {0, 1} and every group in [0, K) (see _check_items)."""
+        _check_items(self, "item statistics")
+        cells = item_cell(self.groups, self.labels, self.K)
+        cells.flags.writeable = False
+        return cells
+
+    @cached_property
+    def cell_counts(self) -> np.ndarray:
+        """(K, 2) read-only number of items of each (group, label)."""
+        counts = np.bincount(self.item_cells, minlength=2 * self.K).reshape(self.K, 2)
+        counts.flags.writeable = False
+        return counts
 
 
 def _first_bad_row(features, labels, groups, K: int) -> tuple[int, str] | None:

@@ -51,15 +51,19 @@ def auc(scores: np.ndarray, ds: Dataset) -> tuple[float, list[float]]:
     return float(np.mean(per_query)), per_query.tolist()
 
 
-def fairness_score(delta: "reweight.DeltaMatrix") -> float:
+def fairness_score(delta: "reweight.DeltaMatrix") -> float | None:
     """One minus the worst antisymmetric violation gap; 1 means fair.
 
     The maximum always includes 0 (the same-group gap), so the score never
     exceeds 1.  Undefined entries are excluded from the scan and their
-    mirror values read 0.  A violation that is not (K, K) is a ValidationError.
+    mirror values read 0.  With no entry defined nothing was measured, so
+    the score is None, never a number.  A violation that is not (K, K) is
+    a ValidationError.
     """
     if delta.values.shape != delta.values.shape[:1] * 2:
         raise ValidationError(f"fairness score needs a (K, K) violation, got {delta.values.shape}")
+    if not delta.defined.any():
+        return None
     gaps = delta.values - delta.values.T
     return 1.0 - float(np.max(gaps[delta.defined], initial=0.0))
 
@@ -67,7 +71,7 @@ def fairness_score(delta: "reweight.DeltaMatrix") -> float:
 @dataclass(eq=False)
 class EvalReport:
     auc: float
-    fairness: float
+    fairness: float | None  # None when no violation entry is defined
     delta: "reweight.DeltaMatrix"
     per_query_auc: list[float]
     n_queries_evaluated: int

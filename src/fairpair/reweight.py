@@ -26,7 +26,7 @@ from .constraints import (
     constraint_exponents,
     pair_constraint_mask,
 )
-from .data import Dataset, PairSet, checked_pairs, item_cell, pair_chunks
+from .data import Dataset, PairSet, checked_pairs, pair_chunks
 from .errors import ValidationError, require_types
 from .model import LinearRankingModel, check_scores, score_matrix, stable_sigmoid
 from .training import TrainConfig, shared_epoch_orders, train_pointwise, train_weighted
@@ -82,8 +82,8 @@ class IterationRecord:
     iteration: int
     auc_train: float
     auc_eval: float
-    fairness_train: float
-    fairness_eval: float
+    fairness_train: float | None
+    fairness_eval: float | None
     delta: np.ndarray  # (K, K) violation that drove this iteration's update
     coeffs: np.ndarray  # (K, K) after the update; the last is the returned coefficients' array
 
@@ -257,8 +257,7 @@ def point_expected_bias(scores: np.ndarray, ds: Dataset, kind: ConstraintKind) -
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
     stats = compute_point_stats(ds)
     p = stable_sigmoid(check_scores(scores, ds.n_items))
-    cells = item_cell(ds.groups, ds.labels, ds.K)
-    cell_sums = np.bincount(cells, weights=p, minlength=2 * ds.K).reshape(ds.K, 2)
+    cell_sums = np.bincount(ds.item_cells, weights=p, minlength=2 * ds.K).reshape(ds.K, 2)
     return DeltaMatrix(*constraint_bias(kind, stats, cell_sums, p.size))
 
 
@@ -268,7 +267,7 @@ def point_weights(coeffs: Coefficients, ds: Dataset) -> np.ndarray:
     stats = compute_point_stats(ds)
     weights = _own_label_weights(constraint_exponents(coeffs.kind, stats, coeffs.values).ravel())
     _check_cell_weights(weights, stats.counts.ravel(), "item", {"k": ds.K, "label": 2})
-    return weights[item_cell(ds.groups, ds.labels, ds.K)]
+    return weights[ds.item_cells]
 
 
 def pointwise_reweight_train(
@@ -308,11 +307,13 @@ def write_history_csv(history: list[IterationRecord], K: int, path) -> None:
     cells = [f"{k:0{w}}{l:0{w}}" for k in range(K) for l in range(K)]
     header = ["iter", "auc_train", "auc_eval", "fairness_train", "fairness_eval"]
     header += [f"delta_{c}" for c in cells] + [f"lambda_{c}" for c in cells]
-    # Every field is an integer, a float's repr or a name of letters, digits
-    # and "_", none of which csv quotes, so joined fields are csv.writer's row.
+    # Every field is an integer, a float's repr, empty (an undefined fairness)
+    # or a name of letters, digits and "_", none of which csv quotes, so
+    # joined fields are csv.writer's row.
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for rec in history:
             metrics = [rec.auc_train, rec.auc_eval, rec.fairness_train, rec.fairness_eval]
-            values = metrics + rec.delta.ravel().tolist() + rec.coeffs.ravel().tolist()
-            fh.write(",".join([str(rec.iteration), *map(repr, values)]) + "\r\n")
+            fields = [str(rec.iteration)] + ["" if x is None else repr(x) for x in metrics]
+            values = rec.delta.ravel().tolist() + rec.coeffs.ravel().tolist()
+            fh.write(",".join([*fields, *map(repr, values)]) + "\r\n")

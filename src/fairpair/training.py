@@ -7,9 +7,9 @@ has its positive item first, so its pair label is 1, and its weight
 stands for its mirror too (see reweight.pair_weights).  train_pointwise
 fits the item cross-entropy as that loss on item-against-zero rows, so
 both trainers share one loop and one residual form (batch_gradient).
-adam_update steps on Python floats, bit for bit the numpy form it
-replaced, because at small d numpy's fixed cost per call outweighs the
-arithmetic (see its docstring for where that turns).
+adam_update steps its state in place, the moments as Python floats, bit
+for bit the numpy form it replaced, because at small d numpy's fixed cost
+per call outweighs the arithmetic (see its docstring for where that turns).
 """
 
 from __future__ import annotations
@@ -56,50 +56,55 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment accumulators, as lists of Python floats, and the
+    step counter; adam_update steps all three in place."""
 
-    m: np.ndarray
-    v: np.ndarray
+    m: list[float]
+    v: list[float]
     t: int = 0
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
-        return cls(np.zeros(n), np.zeros(n), 0)
+        return cls([0.0] * n, [0.0] * n, 0)
 
 
 def adam_update(
     state: AdamState, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig
 ) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam step on 1-d arrays; returns fresh state and
-    parameters and leaves its inputs untouched.
+    """One bias-corrected Adam step on 1-d arrays: steps ``state`` in place and
+    returns it with the new parameters, a fresh array; params and grad are
+    left untouched.
 
     Each coordinate takes m = b1*m + (1-b1)*g, v = ((1-b2)*g)*g + b2*v and
     p - ((m/c1)*lr) / (sqrt(v/c2) + eps), with c = 1 - b**t, on Python
     floats: one IEEE double operation at a time, in the order of the numpy
     form this replaced, so the bits are the same (NaN payloads aside).
     Where v/c2 is negative or NaN (only a hand-built state) the root is NaN,
-    as numpy's is, not math.sqrt's ValueError.  At small d numpy's fixed
-    cost per call dominates its 14 ufunc calls, while the float loop grows
-    with d: one step takes 4.0 against 7.7 µs at d = 5, and one 135-step
-    training changes by -13%, -5%, +4%, +18% and +33% at d = 5, 11, 20, 40
-    and 136 (one pinned CPU, python 3.11, numpy 2.4).
+    as numpy's is, not math.sqrt's ValueError.  The moments stay Python
+    floats from a training's first step to its last, so a step converts
+    only params and grad.  At small d numpy's fixed cost per call dominates
+    its 14 ufunc calls, while the float loop grows with d: one step takes
+    3.0 against 8.7 µs at d = 5, and one 135-step training (minibatches of
+    512 pairs) changes by -15%, -10%, -3%, +8% and +25% at d = 5, 11, 20,
+    40 and 136 (one pinned CPU, python 3.11, numpy 2.4).
     """
-    if not (state.m.shape == state.v.shape == params.shape == grad.shape):
+    m, v = state.m, state.v
+    if not (len(m) == len(v) == params.size and params.shape == grad.shape):
         raise ValidationError("adam_update: mismatched shapes")
     if params.ndim != 1:
         raise ValidationError(f"adam_update: {params.ndim}-d parameters, not 1-d")
     if state.t < 0:
         raise ValidationError(f"adam_update: negative step count {state.t}")
-    t = state.t + 1
+    state.t = t = state.t + 1
     b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps_adam
     a1, a2, c1, c2 = 1.0 - b1, 1.0 - b2, 1.0 - b1**t, 1.0 - b2**t
-    m, v, p = state.m.tolist(), state.v.tolist(), params.tolist()
+    p = params.tolist()
     for i, g in enumerate(grad.tolist()):
         m[i] = mi = b1 * m[i] + a1 * g
         v[i] = vi = a2 * g * g + b2 * v[i]
         s = vi / c2
         p[i] -= mi / c1 * lr / ((sqrt(s) if s >= 0.0 else nan) + eps)
-    return AdamState(np.array(m), np.array(v), t), np.array(p)
+    return state, np.array(p)
 
 
 def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -112,15 +117,18 @@ def batch_gradient(w: np.ndarray, x: np.ndarray, weights: np.ndarray) -> np.ndar
     no clamp.  Capping z at 700 keeps exp finite: above the cap the residual
     is weight / (1 + e^700) < weight * 1e-304, and the true one is smaller
     still.  Per minibatch the cost is numpy's fixed cost per call, so every
-    step but the two products works in place.  A pairwise bias has no entry,
-    as it cancels in every score difference; train_pointwise's rows carry it.
+    step but the two products works in place, and the products are
+    ndarray.dot, which costs less a call than @.  On C-contiguous rows (as
+    _train_rows hands it) dot gives @'s bits; on strided views the two may
+    differ in the last bits.  A pairwise bias has no entry, as it cancels
+    in every score difference; train_pointwise's rows carry it.
     """
-    r = x @ w
+    r = x.dot(w)
     np.minimum(r, 700.0, out=r)
     np.exp(r, out=r)
     r += 1.0
     np.divide(weights, r, out=r)
-    g = r @ x
+    g = r.dot(x)
     g /= -weights.size
     return g
 

@@ -99,17 +99,18 @@ def all_cells_pairs():
     return make_pairs(ds)
 
 
-def count_cell_passes(monkeypatch):
-    """Record each pass over a pair set that counts its cells (a computed
-    PairSet.cell_counts); returns the list of pair sets, one entry a pass."""
-    count = PairSet.__dict__["cell_counts"].func
+def count_cell_passes(monkeypatch, owner=PairSet, name="cell_counts"):
+    """Record each computation of the cached property ``name`` of ``owner``
+    (by default each pass over a pair set that counts its cells, a computed
+    PairSet.cell_counts); returns the list of instances, one entry a pass."""
+    count = owner.__dict__[name].func
     passes = []
 
-    def counted(ps):
-        passes.append(ps)
-        return count(ps)
+    def counted(obj):
+        passes.append(obj)
+        return count(obj)
 
     prop = cached_property(counted)
-    prop.__set_name__(PairSet, "cell_counts")
-    monkeypatch.setattr(PairSet, "cell_counts", prop)
+    prop.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, prop)
     return passes

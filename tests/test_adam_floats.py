@@ -2,13 +2,14 @@
 against the numpy form it replaced.
 
 ``numpy_adam_update`` is that form verbatim: 14 ufunc calls on the whole
-vectors.  The float form must give the same bits for m, v and the
-parameters wherever the numpy form gives a number, and a NaN (of any
-payload) wherever it gives a NaN.  The oracle runs with every floating
-point warning silenced; the float form runs under the suite's
-warnings-as-errors and must neither warn nor raise, also where a
-hand-built state has a negative second moment, whose root math.sqrt alone
-would refuse.
+vectors, stepping an array state (adam_oracle.ArrayAdamState) into a new
+one.  The float form steps its own state, lists of Python floats, in place;
+it must give the same bits for m, v and the parameters wherever the numpy
+form gives a number, and a NaN (of any payload) wherever it gives a NaN.
+The oracle runs with every floating point warning silenced; the float
+form runs under the suite's warnings-as-errors and must neither warn nor
+raise, also where a hand-built state has a negative second moment, whose
+root math.sqrt alone would refuse.
 """
 
 import math
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from adam_oracle import ArrayAdamState, both_states
 from fairpair.errors import ValidationError
 from fairpair.training import AdamState, TrainConfig, adam_update
 
@@ -49,7 +51,7 @@ def numpy_adam_update(state, params, grad, cfg):
     np.sqrt(denom, out=denom)
     denom += cfg.eps_adam
     step /= denom
-    return AdamState(m, v, t), params - step
+    return ArrayAdamState(m, v, t), params - step
 
 
 def oracle_step(state, params, grad, cfg):
@@ -65,15 +67,20 @@ def assert_same(actual, expected):
     np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
 
-def assert_same_step(state, params, grad, cfg):
-    """One step of both forms from the same inputs; returns the float form's."""
-    new_state, new_params = adam_update(state, params, grad, cfg)
-    old_state, old_params = oracle_step(state, params, grad, cfg)
-    assert type(new_state.t) is int and new_state.t == old_state.t
-    assert_same(new_state.m, old_state.m)
-    assert_same(new_state.v, old_state.v)
+def assert_same_step(state, old_state, params, grad, cfg):
+    """One step of both forms from equal states: the float form steps ``state``
+    in place and the oracle steps ``old_state`` into a new one.  Returns the
+    oracle's new state and the float form's parameters."""
+    returned, new_params = adam_update(state, params, grad, cfg)
+    old_state, old_params = oracle_step(old_state, params, grad, cfg)
+    assert returned is state
+    assert type(state.t) is int and state.t == old_state.t
+    assert type(state.m) is type(state.v) is list
+    assert all(type(x) is float for x in state.m + state.v)
+    assert_same(np.array(state.m), old_state.m)
+    assert_same(np.array(state.v), old_state.v)
     assert_same(new_params, old_params)
-    return new_state, new_params
+    return old_state, new_params
 
 
 def gradient(rng, d, specials, rate):
@@ -86,10 +93,11 @@ def gradient(rng, d, specials, rate):
 
 
 def run(rng, d, cfg, specials, rate, steps=200):
-    state, params = AdamState.zeros(d), rng.normal(size=d)
+    # One float state runs the whole way, as in a training.
+    state, old_state, params = AdamState.zeros(d), ArrayAdamState.zeros(d), rng.normal(size=d)
     for _ in range(steps):
         grad = gradient(rng, d, specials, rate)
-        state, params = assert_same_step(state, params, grad, cfg)
+        old_state, params = assert_same_step(state, old_state, params, grad, cfg)
     return state, params
 
 
@@ -122,7 +130,7 @@ def test_every_special_gradient_from_every_state(cfg):
     grad, m, v = g.ravel(), mm.ravel(), vv.ravel()
     params = np.resize([0.5, -2.0, 0.0, 1e300, math.inf, math.nan], grad.size)
     for t in (0, 7, 10**6):
-        assert_same_step(AdamState(m, v, t), params, grad, cfg)
+        assert_same_step(*both_states(m, v, t), params, grad, cfg)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))
@@ -131,7 +139,7 @@ def test_negative_second_moment_gives_nan(cfg):
     # in the oracle); the float form gives NaN without a warning or a raise.
     v = np.array([-1.0, -TINY, -0.0, -math.inf, 4.0])
     m = np.full(5, 0.5)
-    state, params = assert_same_step(AdamState(m, v, 3), np.ones(5), np.zeros(5), cfg)
+    _, params = assert_same_step(*both_states(m, v, 3), np.ones(5), np.zeros(5), cfg)
     # Bit-equal finite entries; the first and fourth root are NaN whenever
     # b2 > 0 keeps the negative moment.
     if cfg.beta2 > 0:
@@ -148,32 +156,42 @@ def test_negative_second_moment_gives_nan(cfg):
 def test_any_floats_agree(data, d, t, cfg):
     floats = hnp.arrays(np.float64, d, elements=st.floats(allow_subnormal=True, width=64))
     m, v, params, grad = (data.draw(floats) for _ in range(4))
-    assert_same_step(AdamState(m, v, t), params, grad, cfg)
+    assert_same_step(*both_states(m, v, t), params, grad, cfg)
 
 
 def test_outputs_are_fresh_arrays(rng):
-    # test_inner_loop.py checks that the inputs are left untouched.
-    state = AdamState(rng.normal(size=4), rng.uniform(size=4), 2)
+    # The state is stepped in place, so its lists are the ones passed in; the
+    # parameters come back in a new array that shares no memory with an
+    # input (test_inner_loop.py checks that params and grad are untouched).
+    state = AdamState(rng.normal(size=4).tolist(), rng.uniform(size=4).tolist(), 2)
+    m, v = state.m, state.v
     params, grad = rng.normal(size=4), rng.normal(size=4)
     new_state, new_params = adam_update(state, params, grad, TrainConfig())
-    for out in (new_state.m, new_state.v, new_params):
-        assert not any(np.shares_memory(out, a) for a in (state.m, state.v, params, grad))
+    assert new_state is state and state.m is m and state.v is v and state.t == 3
+    assert type(new_params) is np.ndarray and new_params.dtype == np.float64
+    assert new_params.flags.owndata and new_params.flags.writeable
+    assert not any(np.shares_memory(new_params, a) for a in (params, grad))
 
 
 def test_empty_parameters():
     state, params = adam_update(AdamState.zeros(0), np.zeros(0), np.zeros(0), TrainConfig())
-    assert state.t == 1 and params.shape == state.m.shape == state.v.shape == (0,)
-    assert params.dtype == state.m.dtype == state.v.dtype == np.float64
+    assert state.t == 1 and state.m == state.v == []
+    assert params.shape == (0,) and params.dtype == np.float64
 
 
 @pytest.mark.parametrize(
     "state,params,match",
     [
-        (AdamState(np.zeros((2, 2)), np.zeros((2, 2))), np.zeros((2, 2)), "2-d parameters"),
-        (AdamState(np.zeros(()), np.zeros(())), np.zeros(()), "0-d parameters"),
-        (AdamState(np.zeros(2), np.zeros(2), -1), np.zeros(2), "negative step count -1"),
+        (AdamState.zeros(4), np.zeros((2, 2)), "2-d parameters"),
+        (AdamState.zeros(1), np.zeros(()), "0-d parameters"),
+        (AdamState([0.0, 0.0], [0.0, 0.0], -1), np.zeros(2), "negative step count -1"),
+        (AdamState.zeros(2), np.zeros(3), "mismatched shapes"),
+        (AdamState([0.0] * 3, [0.0] * 2), np.zeros(3), "mismatched shapes"),
     ],
 )
 def test_rejected_states(state, params, match):
+    # A rejected step leaves the state as it was.
+    m, v, t = list(state.m), list(state.v), state.t
     with pytest.raises(ValidationError, match=match):
         adam_update(state, params, np.zeros(params.shape), TrainConfig())
+    assert (state.m, state.v, state.t) == (m, v, t)

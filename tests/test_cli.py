@@ -164,15 +164,63 @@ class TestTrain:
 
     def test_one_group_trains_only_without_coefficients(self, tmp_path, capsys):
         # A T=0 run learns no group-pair coefficient, so one group is enough;
-        # the pairwise method's outer loop needs two.
+        # the pairwise method's outer loop needs two.  One group defines no
+        # violation entry, so every report's fairness is undefined: null, not
+        # the 1.0 of a perfectly fair model.
         doc = base_config(tmp_path / "run")
         doc["dataset"]["synth"]["K"] = 1
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", cfg, "--method", "unconstrained"]) == 0
         assert (tmp_path / "run" / "model.json").exists()
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        for name in ("train", "valid", "test"):
+            text = (tmp_path / "run" / f"eval_{name}.json").read_text(encoding="utf-8")
+            report = json.loads(text)
+            assert report["fairness"] is None and '"fairness": null' in text
+            assert report["defined_mask"] == [False] and 0.0 <= report["auc"] <= 1.0
+            assert f"eval_{name}: auc={report['auc']:.4f} fairness=n/a\n" in out
         assert main(["train", "--config", cfg, "--method", "pairwise"]) == 1
         assert capsys.readouterr().err == "error: fair training requires at least two groups\n"
+
+    def test_undefined_fairness_is_never_a_number(self, tmp_path, capsys):
+        # Validation and test queries all in group 0 define no off-diagonal
+        # statistical entry there: their fairness is empty in history.csv
+        # and sweep.csv, null in eval_*.json and n/a on stdout, while the
+        # training split's stays a number.
+        ds, _ = generate_synthetic(12, 10, 3, 2, 1.0, seed=5)
+        _, valid, test = split_queries(ds, 0.25, 0.15, seed=3)
+        for q in valid.query_ids + test.query_ids:
+            q_index = ds.query_ids.index(q)
+            ds.groups[ds.offsets[q_index] : ds.offsets[q_index + 1]] = 0
+        save_csv(ds, tmp_path / "data.csv")
+        doc = base_config(tmp_path / "run")
+        doc["dataset"] = {"csv": str(tmp_path / "data.csv"), "K": 2}
+        cfg = write_config(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        reports = {
+            name: json.loads((tmp_path / "run" / f"eval_{name}.json").read_text())
+            for name in ("train", "valid", "test")
+        }
+        assert 0.0 < reports["train"]["fairness"] <= 1.0
+        assert f"fairness={reports['train']['fairness']:.4f}\n" in out
+        for name in ("valid", "test"):
+            assert reports[name]["fairness"] is None and not any(reports[name]["defined_mask"])
+            assert f"eval_{name}: auc={reports[name]['auc']:.4f} fairness=n/a\n" in out
+        with (tmp_path / "run" / "history.csv").open(newline="") as fh:
+            history = list(csv.DictReader(fh))
+        assert len(history) == 2
+        for row in history:
+            assert row["fairness_eval"] == "" and 0.0 < float(row["fairness_train"]) <= 1.0
+
+        assert main(["sweep", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        with (tmp_path / "run" / "sweep.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["x"]) for r in rows] == [0.0, 1.0]
+        assert all(r["fairness"] == "" and 0.0 <= float(r["auc"]) <= 1.0 for r in rows)
+        assert out.count("fairness=n/a\n") == 2
 
     def test_pointwise_method(self, tmp_path):
         out = tmp_path / "pw"

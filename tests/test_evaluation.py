@@ -207,19 +207,26 @@ class TestFairnessScore:
         assert fairness_score(DeltaMatrix(asym, self.full_mask(K))) < 1.0
 
     def test_no_defined_entries(self):
-        delta = DeltaMatrix(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+        # Nothing measured is no fairness, not a perfectly fair 1.0.
+        for K in (1, 2, 3):
+            values = np.full((K, K), 0.3)
+            assert fairness_score(DeltaMatrix(values, np.zeros((K, K), dtype=bool))) is None
+        # The diagonal alone is defined (intra): a measured gap of 0.
+        delta = DeltaMatrix(np.diag([0.2, -0.4]), np.eye(2, dtype=bool))
         assert fairness_score(delta) == 1.0
 
     def test_matches_entry_loop(self, rng):
-        # Reference: the scan over defined entries that the vector form replaced.
+        # Reference: the scan over defined entries that the vector form
+        # replaced, None where it scans nothing.
         def loop_score(delta):
-            worst = 0.0
+            worst, scanned = 0.0, False
             K = delta.values.shape[0]
             for k in range(K):
                 for l in range(K):
                     if delta.defined[k, l]:
+                        scanned = True
                         worst = max(worst, float(delta.values[k, l] - delta.values[l, k]))
-            return 1.0 - worst
+            return 1.0 - worst if scanned else None
 
         for trial in range(200):
             K = int(rng.integers(1, 9))

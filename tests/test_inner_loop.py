@@ -27,6 +27,7 @@ import math
 import numpy as np
 import pytest
 
+from adam_oracle import ArrayAdamState
 from conftest import pair_feature_diff, pair_subset, random_dataset
 from fairpair import training
 from fairpair.data import PairSet, generate_synthetic, make_pairs
@@ -61,7 +62,7 @@ def old_adam_update(state, params, grad, cfg):
     m_hat = m / (1.0 - cfg.beta1**t)
     v_hat = v / (1.0 - cfg.beta2**t)
     new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
-    return AdamState(m, v, t), new_params
+    return ArrayAdamState(m, v, t), new_params
 
 
 def old_residual(z, lab, weights):
@@ -85,7 +86,7 @@ def old_train_weighted(ps, weights, cfg, init=None, residual=old_residual):
     labels = ps.source.labels
     lab = (labels[ps.row_i] > labels[ps.row_j]).astype(np.float64)
     params = np.concatenate([init.w, [init.b]])
-    state = AdamState.zeros(params.size)
+    state = ArrayAdamState.zeros(params.size)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -142,7 +143,7 @@ def old_train_pointwise(ds, weights, cfg, init=None):
     if init is None:
         init = LinearRankingModel.zeros(ds.d)
     params = np.concatenate([init.w, [init.b]])
-    state = AdamState.zeros(params.size)
+    state = ArrayAdamState.zeros(params.size)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -356,7 +357,7 @@ def test_train_pointwise_near_old_loop_at_benchmark_shapes(rng, n_queries, items
 
 def test_adam_update_matches_old(rng):
     cfg = TrainConfig(learning_rate=0.03, beta1=0.8, beta2=0.99, eps_adam=1e-7)
-    state = old_state = AdamState.zeros(6)
+    state, old_state = AdamState.zeros(6), ArrayAdamState.zeros(6)
     params = old_params = rng.normal(size=6)
     for step in range(200):
         scale = 10.0 ** rng.integers(-12, 6)
@@ -370,12 +371,19 @@ def test_adam_update_matches_old(rng):
 
 
 def test_adam_update_leaves_inputs_untouched(rng):
-    state = AdamState(rng.normal(size=3), rng.uniform(size=3), 4)
+    # params and grad keep their bits; only the state is stepped, in place,
+    # to the old form's new state.
+    m, v = rng.normal(size=3), rng.uniform(size=3)
+    state, old_state = AdamState(m.tolist(), v.tolist(), 4), ArrayAdamState(m, v, 4)
     params, grad = rng.normal(size=3), rng.normal(size=3)
-    before = [a.copy() for a in (state.m, state.v, params, grad)]
-    adam_update(state, params, grad, TrainConfig())
-    for a, b in zip((state.m, state.v, params, grad), before):
-        np.testing.assert_array_equal(a, b)
+    before = [params.copy(), grad.copy()]
+    returned, new_params = adam_update(state, params, grad, TrainConfig())
+    for a, b in zip((params, grad), before):
+        np.testing.assert_array_equal(bits(a), bits(b))
+    old_state, old_params = old_adam_update(old_state, params, grad, TrainConfig())
+    assert returned is state and state.t == old_state.t == 5
+    for a, b in ((state.m, old_state.m), (state.v, old_state.v), (new_params, old_params)):
+        np.testing.assert_array_equal(bits(a), bits(b))
 
 
 EDGE_VALUES = [

@@ -17,7 +17,7 @@ from fairpair.constraints import (
     compute_group_stats,
     pair_constraint_mask,
 )
-from fairpair.data import checked_pairs, generate_synthetic, make_pairs, split_queries
+from fairpair.data import Dataset, checked_pairs, generate_synthetic, make_pairs, split_queries
 from fairpair.errors import ValidationError
 from fairpair.evaluation import auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel, score_matrix
@@ -578,6 +578,22 @@ class TestPointwiseReweightTrain:
         ds = random_dataset(rng)
         with pytest.raises(ValidationError):
             pointwise_reweight_train(ds, ds, STAT, small_cfg(T=1))
+
+    @pytest.mark.parametrize("delta_set", ["train", "validation"])
+    def test_counts_the_training_cells_once(self, rng, monkeypatch, delta_set):
+        # Every weighting and measurement reads the item statistics of its own
+        # dataset, from the cells and counts the dataset caches: one run at
+        # T=20 checks and counts the items of each dataset it weighs or
+        # measures once, not 2(T + 1) times.
+        train, valid = random_dataset(rng, K=3), random_dataset(rng, K=3)
+        cells = count_cell_passes(monkeypatch, Dataset, "item_cells")
+        counts = count_cell_passes(monkeypatch, Dataset, "cell_counts")
+        cfg = small_cfg(T=20, delta_set=delta_set)
+        pointwise_reweight_train(train, valid, ConstraintKind.POINT_EQUAL_OPPORTUNITY, cfg)
+        used = [train] if delta_set == "train" else [train, valid]
+        for passes in (cells, counts):
+            assert len(passes) == len(used)
+            assert all(any(ds is want for ds in passes) for want in used)
 
     @pytest.mark.parametrize("delta_set", ["train", "validation"])
     def test_eval_set_of_another_k_fails_before_training(self, rng, monkeypatch, delta_set):

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset, numeric_gradient, pair_feature_diff, random_dataset
 from fairpair import training
@@ -180,6 +182,63 @@ def test_pointwise_residual_within_4_ulp_where_normal_and_tiny_above(monkeypatch
                     assert ulps <= 4, (label, z, r, exact)
                 else:
                     assert 0.0 <= -f * r <= weight * 1e-304, (label, z, r)
+
+
+def matmul_batch_gradient(w, x, weights):
+    """batch_gradient with its two products written as @, as it was before
+    they became ndarray.dot."""
+    r = x @ w
+    np.minimum(r, 700.0, out=r)
+    np.exp(r, out=r)
+    r += 1.0
+    np.divide(weights, r, out=r)
+    g = r @ x
+    g /= -weights.size
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 700),
+    d=st.integers(1, 40),
+    decade=st.integers(-8, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_gradient_dot_matches_matmul_on_contiguous_rows(n, d, decade, seed):
+    # dot and @ give the same bits on C-contiguous (n, d) rows and (n,)
+    # weights, the only operands _train_rows hands batch_gradient (see
+    # test_train_rows_hands_contiguous_rows); on strided views they may not.
+    rng = np.random.default_rng(seed)
+    x = 10.0**decade * rng.normal(size=(n, d))
+    w, weights = rng.normal(size=d), rng.uniform(0.01, 3.0, size=n)
+    assert x.flags.c_contiguous and w.flags.c_contiguous and weights.flags.c_contiguous
+    got, want = batch_gradient(w, x, weights), matmul_batch_gradient(w, x, weights)
+    assert got.shape == want.shape == (d,)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("trainer", [train_weighted, train_pointwise])
+@pytest.mark.parametrize("batch_size,gather_batches", [(7, 1), (16, 3), (10_000, 1)])
+def test_train_rows_hands_contiguous_rows(rng, monkeypatch, trainer, batch_size, gather_batches):
+    # Every minibatch _train_rows passes to batch_gradient is a C-contiguous
+    # block of rows with C-contiguous weights and parameters, at every chunk
+    # size of its gather, so its dot products keep @'s bits.
+    ds = random_dataset(rng, n_queries=5, items_per_query=12)
+    data = make_pairs(ds) if trainer is train_weighted else ds
+    n = len(data) if trainer is train_weighted else ds.n_items
+    d = ds.d + (trainer is train_pointwise)
+    monkeypatch.setattr(training, "GATHER_BYTES", 8 * d * batch_size * gather_batches)
+    seen, real = [], training.batch_gradient
+
+    def checking(w, x, weights):
+        seen.append(x.shape[0])
+        assert x.ndim == 2 and x.shape[1] == d and x.shape[0] == weights.shape[0]
+        assert x.flags.c_contiguous and weights.flags.c_contiguous and w.flags.c_contiguous
+        return real(w, x, weights)
+
+    monkeypatch.setattr(training, "batch_gradient", checking)
+    trainer(data, rng.uniform(0.2, 0.8, size=n), TrainConfig(epochs=2, batch_size=batch_size))
+    assert sum(seen) == 2 * n
 
 
 class TestAdamUpdate:
