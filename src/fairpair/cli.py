@@ -80,18 +80,15 @@ def _object(value, where: str, names) -> dict:
 
 def _checked_block(value, where: str, ints=(), floats=(), defaults=None) -> dict:
     """Check one config object: known keys only, required keys present, and
-    integer or finite-number values.  Returns the values with defaults filled in."""
+    integer or finite-number values.  Returns the values, defaults filled in."""
     names = (*ints, *floats)
     block = {**(defaults or {}), **_object(value, where, names)}
     for key in names:
         if key not in block:
             raise ValidationError(f"config key {where}.{key} is required")
-    require_types(
-        {f"{where}.{key}": v for key, v in block.items()},
-        ints=[f"{where}.{key}" for key in ints],
-        floats=[f"{where}.{key}" for key in floats],
-    )
-    return block
+    dotted = [[f"{where}.{key}" for key in keys] for keys in (ints, floats)]
+    checked = require_types({f"{where}.{key}": v for key, v in block.items()}, *dotted)
+    return dict(zip(block, checked.values()))
 
 
 def _name(doc: dict, key: str, names, default: str) -> str:
@@ -152,10 +149,8 @@ def load_config(path, args: argparse.Namespace) -> RunConfig:
     scales = doc.get("sweep_scales", DEFAULT_SWEEP_SCALES)
     if not isinstance(scales, list):
         raise ValidationError(f"sweep_scales must be a JSON list of numbers, got {scales!r}")
-    require_types(
-        {f"sweep_scales[{i}]": x for i, x in enumerate(scales)},
-        floats=[f"sweep_scales[{i}]" for i in range(len(scales))],
-    )
+    fields = {f"sweep_scales[{i}]": x for i, x in enumerate(scales)}
+    scales = list(require_types(fields, floats=list(fields)).values())
     inner = TrainConfig(**_object(doc.get("train", {}), "train", vars(TrainConfig())))
     fair_keys = vars(FairTrainConfig()).keys() - {"inner"}
     fair = FairTrainConfig(inner=inner, **_object(doc.get("fair", {}), "fair", fair_keys))
@@ -165,8 +160,8 @@ def load_config(path, args: argparse.Namespace) -> RunConfig:
         raise ValidationError("no output directory: set out_dir, FAIRPAIR_OUT, or --out")
     if not isinstance(out_dir, str):
         raise ValidationError(f"out_dir must be a path string, got {out_dir!r}")
-    return RunConfig(dataset, constraint, point_constraint, method, split, fair,
-                     [float(x) for x in scales], Path(out_dir))
+    return RunConfig(dataset, constraint, point_constraint, method, split, fair, scales,
+                     Path(out_dir))
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -201,12 +196,8 @@ def cmd_generate(cfg: RunConfig) -> None:
     print(f"wrote {cfg.out_dir / 'dataset.csv'} ({len(ds.query_ids)} queries, d={ds.d}, K={ds.K})")
 
 
-def _split(cfg: RunConfig, ds: Dataset):
-    return split_queries(ds, **cfg.split)
-
-
 def cmd_train(cfg: RunConfig) -> None:
-    train, valid, test = _split(cfg, _load_dataset(cfg))
+    train, valid, test = split_queries(_load_dataset(cfg), **cfg.split)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.method == "pointwise":
@@ -236,9 +227,7 @@ def _write_coefficients(coeffs: Coefficients, path: Path) -> None:
 def _read_coefficients(path: Path, K: int, kind: ConstraintKind) -> Coefficients:
     """Read coefficients written by train; they must match the data's K and the kind."""
     if not path.exists():
-        raise ValidationError(
-            f"missing coefficients artifact {path}; run `fairpair train` first"
-        )
+        raise ValidationError(f"missing coefficients artifact {path}; run `fairpair train` first")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         file_K, file_kind = doc["K"], doc["kind"]
@@ -263,10 +252,10 @@ def _read_coefficients(path: Path, K: int, kind: ConstraintKind) -> Coefficients
 
 def cmd_sweep(cfg: RunConfig) -> None:
     kind = cfg.constraint
-    train, _valid, test = _split(cfg, _load_dataset(cfg))
+    train, _valid, test = split_queries(_load_dataset(cfg), **cfg.split)
     coeffs_star = _read_coefficients(cfg.out_dir / "coefficients.json", train.K, kind)
     ps = checked_pairs(train, "training set")
-    orders = shared_epoch_orders(len(ps), cfg.fair.inner)
+    orders = shared_epoch_orders(ps.row_i, ps.row_j, train.n_items, cfg.fair.inner)
     ps_test = checked_pairs(test, "test set")
 
     rows = []
@@ -291,8 +280,8 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     model_path = cfg.out_dir / "model.json"
     if not model_path.exists():
         raise ValidationError(f"missing model artifact {model_path}; run `fairpair train` first")
-    model = load_model(model_path)
-    _write_reports(model, _split(cfg, _load_dataset(cfg)), cfg.constraint, cfg.out_dir)
+    model, splits = load_model(model_path), split_queries(_load_dataset(cfg), **cfg.split)
+    _write_reports(model, splits, cfg.constraint, cfg.out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

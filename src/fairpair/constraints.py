@@ -32,12 +32,7 @@ class ConstraintKind(Enum):
 
     @property
     def is_pairwise(self) -> bool:
-        return self in (
-            ConstraintKind.PAIR_STATISTICAL,
-            ConstraintKind.PAIR_INTER_GROUP,
-            ConstraintKind.PAIR_INTRA_GROUP,
-            ConstraintKind.PAIR_MARGINAL,
-        )
+        return self.name.startswith("PAIR_")
 
     @property
     def is_pointwise(self) -> bool:

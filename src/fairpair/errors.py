@@ -24,12 +24,13 @@ class ParseError(ValidationError):
         self.line = line
 
 
-def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
+def require_types(values: Mapping[str, object], ints=(), floats=()) -> dict:
     """Reject values that are not integers (``ints``) or finite reals (``floats``).
 
     ``values`` maps each name to its value; the error message names the
     offending entry.  Bools are rejected for both; integers are accepted as
-    reals, but not one too large for a float.
+    reals, but not one too large for a float.  Returns the values, each real
+    as a float: numpy takes 2.0**64 but no integer beyond int64.
     """
     for name in ints:
         value = values[name]
@@ -41,3 +42,4 @@ def require_types(values: Mapping[str, object], ints=(), floats=()) -> None:
             raise ValidationError(f"{name} must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # a NaN compares false
             raise ValidationError(f"{name} must be finite, got {value!r}")
+    return {**values, **{name: float(values[name]) for name in floats}}

@@ -20,18 +20,16 @@ def auc(scores: np.ndarray, ds: Dataset) -> tuple[float, list[float]]:
 
     Each query's AUC counts its discordant pairs with half credit for score
     ties, via midranks.  One order by (query, score) ranks every query at
-    once: an unstable sort of the n scores, then a sort of the unique keys
-    query * n + rank, which is cheaper than a stable float sort.  Tied
-    scores share one midrank, so their order within a tie is immaterial;
-    midranks are half-integers, so their per-query sums are exact.
+    once (see _query_score_order).  Tied scores share one midrank, so their
+    order within a tie is immaterial; midranks are half-integers, so their
+    per-query sums are exact.
     """
     scores = check_scores(scores, ds.n_items)
     sizes = np.diff(ds.offsets)
-    query = np.repeat(np.arange(sizes.size), sizes)
-    rank = np.empty(scores.size, dtype=np.int64)
-    rank[np.argsort(scores)] = np.arange(scores.size)
-    order = np.argsort(query * scores.size + rank)
-    scores, query = scores[order], query[order]
+    query = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)
+    # The items are stored query by query, so the order leaves query as it is.
+    order = _query_score_order(scores, query)
+    scores = scores[order]
     # Runs of tied scores within a query, by their first sorted position.
     new_run = np.ones(scores.size, dtype=bool)
     new_run[1:] = (query[1:] != query[:-1]) | (scores[1:] != scores[:-1])
@@ -49,6 +47,13 @@ def auc(scores: np.ndarray, ds: Dataset) -> tuple[float, list[float]]:
     n_pos, n_neg = n_pos[defined], sizes[defined] - n_pos[defined]
     per_query = (pos_rank_sum[defined] - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(np.mean(per_query)), per_query.tolist()
+
+
+def _query_score_order(scores: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The item order by (query, score): an unstable sort of the scores, then a stable
+    (radix) sort of their queries, the permutation of a sort of query * n + rank."""
+    perm = np.argsort(scores)
+    return perm[np.argsort(query[perm], kind="stable")]
 
 
 def fairness_score(delta: "reweight.DeltaMatrix") -> float | None:

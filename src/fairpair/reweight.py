@@ -29,7 +29,7 @@ from .constraints import (
 from .data import Dataset, PairSet, checked_pairs, pair_chunks
 from .errors import ValidationError, require_types
 from .model import LinearRankingModel, check_scores, score_matrix, stable_sigmoid
-from .training import TrainConfig, shared_epoch_orders, train_pointwise, train_weighted
+from .training import TrainConfig, item_pairs, shared_epoch_orders, train_pointwise, train_weighted
 
 
 @dataclass(eq=False)
@@ -62,7 +62,7 @@ class FairTrainConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        require_types(vars(self), ints=("T",), floats=("eta_lambda",))
+        vars(self).update(require_types(vars(self), ints=("T",), floats=("eta_lambda",)))
         if not isinstance(self.warm_start, bool):
             raise ValidationError(f"warm_start must be true or false, got {self.warm_start!r}")
         if self.eta_lambda <= 0:
@@ -172,17 +172,18 @@ def update_coefficients(coeffs: Coefficients, delta: DeltaMatrix, eta: float) ->
     return Coefficients(coeffs.values - eta * step, coeffs.kind)
 
 
-def _reweight_loop(cfg: FairTrainConfig, n: int, coeffs: Coefficients, weigh, fit, measure):
+def _reweight_loop(cfg: FairTrainConfig, rows, coeffs: Coefficients, weigh, fit, measure):
     """Fit on ``weigh(coeffs)``, then T times step the coefficients against the
     last violation, reweigh, refit and measure.  ``measure(model, t)`` returns
     what outer iteration t records and the violation driving t + 1 (t = 0 is
     the first fit, measured only when T > 0).  Returns the last model and
     coefficients and, per iteration, its record, driving delta and coefficients.
 
-    All T + 1 fits, ``fit(weights, init, orders)``, train on the same n pairs
-    or items with one cfg.inner, so one draw of their epoch orders serves
-    every one; with T = 0 the one fit draws its own."""
-    orders = shared_epoch_orders(n, cfg.inner) if cfg.T else None
+    All T + 1 fits, ``fit(weights, init, orders)``, train on the same row
+    pairs, ``rows`` = (row_i, row_j, row count), with one cfg.inner, so one
+    draw of their epoch orders, composed with the rows, serves every one;
+    with T = 0 the one fit draws its own.  Each fit's weights are then dropped."""
+    orders = shared_epoch_orders(*rows, cfg.inner) if cfg.T else None
     model, steps = fit(weigh(coeffs), None, orders), []
     delta = measure(model, 0)[1] if cfg.T else None
     for t in range(1, cfg.T + 1):
@@ -193,6 +194,7 @@ def _reweight_loop(cfg: FairTrainConfig, n: int, coeffs: Coefficients, weigh, fi
             msg = f"outer iteration {t} with eta_lambda={cfg.eta_lambda!r}: {exc}"
             raise ValidationError(msg) from exc
         model = fit(weights, model if cfg.warm_start else None, orders)
+        del weights
         recorded, next_delta = measure(model, t)
         steps.append((recorded, delta, coeffs))
         delta = next_delta
@@ -237,7 +239,7 @@ def fair_train(
 
     model, coeffs, steps = _reweight_loop(
         cfg,
-        len(ps_train),
+        (ps_train.row_i, ps_train.row_j, train.n_items),
         Coefficients.zeros(train.K, kind),
         lambda c: pair_weights(c, ps_train, cfg.weight_form),
         lambda weights, init, orders: train_weighted(ps_train, weights, cfg.inner, init, orders),
@@ -285,12 +287,10 @@ def pointwise_reweight_train(
         raise ValidationError(f"{kind} is not a pointwise constraint kind")
     if eval_set.K != train.K:
         raise ValidationError(f"eval_set has K={eval_set.K} groups but train has K={train.K}")
-    if any(((ds.labels != 0) & (ds.labels != 1)).any() for ds in (train, eval_set)):
-        raise ValidationError("pointwise training needs every item label in {0, 1}")
     ds_delta = eval_set if cfg.delta_set == "validation" else train
     model, _, _ = _reweight_loop(
         cfg,
-        train.n_items,
+        item_pairs(train),
         Coefficients(np.zeros(train.K), kind),
         lambda c: point_weights(c, train),
         lambda weights, init, orders: train_pointwise(train, weights, cfg.inner, init, orders),

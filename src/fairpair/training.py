@@ -7,9 +7,7 @@ has its positive item first, so its pair label is 1, and its weight
 stands for its mirror too (see reweight.pair_weights).  train_pointwise
 fits the item cross-entropy as that loss on item-against-zero rows, so
 both trainers share one loop and one residual form (batch_gradient).
-adam_update steps its state in place, the moments as Python floats, bit
-for bit the numpy form it replaced, because at small d numpy's fixed cost
-per call outweighs the arithmetic (see its docstring for where that turns).
+Trainings on one set of pairs share its epoch orders composed with its rows.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from math import nan, sqrt
 
 import numpy as np
 
-from .data import GATHER_BYTES, Dataset, PairSet
+from .data import GATHER_BYTES, Dataset, PairSet, pair_chunks
 from .errors import ValidationError, require_types
 from .model import LinearRankingModel, check_dimension
 
@@ -35,11 +33,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_types(
+        vars(self).update(require_types(
             vars(self),
             ints=("epochs", "batch_size", "seed"),
             floats=("learning_rate", "beta1", "beta2", "eps_adam"),
-        )
+        ))
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -82,11 +80,8 @@ def adam_update(
     Where v/c2 is negative or NaN (only a hand-built state) the root is NaN,
     as numpy's is, not math.sqrt's ValueError.  The moments stay Python
     floats from a training's first step to its last, so a step converts
-    only params and grad.  At small d numpy's fixed cost per call dominates
-    its 14 ufunc calls, while the float loop grows with d: one step takes
-    3.0 against 8.7 µs at d = 5, and one 135-step training (minibatches of
-    512 pairs) changes by -15%, -10%, -3%, +8% and +25% at d = 5, 11, 20,
-    40 and 136 (one pinned CPU, python 3.11, numpy 2.4).
+    only params and grad.  At small d numpy's fixed cost per call outweighs
+    the float loop, which grows with d (ROADMAP item 4 has the timings).
     """
     m, v = state.m, state.v
     if not (len(m) == len(v) == params.size and params.shape == grad.shape):
@@ -141,16 +136,30 @@ def epoch_orders(n: int, cfg: TrainConfig):
         yield rng.permutation(n)
 
 
-def shared_epoch_orders(n: int, cfg: TrainConfig) -> np.ndarray:
-    """epoch_orders(n, cfg) drawn once, for callers that train several times
-    on one pair set with one cfg: a read-only (cfg.epochs, n) array of the
-    narrowest unsigned dtype that holds n - 1, so 2 bytes a pair per epoch
-    up to 65536 pairs and 4 above."""
+def _composed_orders(row_i, row_j, n_rows: int, cfg: TrainConfig):
+    """Yield epoch_orders(n, cfg) of n row pairs with their rows in each order,
+    (order, row_i[order], row_j[order]); the rows are one buffer, overwritten a
+    chunk at a time, of the narrowest unsigned dtype that holds n_rows - 1."""
+    rows = np.empty((2, row_i.size), dtype=np.min_scalar_type(max(n_rows - 1, 0)))
+    for order in epoch_orders(row_i.size, cfg):
+        for part in pair_chunks(row_i.size):
+            rows[:, part] = row_i.take(order[part]), row_j.take(order[part])
+        yield order, rows[0], rows[1]
+
+
+def shared_epoch_orders(row_i, row_j, n_rows: int, cfg: TrainConfig):
+    """The epochs _composed_orders yields, drawn once, for callers that train
+    several times on one set of row pairs with one cfg: read-only (cfg.epochs, n)
+    arrays (orders, rows_i, rows_j), orders of the narrowest dtype holding n - 1."""
+    n = row_i.size
     orders = np.empty((cfg.epochs, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    for row, order in zip(orders, epoch_orders(n, cfg)):
-        row[...] = order
-    orders.flags.writeable = False
-    return orders
+    rows = np.empty((2, cfg.epochs, n), dtype=np.min_scalar_type(max(n_rows - 1, 0)))
+    for e, order in enumerate(epoch_orders(n, cfg)):
+        orders[e] = order
+        for part in pair_chunks(n):
+            rows[:, e, part] = row_i.take(order[part]), row_j.take(order[part])
+    orders.flags.writeable = rows.flags.writeable = False
+    return orders, rows[0], rows[1]
 
 
 def _train_rows(X, row_i, row_j, weights, cfg: TrainConfig, w, orders, unit: str) -> np.ndarray:
@@ -159,8 +168,9 @@ def _train_rows(X, row_i, row_j, weights, cfg: TrainConfig, w, orders, unit: str
     gathered rows at a time (see GATHER_BYTES).  Returns a stepped copy of w.
 
     Every trainer's inputs are checked here, before any step: one finite,
-    positive weight a row pair, and ``orders`` either None (drawn by
-    epoch_orders) or of shape (cfg.epochs, n); ``unit`` names the rows."""
+    positive weight a row pair, and ``orders`` either None, when each epoch is
+    composed as it is drawn, or shared_epoch_orders' (cfg.epochs, n) triple,
+    whose composed rows each chunk gathers directly; ``unit`` names the rows."""
     n, bs = row_i.size, cfg.batch_size
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
@@ -168,20 +178,21 @@ def _train_rows(X, row_i, row_j, weights, cfg: TrainConfig, w, orders, unit: str
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise ValidationError("weights must be finite and positive")
     if orders is None:
-        orders = epoch_orders(n, cfg)
-    elif orders.shape != (cfg.epochs, n):
-        shape, epochs = orders.shape, cfg.epochs
-        raise ValidationError(f"orders of shape {shape} for {epochs} epochs of {n} {unit}")
+        orders = _composed_orders(row_i, row_j, X.shape[0], cfg)
+    else:
+        shape = next((a.shape for a in orders if a.shape != (cfg.epochs, n)), None)
+        if shape is not None:
+            raise ValidationError(f"orders of shape {shape} for {cfg.epochs} epochs of {n} {unit}")
+        orders = zip(*orders)
     chunk = bs * max(1, GATHER_BYTES // (8 * X.shape[1] * bs))
     w = w.copy()
     state = AdamState.zeros(w.size)
-    for order in orders:
+    for order, rows_i, rows_j in orders:
         for lo in range(0, n, chunk):
-            idx = order[lo : lo + chunk]
-            xs = X.take(row_i.take(idx), axis=0)
-            xs -= X.take(row_j.take(idx), axis=0)
-            ws = weights.take(idx)
-            for start in range(0, idx.size, bs):
+            xs = X.take(rows_i[lo : lo + chunk], axis=0)
+            xs -= X.take(rows_j[lo : lo + chunk], axis=0)
+            ws = weights.take(order[lo : lo + chunk])
+            for start in range(0, ws.size, bs):
                 batch = slice(start, start + bs)
                 grad = batch_gradient(w, xs[batch], ws[batch])
                 state, w = adam_update(state, w, grad, cfg)
@@ -193,16 +204,16 @@ def train_weighted(
     weights,
     cfg: TrainConfig,
     init: LinearRankingModel | None = None,
-    orders: np.ndarray | None = None,
+    orders: tuple | None = None,
 ) -> LinearRankingModel:
     """Minimize the weighted pairwise loss with minibatch Adam.
 
     Pairs are reshuffled every epoch in the orders of epoch_orders, so the
-    result is deterministic for fixed inputs; ``orders``, when given, must
-    be those orders, as shared_epoch_orders returns them, and is not drawn
-    again.  ``cfg.batch_size`` counts pairs of ``ps``.  The bias is returned
-    as given in ``init``: a zero gradient leaves Adam's step 0, so stepping
-    it would return it bit for bit, and only w is stepped.  epochs=0
+    result is deterministic for fixed inputs; ``orders``, when given, must be
+    shared_epoch_orders(ps.row_i, ps.row_j, ps.source.n_items, cfg), and is
+    not drawn again.  ``cfg.batch_size`` counts pairs of ``ps``.  The bias is
+    returned as given in ``init``: a zero gradient leaves Adam's step 0, so
+    stepping it would return it bit for bit, and only w is stepped.  epochs=0
     returns the initial model unchanged.
     """
     if not len(ps):
@@ -215,17 +226,24 @@ def train_weighted(
     return LinearRankingModel(w, float(init.b))
 
 
+def item_pairs(ds: Dataset) -> tuple[np.ndarray, np.ndarray, int]:
+    """train_pointwise's row pairs of ds and its row count: every item against
+    a zero row after the items, as (item, zero) if positive, else (zero, item)."""
+    n, pos, items = ds.n_items, ds.labels == 1, np.arange(ds.n_items)
+    return np.where(pos, items, n), np.where(pos, n, items), n + 1
+
+
 def train_pointwise(
     ds: Dataset,
     weights,
     cfg: TrainConfig,
     init: LinearRankingModel | None = None,
-    orders: np.ndarray | None = None,
+    orders: tuple | None = None,
 ) -> LinearRankingModel:
     """Weighted logistic regression on items (the pointwise ordering method),
     fitted as the pair loss of rows [x, 1] against a zero row: (item, zero) at
     label 1 and (zero, item) at label 0, so the bias, the last weight, gets
-    its gradient.  ``orders`` is as in train_weighted, over items."""
+    its gradient.  ``orders`` is as in train_weighted, over item_pairs(ds)."""
     n = ds.n_items
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
@@ -234,10 +252,9 @@ def train_pointwise(
     if init is None:
         init = LinearRankingModel.zeros(ds.d)
     check_dimension(init, ds.d)
-    X = np.zeros((n + 1, ds.d + 1))
+    row_i, row_j, n_rows = item_pairs(ds)
+    X = np.zeros((n_rows, ds.d + 1))
     X[:n, :-1], X[:n, -1] = ds.features, 1.0
-    items, pos = np.arange(n), ds.labels == 1
-    row_i, row_j = np.where(pos, items, n), np.where(pos, n, items)
     params = np.append(init.w, init.b)
     params = _train_rows(X, row_i, row_j, weights, cfg, params, orders, "items")
     return LinearRankingModel(params[:-1], float(params[-1]))

@@ -102,6 +102,23 @@ class TestGenerate:
         assert main(["generate", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("T", [0, 2])
+@pytest.mark.parametrize("command", ["generate", "train"])
+@pytest.mark.parametrize("bias", [2**64, -(2**64)])
+def test_bias_beyond_int64_is_a_number(tmp_path, capsys, bias, command, T):
+    # An integer bias_strength reaches numpy as a float, as every real config
+    # value does; as an int beyond int64 it was an OverflowError (exit 3).
+    # The run succeeds, or fails as a validation error on one line.
+    doc = base_config(tmp_path / "out")
+    doc["dataset"]["synth"]["bias_strength"] = bias
+    doc["fair"]["T"] = T
+    rc = main([command, "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert rc in (0, 1) and "Traceback" not in err
+    assert len(lines) == rc and all(line.startswith("error: ") for line in lines)
+
+
 class TestTrain:
     def test_writes_artifacts_and_reports(self, tmp_path):
         out = tmp_path / "run"

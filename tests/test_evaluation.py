@@ -16,7 +16,7 @@ from fairpair.constraints import (
 )
 from fairpair.data import checked_pairs, generate_synthetic, make_pairs
 from fairpair.errors import ValidationError
-from fairpair.evaluation import auc, evaluate, fairness_score
+from fairpair.evaluation import _query_score_order, auc, evaluate, fairness_score
 from fairpair.model import LinearRankingModel, score_matrix
 from fairpair.reweight import DeltaMatrix, point_expected_bias
 
@@ -132,6 +132,39 @@ class TestAuc:
             ds = build_dataset(queries, d=2, K=1)
             model = LinearRankingModel(rng.integers(-2, 3, size=2).astype(float), 0.0)
             assert auc(score_matrix(model, ds.features), ds) == old_auc(model, ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_queries=st.one_of(st.integers(1, 12), st.integers(250, 300)),
+        levels=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_order_is_the_two_argsort_order(self, n_queries, levels, seed):
+        # The stable radix pass over the queries, in score order, gives the
+        # permutation of the unique-key sort it replaced, ties included, on
+        # one-item queries and on either side of 256 queries (uint8, uint16).
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=n_queries)
+        scores = rng.integers(0, levels, size=sizes.sum()) / 2.0
+        query = np.repeat(np.arange(n_queries, dtype=np.min_scalar_type(n_queries - 1)), sizes)
+        rank = np.empty(scores.size, dtype=np.int64)
+        rank[np.argsort(scores)] = np.arange(scores.size)
+        old = np.argsort(query.astype(np.int64) * scores.size + rank)
+        np.testing.assert_array_equal(_query_score_order(scores, query), old)
+
+    @pytest.mark.parametrize("n_queries", [255, 256, 257, 300])
+    def test_matches_per_query_unique_beyond_256_queries(self, rng, n_queries):
+        # Queries of one to four items with tied integer scores, around the
+        # query count where the order's stable pass widens from uint8 to uint16.
+        queries = []
+        for qi in range(n_queries):
+            n = int(rng.integers(1, 5))
+            labels = rng.integers(0, 2, size=n)
+            queries.append((f"q{qi}", labels, [0] * n, rng.integers(-1, 2, size=(n, 1)) * 1.0))
+        queries.append(("mixed", [1, 0], [0, 0], [[0.0], [0.0]]))
+        ds = build_dataset(queries, d=1, K=1)
+        model = LinearRankingModel(np.asarray([1.0]), 0.0)
+        assert auc(score_matrix(model, ds.features), ds) == old_auc(model, ds)
 
     def test_matches_per_query_unique_on_synthetic(self, rng):
         ds, _ = generate_synthetic(60, 30, 5, 3, bias_strength=1.0, seed=3)

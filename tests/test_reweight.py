@@ -605,16 +605,20 @@ class TestPointwiseReweightTrain:
 
     @pytest.mark.parametrize("label", [2, -1])
     @pytest.mark.parametrize("bad", ["train", "eval_set"])
-    def test_label_outside_0_1_fails_before_statistics(self, rng, monkeypatch, label, bad):
-        # Unchecked, item_cell fails on such a label with numpy's ValueError.
+    def test_label_outside_0_1_fails_where_first_read(self, rng, monkeypatch, label, bad):
+        # The item statistics check the labels once, where the loop first
+        # reads them: the training items' in the first weighting, before any
+        # fit, and the delta set's in the first measurement, after one.
+        # Unchecked, item_cell would fail on such a label with numpy's ValueError.
         train, valid = random_dataset(rng), random_dataset(rng)
         (train if bad == "train" else valid).labels[2] = label
-        monkeypatch.setattr(rw, "compute_point_stats", no_training)
-        monkeypatch.setattr(rw, "train_pointwise", no_training)
+        fits, real = [], rw.train_pointwise
+        monkeypatch.setattr(rw, "train_pointwise", lambda *args: fits.append(1) or real(*args))
         cfg = small_cfg(T=2, delta_set="validation")
-        msg = r"^pointwise training needs every item label in \{0, 1\}$"
+        msg = r"^item statistics need every item label in \{0, 1\}$"
         with pytest.raises(ValidationError, match=msg):
             pointwise_reweight_train(train, valid, ConstraintKind.POINT_STATISTICAL, cfg)
+        assert len(fits) == (bad == "eval_set")
 
     def test_point_expected_bias_checks_scores_length(self, rng):
         ds = random_dataset(rng, d=3)

@@ -30,6 +30,7 @@ from fairpair.reweight import FairTrainConfig, fair_train, pointwise_reweight_tr
 from fairpair.training import (
     TrainConfig,
     epoch_orders,
+    item_pairs,
     shared_epoch_orders,
     train_pointwise,
     train_weighted,
@@ -49,7 +50,7 @@ def load_tracing():
     return module
 
 
-def drawn_each_time(n, cfg):
+def drawn_each_time(row_i, row_j, n_rows, cfg):
     """Stand-in for shared_epoch_orders: every training draws its own orders."""
     return None
 
@@ -73,20 +74,30 @@ def counting_draws(monkeypatch):
     [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)],
 )
 def test_shared_orders_are_the_drawn_orders(n, dtype):
+    # The orders' dtype holds the pair count; the rows', the row count.
     cfg = TrainConfig(epochs=2, seed=5)
-    orders = shared_epoch_orders(n, cfg)
+    row_i = np.arange(n, dtype=np.int32)
+    row_j = row_i[::-1] + np.int32(1)
+    orders, rows_i, rows_j = shared_epoch_orders(row_i, row_j, n + 1, cfg)
     assert orders.dtype == dtype and orders.shape == (2, n)
-    assert not orders.flags.writeable
+    assert rows_i.dtype == rows_j.dtype == np.min_scalar_type(n)
+    assert rows_i.shape == rows_j.shape == (2, n)
+    assert not any(a.flags.writeable for a in (orders, rows_i, rows_j))
     rng = np.random.default_rng(cfg.seed)
     for row in orders:
         np.testing.assert_array_equal(row, rng.permutation(n))
-    for row, drawn in zip(orders, epoch_orders(n, cfg), strict=True):
-        np.testing.assert_array_equal(row, drawn)
+    for e, drawn in enumerate(epoch_orders(n, cfg)):
+        np.testing.assert_array_equal(orders[e], drawn)
+        np.testing.assert_array_equal(rows_i[e], row_i[drawn])
+        np.testing.assert_array_equal(rows_j[e], row_j[drawn])
+    assert e == cfg.epochs - 1
 
 
 def test_shared_orders_of_zero_epochs_or_pairs():
-    assert shared_epoch_orders(5, TrainConfig(epochs=0)).shape == (0, 5)
-    assert shared_epoch_orders(0, TrainConfig(epochs=3)).shape == (3, 0)
+    rows = np.arange(5, dtype=np.int32)
+    for row_i, epochs, shape in ((rows, 0, (0, 5)), (rows[:0], 3, (3, 0))):
+        shared = shared_epoch_orders(row_i, row_i, 5, TrainConfig(epochs=epochs))
+        assert [a.shape for a in shared] == [shape] * 3
 
 
 @pytest.mark.parametrize(
@@ -101,7 +112,8 @@ def test_train_weighted_on_shared_orders_matches_drawn(rng, cfg_kwargs):
     ps = make_pairs(random_dataset(rng, n_queries=5, items_per_query=9, d=4, K=3))
     weights = rng.uniform(0.05, 3.0, size=len(ps))
     cfg = TrainConfig(**cfg_kwargs)
-    shared = train_weighted(ps, weights, cfg, orders=shared_epoch_orders(len(ps), cfg))
+    orders = shared_epoch_orders(ps.row_i, ps.row_j, ps.source.n_items, cfg)
+    shared = train_weighted(ps, weights, cfg, orders=orders)
     drawn = train_weighted(ps, weights, cfg)
     assert shared.w.tobytes() == drawn.w.tobytes() and shared.b == drawn.b
 
@@ -109,8 +121,9 @@ def test_train_weighted_on_shared_orders_matches_drawn(rng, cfg_kwargs):
 def test_train_weighted_rejects_orders_of_another_shape(rng):
     ps = make_pairs(random_dataset(rng, n_queries=5, items_per_query=9, d=4, K=3))
     cfg = TrainConfig(epochs=3)
+    rows = np.zeros(len(ps) + 1, np.int32)
     for epochs, n in ((2, len(ps)), (3, len(ps) + 1)):
-        orders = shared_epoch_orders(n, TrainConfig(epochs=epochs))
+        orders = shared_epoch_orders(rows[:n], rows[:n], 1, TrainConfig(epochs=epochs))
         with pytest.raises(ValidationError, match="orders of shape"):
             train_weighted(ps, np.ones(len(ps)), cfg, orders=orders)
 
@@ -121,7 +134,7 @@ def test_train_pointwise_on_shared_orders_matches_drawn(rng, cfg_kwargs):
     weights = rng.uniform(0.05, 3.0, size=ds.n_items)
     cfg = TrainConfig(**cfg_kwargs)
     init = LinearRankingModel(rng.normal(size=4), 0.25)
-    shared = train_pointwise(ds, weights, cfg, init, shared_epoch_orders(ds.n_items, cfg))
+    shared = train_pointwise(ds, weights, cfg, init, shared_epoch_orders(*item_pairs(ds), cfg))
     drawn = train_pointwise(ds, weights, cfg, init)
     assert shared.w.tobytes() == drawn.w.tobytes() and shared.b == drawn.b
 
@@ -129,8 +142,9 @@ def test_train_pointwise_on_shared_orders_matches_drawn(rng, cfg_kwargs):
 def test_train_pointwise_rejects_orders_of_another_shape(rng):
     ds = random_dataset(rng, n_queries=5, items_per_query=9, d=4, K=3)
     cfg = TrainConfig(epochs=3)
+    row_i, row_j, n_rows = item_pairs(ds)
     for epochs, n in ((2, ds.n_items), (3, ds.n_items - 1)):
-        orders = shared_epoch_orders(n, TrainConfig(epochs=epochs))
+        orders = shared_epoch_orders(row_i[:n], row_j[:n], n_rows, TrainConfig(epochs=epochs))
         with pytest.raises(ValidationError, match=f"orders of shape .* epochs of {ds.n_items} items"):
             train_pointwise(ds, np.ones(ds.n_items), cfg, orders=orders)
 

@@ -465,7 +465,8 @@ class TestTrainWeighted:
 
 BAD_WEIGHT = "weights must be finite and positive"
 # Each fault of the weights or orders handed to a trainer of n rows: the
-# weights, the orders and the message, whose {unit} names the rows.
+# weights, the (orders, rows_i, rows_j) triple and the message, whose {unit}
+# names the rows.
 ROW_FAULTS = {
     "nan-weight": lambda n: (np.r_[np.nan, np.ones(n - 1)], None, BAD_WEIGHT),
     "inf-weight": lambda n: (np.r_[np.ones(n - 1), np.inf], None, BAD_WEIGHT),
@@ -475,11 +476,11 @@ ROW_FAULTS = {
         np.ones(n - 1), None, rf"weight table length \({n - 1},\) != number of {{unit}} {n}"
     ),
     "orders-of-other-epochs": lambda n: (
-        np.ones(n), np.zeros((2, n), np.int64),
+        np.ones(n), (np.zeros((2, n), np.int64),) * 3,
         rf"orders of shape \(2, {n}\) for 3 epochs of {n} {{unit}}",
     ),
     "orders-of-other-rows": lambda n: (
-        np.ones(n), np.zeros((3, n + 1), np.int64),
+        np.ones(n), (np.zeros((3, n), np.int64),) * 2 + (np.zeros((3, n + 1), np.int64),),
         rf"orders of shape \(3, {n + 1}\) for 3 epochs of {n} {{unit}}",
     ),
 }
